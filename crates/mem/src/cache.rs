@@ -32,22 +32,29 @@ pub struct Eviction {
     pub dirty: bool,
 }
 
+/// One way of a set. A way is valid exactly when its recency stamp is
+/// non-zero: the stamp clock starts at 1, and invalid ways keep stamp 0.
+/// Valid stamps are unique, so the first way with the smallest stamp is the
+/// set's first invalid way if it has one and its least recently used way
+/// otherwise, which is exactly the victim rule.
 #[derive(Debug, Clone, Copy)]
 struct Way {
     tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Larger = more recently used.
+    /// Larger = more recently used; 0 = invalid.
     lru: u64,
+    dirty: bool,
 }
 
 impl Way {
     const EMPTY: Way = Way {
         tag: 0,
-        valid: false,
-        dirty: false,
         lru: 0,
+        dirty: false,
     };
+
+    fn holds(&self, tag: u64) -> bool {
+        self.tag == tag && self.lru != 0
+    }
 }
 
 /// Hit/miss counters for one cache.
@@ -101,8 +108,14 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    /// Every way of every set, set-major: set `s` is
+    /// `ways[s * associativity..(s + 1) * associativity]`.
+    ways: Vec<Way>,
+    associativity: usize,
     set_mask: u64,
+    /// `log2` of the set count: the tag is the line address shifted right
+    /// by this much.
+    set_bits: u32,
     lru_clock: u64,
     stats: CacheStats,
 }
@@ -123,8 +136,10 @@ impl SetAssocCache {
         );
         SetAssocCache {
             cfg,
-            sets: vec![vec![Way::EMPTY; cfg.associativity]; sets],
+            ways: vec![Way::EMPTY; sets * cfg.associativity],
+            associativity: cfg.associativity,
             set_mask: (sets - 1) as u64,
+            set_bits: sets.trailing_zeros(),
             lru_clock: 0,
             stats: CacheStats::default(),
         }
@@ -135,29 +150,36 @@ impl SetAssocCache {
         self.cfg
     }
 
-    fn set_index(&self, line: LineAddr) -> usize {
-        (line.raw() & self.set_mask) as usize
+    /// The set index and tag of `line`.
+    fn locate(&self, line: LineAddr) -> (usize, u64) {
+        (
+            (line.raw() & self.set_mask) as usize,
+            line.raw() >> self.set_bits,
+        )
     }
 
-    fn tag(&self, line: LineAddr) -> u64 {
-        line.raw() >> self.set_mask.count_ones()
+    fn set(&self, set: usize) -> &[Way] {
+        let base = set * self.associativity;
+        &self.ways[base..base + self.associativity]
+    }
+
+    fn set_mut(&mut self, set: usize) -> &mut [Way] {
+        let base = set * self.associativity;
+        &mut self.ways[base..base + self.associativity]
     }
 
     /// Performs a lookup; on a hit the line's recency is updated and, for
     /// writes, the line is marked dirty. Misses do **not** allocate — call
     /// [`SetAssocCache::fill`] once the miss is serviced.
     pub fn access(&mut self, line: LineAddr, is_write: bool) -> CacheOutcome {
-        let set = self.set_index(line);
-        let tag = self.tag(line);
+        let (set, tag) = self.locate(line);
         self.lru_clock += 1;
         let clock = self.lru_clock;
-        for way in &mut self.sets[set] {
-            if way.valid && way.tag == tag {
-                way.lru = clock;
-                way.dirty |= is_write;
-                self.stats.hits += 1;
-                return CacheOutcome::Hit;
-            }
+        if let Some(way) = self.set_mut(set).iter_mut().find(|w| w.holds(tag)) {
+            way.lru = clock;
+            way.dirty |= is_write;
+            self.stats.hits += 1;
+            return CacheOutcome::Hit;
         }
         self.stats.misses += 1;
         CacheOutcome::Miss
@@ -165,75 +187,60 @@ impl SetAssocCache {
 
     /// Checks presence without updating recency or statistics.
     pub fn probe(&self, line: LineAddr) -> bool {
-        let set = self.set_index(line);
-        let tag = self.tag(line);
-        self.sets[set].iter().any(|w| w.valid && w.tag == tag)
+        let (set, tag) = self.locate(line);
+        self.set(set).iter().any(|w| w.holds(tag))
     }
 
     /// Inserts a line, evicting the LRU way of its set if needed. Returns the
     /// eviction, if any. If the line is already present the call only updates
     /// its dirty bit and recency.
     pub fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<Eviction> {
-        let set_idx = self.set_index(line);
-        let tag = self.tag(line);
+        let (set_idx, tag) = self.locate(line);
         self.lru_clock += 1;
         let clock = self.lru_clock;
-        let set_bits = self.set_mask.count_ones();
+        let set_bits = self.set_bits;
         self.stats.fills += 1;
-        let set = &mut self.sets[set_idx];
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.dirty |= dirty;
-            way.lru = clock;
-            return None;
+        // One pass finds a hit, or else the way with the smallest stamp:
+        // the first invalid way, or the LRU way when all are valid.
+        let set = self.set_mut(set_idx);
+        let (mut victim, mut victim_lru) = (0, u64::MAX);
+        for (i, way) in set.iter_mut().enumerate() {
+            if way.holds(tag) {
+                way.dirty |= dirty;
+                way.lru = clock;
+                return None;
+            }
+            if way.lru < victim_lru {
+                (victim, victim_lru) = (i, way.lru);
+            }
         }
-        // Prefer an invalid way.
-        if let Some(way) = set.iter_mut().find(|w| !w.valid) {
-            *way = Way {
-                tag,
-                valid: true,
-                dirty,
-                lru: clock,
-            };
-            return None;
-        }
-        // Evict the LRU way.
-        let victim = set
-            .iter_mut()
-            .min_by_key(|w| w.lru)
-            .expect("associativity is non-zero");
-        let evicted_line = LineAddr::new((victim.tag << set_bits) | set_idx as u64);
-        let eviction = Eviction {
-            line: evicted_line,
+        let victim = &mut set[victim];
+        let eviction = (victim.lru != 0).then(|| Eviction {
+            line: LineAddr::new((victim.tag << set_bits) | set_idx as u64),
             dirty: victim.dirty,
-        };
-        if eviction.dirty {
-            self.stats.dirty_evictions += 1;
-        }
+        });
         *victim = Way {
             tag,
-            valid: true,
-            dirty,
             lru: clock,
+            dirty,
         };
-        Some(eviction)
+        if eviction.is_some_and(|e| e.dirty) {
+            self.stats.dirty_evictions += 1;
+        }
+        eviction
     }
 
     /// Removes a line if present, returning whether it was dirty.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
-        let set = self.set_index(line);
-        let tag = self.tag(line);
-        for way in &mut self.sets[set] {
-            if way.valid && way.tag == tag {
-                way.valid = false;
-                return Some(way.dirty);
-            }
-        }
-        None
+        let (set, tag) = self.locate(line);
+        let way = self.set_mut(set).iter_mut().find(|w| w.holds(tag))?;
+        way.lru = 0;
+        Some(way.dirty)
     }
 
     /// Number of valid lines currently held.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().flatten().filter(|w| w.valid).count()
+        self.ways.iter().filter(|w| w.lru != 0).count()
     }
 
     /// Hit/miss counters.

@@ -178,6 +178,9 @@ pub struct DramModel {
     /// Cycle until which the channel is busy counting low-priority transfers
     /// as well (always >= `demand_busy_until`).
     low_busy_until: Cycle,
+    /// `cfg.transfer_cycles(cfg.transfer_bytes)`, the occupancy of the
+    /// line-sized transfers nearly every access makes.
+    line_transfer_cycles: u64,
     traffic: TrafficStats,
     accesses: u64,
 }
@@ -189,6 +192,7 @@ impl DramModel {
             cfg,
             demand_busy_until: Cycle::ZERO,
             low_busy_until: Cycle::ZERO,
+            line_transfer_cycles: cfg.transfer_cycles(cfg.transfer_bytes as u64),
             traffic: TrafficStats::default(),
             accesses: 0,
         }
@@ -207,7 +211,11 @@ impl DramModel {
     pub fn access(&mut self, class: TrafficClass, bytes: u64, now: Cycle) -> Cycle {
         self.traffic.add(class, bytes);
         self.accesses += 1;
-        let transfer = self.cfg.transfer_cycles(bytes);
+        let transfer = if bytes == self.cfg.transfer_bytes as u64 {
+            self.line_transfer_cycles
+        } else {
+            self.cfg.transfer_cycles(bytes)
+        };
         if class.is_high_priority() {
             let start = now.max(self.demand_busy_until);
             let completion = start + self.cfg.latency_cycles;

@@ -295,6 +295,7 @@ impl<'a> CmpSimulator<'a> {
         let mut idx = 0usize;
         while let Some(chunk) = source.next_chunk()? {
             debug_assert_eq!(chunk.first_index as usize, idx, "chunks arrive in order");
+            self.check_cores(chunk.accesses);
             for access in chunk.accesses {
                 if idx == warmup_end {
                     self.end_warmup();
@@ -324,13 +325,21 @@ impl<'a> CmpSimulator<'a> {
         };
     }
 
+    /// Panics if any access of a chunk names a core the system does not
+    /// have; [`CmpSimulator::step`] relies on this instead of checking every
+    /// access.
+    fn check_cores(&self, accesses: &[MemAccess]) {
+        let highest = accesses.iter().map(|a| a.core.index()).max();
+        if let Some(core_idx) = highest.filter(|&c| c >= self.cores.len()) {
+            panic!(
+                "trace references core {core_idx} beyond configured {}",
+                self.cores.len()
+            );
+        }
+    }
+
     fn step<P: Prefetcher + ?Sized>(&mut self, a: MemAccess, prefetcher: &mut P, measure: bool) {
         let core_idx = a.core.index();
-        assert!(
-            core_idx < self.cores.len(),
-            "trace references core {core_idx} beyond configured {}",
-            self.cores.len()
-        );
 
         // Advance the core clock over the compute gap (one instruction per cycle).
         {

@@ -45,6 +45,8 @@ pub mod dram;
 pub mod engine;
 pub mod mshr;
 pub mod prefetcher;
+#[cfg(test)]
+mod reference;
 pub mod result;
 pub mod stream;
 pub mod stride;

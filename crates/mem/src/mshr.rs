@@ -37,6 +37,10 @@ pub struct MshrEntry {
 pub struct MshrFile {
     capacity: usize,
     entries: Vec<MshrEntry>,
+    /// Earliest `completes_at` among `entries` (`None` when empty). While
+    /// it lies in the future nothing can retire, so the engine's per-access
+    /// [`MshrFile::retire_completed`] call returns without a scan.
+    earliest: Option<Cycle>,
 }
 
 impl MshrFile {
@@ -45,6 +49,7 @@ impl MshrFile {
         MshrFile {
             capacity,
             entries: Vec::with_capacity(capacity),
+            earliest: None,
         }
     }
 
@@ -79,25 +84,32 @@ impl MshrFile {
             completes_at,
             merged: 1,
         });
+        self.earliest = Some(self.earliest.map_or(completes_at, |e| e.min(completes_at)));
         true
     }
 
     /// Removes entries whose fills completed at or before `now`, returning
     /// how many were retired.
     pub fn retire_completed(&mut self, now: Cycle) -> usize {
+        match self.earliest {
+            Some(earliest) if earliest <= now => {}
+            _ => return 0,
+        }
         let before = self.entries.len();
         self.entries.retain(|e| e.completes_at > now);
+        self.earliest = self.entries.iter().map(|e| e.completes_at).min();
         before - self.entries.len()
     }
 
     /// Earliest completion time among outstanding misses.
     pub fn earliest_completion(&self) -> Option<Cycle> {
-        self.entries.iter().map(|e| e.completes_at).min()
+        self.earliest
     }
 
     /// Removes every entry.
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.earliest = None;
     }
 }
 

@@ -6,12 +6,21 @@
 //! prefetchers under study. It trains on the off-chip miss stream, detects
 //! constant-stride sequences within 4 KB regions and, once confident,
 //! prefetches `degree` lines ahead directly into the shared L2.
+//!
+//! The table is associative over (region, core). An open-addressed index
+//! maps that key to its entry in O(1), and an intrusive doubly-linked list
+//! keeps the entries in recency order, so the least recently used entry is
+//! the list's tail. Entries are never invalidated, so until the table is
+//! full a miss takes the next unused slot, and afterwards the tail.
 
 use crate::config::StrideConfig;
 use stms_types::{CoreId, LineAddr};
 
 /// Lines per 4 KB detection region.
 const REGION_LINES: u64 = 64;
+
+/// Marks an empty index slot and the ends of the recency list.
+const NIL: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy)]
 struct StrideEntry {
@@ -22,8 +31,10 @@ struct StrideEntry {
     last_line: LineAddr,
     stride: i64,
     confidence: u32,
-    lru: u64,
-    valid: bool,
+    /// Neighbour towards the most recently used end of the list.
+    newer: u32,
+    /// Neighbour towards the least recently used end of the list.
+    older: u32,
 }
 
 /// Counters describing stride-prefetcher behaviour.
@@ -34,6 +45,45 @@ pub struct StrideStats {
     /// Number of prefetches issued.
     pub prefetches: u64,
 }
+
+/// The lines one training observation asks to prefetch: `line + k * stride`
+/// for `k` in `1..=count`, computed on demand so training never allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StridePredictions {
+    line: LineAddr,
+    stride: i64,
+    next: u64,
+    count: u64,
+}
+
+impl StridePredictions {
+    const NONE: StridePredictions = StridePredictions {
+        line: LineAddr::new(0),
+        stride: 0,
+        next: 1,
+        count: 0,
+    };
+}
+
+impl Iterator for StridePredictions {
+    type Item = LineAddr;
+
+    fn next(&mut self) -> Option<LineAddr> {
+        if self.next > self.count {
+            return None;
+        }
+        let k = self.next as i64;
+        self.next += 1;
+        Some(self.line.offset(self.stride * k))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.count + 1 - self.next) as usize;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for StridePredictions {}
 
 /// A simple per-region constant-stride detector.
 ///
@@ -55,92 +105,196 @@ pub struct StrideStats {
 #[derive(Debug, Clone)]
 pub struct StridePrefetcher {
     cfg: StrideConfig,
+    /// Allocated entries; grows to `cfg.streams` and then stays full.
     entries: Vec<StrideEntry>,
-    clock: u64,
+    /// Open-addressed (linear probing) map from (region, core) to an index
+    /// into `entries`; `NIL` marks an empty slot. Its length is a power of
+    /// two at least twice `cfg.streams`, so probes stay short.
+    index: Vec<u32>,
+    /// Right shift taking a hash's top bits as the home slot.
+    index_shift: u32,
+    /// Most recently used entry.
+    newest: u32,
+    /// Least recently used entry: the victim once the table is full.
+    oldest: u32,
     stats: StrideStats,
 }
 
 impl StridePrefetcher {
     /// Creates a stride prefetcher with the given table size and degree.
     pub fn new(cfg: StrideConfig) -> Self {
+        let slots = (cfg.streams.max(1) * 2).next_power_of_two();
         StridePrefetcher {
             cfg,
-            entries: vec![
-                StrideEntry {
-                    region: 0,
-                    core: 0,
-                    last_line: LineAddr::new(0),
-                    stride: 0,
-                    confidence: 0,
-                    lru: 0,
-                    valid: false,
-                };
-                cfg.streams
-            ],
-            clock: 0,
+            entries: Vec::with_capacity(cfg.streams),
+            index: vec![NIL; slots],
+            index_shift: 64 - slots.trailing_zeros(),
+            newest: NIL,
+            oldest: NIL,
             stats: StrideStats::default(),
         }
     }
 
     /// Observes an off-chip miss and returns the lines to prefetch (possibly
-    /// empty).
-    pub fn train(&mut self, core: CoreId, line: LineAddr) -> Vec<LineAddr> {
-        self.clock += 1;
+    /// none).
+    pub fn train(&mut self, core: CoreId, line: LineAddr) -> StridePredictions {
         self.stats.trained += 1;
-        let clock = self.clock;
         let region = line.raw() / REGION_LINES;
         let core_idx = core.index() as u16;
 
-        // Find an existing entry for this region+core.
-        if let Some(entry) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.valid && e.region == region && e.core == core_idx)
-        {
-            let delta = line.delta_from(entry.last_line);
-            entry.lru = clock;
-            if delta == 0 {
-                return Vec::new();
+        match self.find_slot(region, core_idx) {
+            Ok(slot) => {
+                let id = self.index[slot];
+                self.touch(id);
+                let entry = &mut self.entries[id as usize];
+                let delta = line.delta_from(entry.last_line);
+                if delta == 0 {
+                    return StridePredictions::NONE;
+                }
+                if delta == entry.stride {
+                    entry.confidence = entry.confidence.saturating_add(1);
+                } else {
+                    entry.stride = delta;
+                    entry.confidence = 1;
+                }
+                entry.last_line = line;
+                if entry.confidence >= self.cfg.confidence && entry.stride != 0 {
+                    let degree = self.cfg.degree as u64;
+                    self.stats.prefetches += degree;
+                    return StridePredictions {
+                        line,
+                        stride: entry.stride,
+                        next: 1,
+                        count: degree,
+                    };
+                }
             }
-            if delta == entry.stride {
-                entry.confidence = entry.confidence.saturating_add(1);
-            } else {
-                entry.stride = delta;
-                entry.confidence = 1;
-            }
-            entry.last_line = line;
-            if entry.confidence >= self.cfg.confidence && entry.stride != 0 {
-                let stride = entry.stride;
-                let degree = self.cfg.degree;
-                self.stats.prefetches += degree as u64;
-                return (1..=degree as i64)
-                    .map(|k| line.offset(stride * k))
-                    .collect();
-            }
-            return Vec::new();
+            Err(_) => self.allocate(region, core_idx, line),
         }
-
-        // Allocate a new entry (LRU replacement).
-        let victim = self
-            .entries
-            .iter_mut()
-            .min_by_key(|e| if e.valid { e.lru } else { 0 })
-            .expect("streams > 0");
-        *victim = StrideEntry {
-            region,
-            core: core_idx,
-            last_line: line,
-            stride: 0,
-            confidence: 0,
-            lru: clock,
-            valid: true,
-        };
-        Vec::new()
+        StridePredictions::NONE
     }
 
     /// Counters accumulated so far.
     pub fn stats(&self) -> StrideStats {
         self.stats
+    }
+
+    fn home_slot(&self, region: u64, core: u16) -> usize {
+        const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+        let h = (region ^ (u64::from(core) << 48)).wrapping_mul(MIX);
+        (h >> self.index_shift) as usize
+    }
+
+    /// The index slot holding (region, core) (`Ok`), or the empty slot where
+    /// it would be inserted (`Err`).
+    fn find_slot(&self, region: u64, core: u16) -> Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        let mut slot = self.home_slot(region, core);
+        loop {
+            let id = self.index[slot];
+            if id == NIL {
+                return Err(slot);
+            }
+            let e = &self.entries[id as usize];
+            if e.region == region && e.core == core {
+                return Ok(slot);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Installs a new entry for the absent key (region, core): in the next
+    /// unused slot while the table has one, else in place of the least
+    /// recently used entry.
+    fn allocate(&mut self, region: u64, core: u16, line: LineAddr) {
+        let entry = StrideEntry {
+            region,
+            core,
+            last_line: line,
+            stride: 0,
+            confidence: 0,
+            newer: NIL,
+            older: NIL,
+        };
+        let id = if self.entries.len() < self.cfg.streams {
+            self.entries.push(entry);
+            (self.entries.len() - 1) as u32
+        } else {
+            assert!(self.cfg.streams > 0, "streams > 0");
+            let victim = self.oldest;
+            self.unlink(victim);
+            let old = self.entries[victim as usize];
+            let victim_slot = self
+                .find_slot(old.region, old.core)
+                .expect("every entry is indexed");
+            self.remove_slot(victim_slot);
+            self.entries[victim as usize] = entry;
+            victim
+        };
+        // Looked up only now: removing the victim may shift probe chains.
+        let slot = self
+            .find_slot(region, core)
+            .expect_err("the key was absent");
+        self.index[slot] = id;
+        self.push_newest(id);
+    }
+
+    /// Empties index slot `hole`, shifting later members of its probe chain
+    /// back so every key stays reachable from its home slot.
+    fn remove_slot(&mut self, mut hole: usize) {
+        let mask = self.index.len() - 1;
+        let mut slot = hole;
+        loop {
+            slot = (slot + 1) & mask;
+            let id = self.index[slot];
+            if id == NIL {
+                break;
+            }
+            let e = &self.entries[id as usize];
+            let home = self.home_slot(e.region, e.core);
+            // The entry may move into the hole unless its home lies
+            // cyclically within (hole, slot].
+            if (slot.wrapping_sub(home) & mask) >= (slot.wrapping_sub(hole) & mask) {
+                self.index[hole] = id;
+                hole = slot;
+            }
+        }
+        self.index[hole] = NIL;
+    }
+
+    /// Moves entry `id` to the most recently used end of the list.
+    fn touch(&mut self, id: u32) {
+        if self.newest != id {
+            self.unlink(id);
+            self.push_newest(id);
+        }
+    }
+
+    fn push_newest(&mut self, id: u32) {
+        let old_newest = self.newest;
+        let e = &mut self.entries[id as usize];
+        e.newer = NIL;
+        e.older = old_newest;
+        if old_newest == NIL {
+            self.oldest = id;
+        } else {
+            self.entries[old_newest as usize].newer = id;
+        }
+        self.newest = id;
+    }
+
+    fn unlink(&mut self, id: u32) {
+        let StrideEntry { newer, older, .. } = self.entries[id as usize];
+        if newer == NIL {
+            self.newest = older;
+        } else {
+            self.entries[newer as usize].older = older;
+        }
+        if older == NIL {
+            self.oldest = newer;
+        } else {
+            self.entries[older as usize].newer = newer;
+        }
     }
 }
 
@@ -156,16 +310,17 @@ mod tests {
         })
     }
 
+    fn train(p: &mut StridePrefetcher, core: CoreId, line: u64) -> Vec<LineAddr> {
+        p.train(core, LineAddr::new(line)).collect()
+    }
+
     #[test]
     fn unit_stride_detected_after_confidence() {
         let mut p = sp();
         let core = CoreId::new(0);
-        assert!(p.train(core, LineAddr::new(100)).is_empty());
-        assert!(
-            p.train(core, LineAddr::new(101)).is_empty(),
-            "confidence 1 of 2"
-        );
-        let out = p.train(core, LineAddr::new(102));
+        assert!(train(&mut p, core, 100).is_empty());
+        assert!(train(&mut p, core, 101).is_empty(), "confidence 1 of 2");
+        let out = train(&mut p, core, 102);
         assert_eq!(out, vec![LineAddr::new(103), LineAddr::new(104)]);
     }
 
@@ -173,9 +328,9 @@ mod tests {
     fn non_unit_stride_detected() {
         let mut p = sp();
         let core = CoreId::new(1);
-        p.train(core, LineAddr::new(200));
-        p.train(core, LineAddr::new(204));
-        let out = p.train(core, LineAddr::new(208));
+        train(&mut p, core, 200);
+        train(&mut p, core, 204);
+        let out = train(&mut p, core, 208);
         assert_eq!(out, vec![LineAddr::new(212), LineAddr::new(216)]);
     }
 
@@ -184,8 +339,8 @@ mod tests {
         let mut p = sp();
         let core = CoreId::new(0);
         let mut total = 0;
-        for line in [5u64, 900, 17, 3000, 42, 77777, 13].map(LineAddr::new) {
-            total += p.train(core, line).len();
+        for line in [5u64, 900, 17, 3000, 42, 77777, 13] {
+            total += p.train(core, LineAddr::new(line)).len();
         }
         assert_eq!(total, 0);
         assert_eq!(p.stats().prefetches, 0);
@@ -195,13 +350,13 @@ mod tests {
     fn stride_change_resets_confidence() {
         let mut p = sp();
         let core = CoreId::new(0);
-        p.train(core, LineAddr::new(10));
-        p.train(core, LineAddr::new(11));
-        p.train(core, LineAddr::new(12)); // locked, prefetching
-        assert!(p.train(core, LineAddr::new(20)).is_empty(), "stride broke");
+        train(&mut p, core, 10);
+        train(&mut p, core, 11);
+        train(&mut p, core, 12); // locked, prefetching
+        assert!(train(&mut p, core, 20).is_empty(), "stride broke");
         // After two consecutive identical deltas the new stride locks again.
         assert_eq!(
-            p.train(core, LineAddr::new(28)),
+            train(&mut p, core, 28),
             vec![LineAddr::new(36), LineAddr::new(44)],
             "locked onto new stride"
         );
@@ -210,20 +365,20 @@ mod tests {
     #[test]
     fn distinct_cores_do_not_interfere() {
         let mut p = sp();
-        p.train(CoreId::new(0), LineAddr::new(100));
-        p.train(CoreId::new(1), LineAddr::new(101));
-        p.train(CoreId::new(0), LineAddr::new(101));
-        p.train(CoreId::new(1), LineAddr::new(102));
+        train(&mut p, CoreId::new(0), 100);
+        train(&mut p, CoreId::new(1), 101);
+        train(&mut p, CoreId::new(0), 101);
+        train(&mut p, CoreId::new(1), 102);
         // Each core has seen only one delta so far; nobody should have locked.
-        assert_eq!(p.train(CoreId::new(0), LineAddr::new(102)).len(), 2);
+        assert_eq!(train(&mut p, CoreId::new(0), 102).len(), 2);
     }
 
     #[test]
     fn duplicate_miss_is_ignored() {
         let mut p = sp();
         let core = CoreId::new(0);
-        p.train(core, LineAddr::new(50));
-        assert!(p.train(core, LineAddr::new(50)).is_empty());
+        train(&mut p, core, 50);
+        assert!(train(&mut p, core, 50).is_empty());
     }
 
     #[test]
@@ -232,12 +387,35 @@ mod tests {
         let core = CoreId::new(0);
         // Touch 5 distinct regions with a 4-entry table.
         for r in 0..5u64 {
-            p.train(core, LineAddr::new(r * REGION_LINES));
+            train(&mut p, core, r * REGION_LINES);
         }
         // Region 0 was evicted; training it again restarts from scratch.
-        p.train(core, LineAddr::new(1));
-        p.train(core, LineAddr::new(2));
-        let out = p.train(core, LineAddr::new(3));
+        train(&mut p, core, 1);
+        train(&mut p, core, 2);
+        let out = train(&mut p, core, 3);
         assert_eq!(out.len(), 2);
+    }
+
+    #[test]
+    fn predictions_report_their_length() {
+        let mut p = sp();
+        let core = CoreId::new(0);
+        train(&mut p, core, 7);
+        train(&mut p, core, 9);
+        let mut out = p.train(core, LineAddr::new(11));
+        assert_eq!(out.len(), 2);
+        assert_eq!(out.next(), Some(LineAddr::new(13)));
+        assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "streams > 0")]
+    fn zero_stream_table_panics_on_first_allocation() {
+        let mut p = StridePrefetcher::new(StrideConfig {
+            streams: 0,
+            degree: 2,
+            confidence: 2,
+        });
+        p.train(CoreId::new(0), LineAddr::new(1));
     }
 }

@@ -429,8 +429,9 @@ impl HistogramSnapshot {
     }
 
     /// Upper bound of the bucket where the cumulative sample count first
-    /// reaches `q` (0.0–1.0) of the total — a conservative quantile
-    /// estimate. Returns 0 for an empty histogram.
+    /// reaches `q` (0.0–1.0) of the total, clamped to the observed `max` —
+    /// a conservative estimate that never exceeds the largest sample, so
+    /// `quantile(1.0) == max`. Returns 0 for an empty histogram.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -440,7 +441,7 @@ impl HistogramSnapshot {
         for &(index, n) in &self.buckets {
             seen = seen.saturating_add(n);
             if seen >= threshold.max(1) {
-                return bucket_upper_bound(index);
+                return bucket_upper_bound(index).min(self.max);
             }
         }
         self.max
@@ -828,7 +829,12 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.mean(), (1 + 2 + 3 + 4 + 1000) / 5);
         assert!(snap.quantile(0.5) >= 3, "median upper bound covers 3");
-        assert_eq!(snap.quantile(1.0), 1023, "p100 lands in 1000's bucket");
+        assert_eq!(snap.quantile(0.8), 7, "p80 is 4's bucket bound");
+        assert_eq!(
+            snap.quantile(1.0),
+            1000,
+            "p100 is 1000's bucket bound (1023) clamped to the max"
+        );
         assert_eq!(HistogramSnapshot::default().quantile(0.5), 0);
     }
 

@@ -141,10 +141,10 @@ proptest! {
         for &(index, _) in &hist.buckets {
             prop_assert!((index as usize) < BUCKETS);
         }
-        // Quantiles are monotone in q and bounded by the bucketed max.
+        // Quantiles are monotone in q and clamped to the observed max.
         let (p50, p95, p100) = (hist.quantile(0.5), hist.quantile(0.95), hist.quantile(1.0));
         prop_assert!(p50 <= p95 && p95 <= p100);
-        prop_assert!(hist.max <= p100 || p100 == u64::MAX);
+        prop_assert_eq!(p100, hist.max);
     }
 }
 
