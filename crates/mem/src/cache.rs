@@ -32,31 +32,6 @@ pub struct Eviction {
     pub dirty: bool,
 }
 
-/// One way of a set. A way is valid exactly when its recency stamp is
-/// non-zero: the stamp clock starts at 1, and invalid ways keep stamp 0.
-/// Valid stamps are unique, so the first way with the smallest stamp is the
-/// set's first invalid way if it has one and its least recently used way
-/// otherwise, which is exactly the victim rule.
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    /// Larger = more recently used; 0 = invalid.
-    lru: u64,
-    dirty: bool,
-}
-
-impl Way {
-    const EMPTY: Way = Way {
-        tag: 0,
-        lru: 0,
-        dirty: false,
-    };
-
-    fn holds(&self, tag: u64) -> bool {
-        self.tag == tag && self.lru != 0
-    }
-}
-
 /// Hit/miss counters for one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -108,9 +83,17 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    /// Every way of every set, set-major: set `s` is
-    /// `ways[s * associativity..(s + 1) * associativity]`.
-    ways: Vec<Way>,
+    // Way `w` of set `s` is index `s * associativity + w` of the three
+    // parallel arrays, so a lookup scans one contiguous run of tags.
+    tags: Vec<u64>,
+    /// Recency stamps: larger = more recently used. A way is valid exactly
+    /// when its stamp is non-zero: the stamp clock starts at 1 and every
+    /// access or fill takes a fresh stamp, while invalid ways keep 0. So
+    /// the first way of a set with the smallest stamp is its first invalid
+    /// way if it has one and its least recently used way otherwise, which
+    /// is the victim rule.
+    stamps: Vec<u64>,
+    dirty: Vec<bool>,
     associativity: usize,
     set_mask: u64,
     /// `log2` of the set count: the tag is the line address shifted right
@@ -134,9 +117,12 @@ impl SetAssocCache {
             sets.is_power_of_two(),
             "set count must be a power of two, got {sets}"
         );
+        let ways = sets * cfg.associativity;
         SetAssocCache {
             cfg,
-            ways: vec![Way::EMPTY; sets * cfg.associativity],
+            tags: vec![0; ways],
+            stamps: vec![0; ways],
+            dirty: vec![false; ways],
             associativity: cfg.associativity,
             set_mask: (sets - 1) as u64,
             set_bits: sets.trailing_zeros(),
@@ -158,14 +144,21 @@ impl SetAssocCache {
         )
     }
 
-    fn set(&self, set: usize) -> &[Way] {
+    /// The array indices of `set`'s ways.
+    fn ways(&self, set: usize) -> std::ops::Range<usize> {
         let base = set * self.associativity;
-        &self.ways[base..base + self.associativity]
+        base..base + self.associativity
     }
 
-    fn set_mut(&mut self, set: usize) -> &mut [Way] {
-        let base = set * self.associativity;
-        &mut self.ways[base..base + self.associativity]
+    /// The array index of the valid way of `set` holding `tag`.
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let ways = self.ways(set);
+        let base = ways.start;
+        self.tags[ways.clone()]
+            .iter()
+            .zip(&self.stamps[ways])
+            .position(|(&t, &stamp)| t == tag && stamp != 0)
+            .map(|w| base + w)
     }
 
     /// Performs a lookup; on a hit the line's recency is updated and, for
@@ -174,10 +167,9 @@ impl SetAssocCache {
     pub fn access(&mut self, line: LineAddr, is_write: bool) -> CacheOutcome {
         let (set, tag) = self.locate(line);
         self.lru_clock += 1;
-        let clock = self.lru_clock;
-        if let Some(way) = self.set_mut(set).iter_mut().find(|w| w.holds(tag)) {
-            way.lru = clock;
-            way.dirty |= is_write;
+        if let Some(w) = self.find(set, tag) {
+            self.stamps[w] = self.lru_clock;
+            self.dirty[w] |= is_write;
             self.stats.hits += 1;
             return CacheOutcome::Hit;
         }
@@ -188,7 +180,7 @@ impl SetAssocCache {
     /// Checks presence without updating recency or statistics.
     pub fn probe(&self, line: LineAddr) -> bool {
         let (set, tag) = self.locate(line);
-        self.set(set).iter().any(|w| w.holds(tag))
+        self.find(set, tag).is_some()
     }
 
     /// Inserts a line, evicting the LRU way of its set if needed. Returns the
@@ -198,32 +190,31 @@ impl SetAssocCache {
         let (set_idx, tag) = self.locate(line);
         self.lru_clock += 1;
         let clock = self.lru_clock;
-        let set_bits = self.set_bits;
         self.stats.fills += 1;
-        // One pass finds a hit, or else the way with the smallest stamp:
-        // the first invalid way, or the LRU way when all are valid.
-        let set = self.set_mut(set_idx);
-        let (mut victim, mut victim_lru) = (0, u64::MAX);
-        for (i, way) in set.iter_mut().enumerate() {
-            if way.holds(tag) {
-                way.dirty |= dirty;
-                way.lru = clock;
+        let ways = self.ways(set_idx);
+        let tags = &mut self.tags[ways.clone()];
+        let stamps = &mut self.stamps[ways.clone()];
+        let dirty_bits = &mut self.dirty[ways];
+        // One pass finds a hit, or else the first way with the smallest
+        // stamp: the first invalid way, or the LRU way when all are valid.
+        let (mut victim, mut victim_stamp) = (0, u64::MAX);
+        for (w, (&t, &stamp)) in tags.iter().zip(stamps.iter()).enumerate() {
+            if t == tag && stamp != 0 {
+                dirty_bits[w] |= dirty;
+                stamps[w] = clock;
                 return None;
             }
-            if way.lru < victim_lru {
-                (victim, victim_lru) = (i, way.lru);
+            if stamp < victim_stamp {
+                (victim, victim_stamp) = (w, stamp);
             }
         }
-        let victim = &mut set[victim];
-        let eviction = (victim.lru != 0).then(|| Eviction {
-            line: LineAddr::new((victim.tag << set_bits) | set_idx as u64),
-            dirty: victim.dirty,
+        let eviction = (victim_stamp != 0).then(|| Eviction {
+            line: LineAddr::new((tags[victim] << self.set_bits) | set_idx as u64),
+            dirty: dirty_bits[victim],
         });
-        *victim = Way {
-            tag,
-            lru: clock,
-            dirty,
-        };
+        tags[victim] = tag;
+        stamps[victim] = clock;
+        dirty_bits[victim] = dirty;
         if eviction.is_some_and(|e| e.dirty) {
             self.stats.dirty_evictions += 1;
         }
@@ -233,14 +224,14 @@ impl SetAssocCache {
     /// Removes a line if present, returning whether it was dirty.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
         let (set, tag) = self.locate(line);
-        let way = self.set_mut(set).iter_mut().find(|w| w.holds(tag))?;
-        way.lru = 0;
-        Some(way.dirty)
+        let w = self.find(set, tag)?;
+        self.stamps[w] = 0;
+        Some(self.dirty[w])
     }
 
     /// Number of valid lines currently held.
     pub fn occupancy(&self) -> usize {
-        self.ways.iter().filter(|w| w.lru != 0).count()
+        self.stamps.iter().filter(|&&stamp| stamp != 0).count()
     }
 
     /// Hit/miss counters.
