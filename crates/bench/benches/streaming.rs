@@ -1,17 +1,17 @@
-//! Benchmarks of the streaming trace pipeline: streamed vs materialized
-//! replay, cold (generator-fused) and warm (chunk-framed disk tier), plus
-//! the staged-pipeline matrix (serial vs depth-2 vs depth-8) on both, so
-//! the chunking overhead on the per-access hot path and the pipeline's
-//! overlap win are tracked release over release alongside the other BENCH
-//! results. Run with `STMS_BENCH_JSON=BENCH_streaming.json` to emit the
-//! committed perf artifact.
+//! Benchmarks of streamed trace replay: streamed vs materialized replay,
+//! cold (generator-fused) and warm (chunk-framed disk tier), the trace
+//! codec axis, and the cost of telemetry on a warm streamed replay, so the
+//! chunking overhead on the per-access hot path is tracked release over
+//! release alongside the other BENCH results. Run with
+//! `STMS_BENCH_JSON=BENCH_streaming.json` to emit the committed perf
+//! artifact.
 
 use criterion::{black_box, criterion_group, criterion_main, report_value, Criterion};
 use std::path::{Path, PathBuf};
 use stms_bench::bench_workload;
 use stms_sim::campaign::{DiskTierConfig, TraceStore};
 use stms_sim::{run_source, run_trace, ExperimentConfig, PrefetcherKind};
-use stms_types::{PipelineConfig, TraceCodec, DEFAULT_CHUNK_LEN};
+use stms_types::{TraceCodec, DEFAULT_CHUNK_LEN};
 use stms_workloads::{generate, TraceGenerator};
 
 const ACCESSES: usize = 30_000;
@@ -78,57 +78,6 @@ fn bench_streamed_replay(c: &mut Criterion) {
     group.bench_function("streamed_warm_disk", |b| {
         b.iter(|| black_box(replay(&store)))
     });
-    group.finish();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The pipeline shapes the matrix sweeps: the serial baseline, minimum
-/// double buffering, and a deep window with parallel decode.
-fn pipeline_matrix() -> [(&'static str, PipelineConfig); 3] {
-    [
-        ("serial", PipelineConfig::serial()),
-        ("depth2", PipelineConfig::with_depth(2)),
-        (
-            "depth8",
-            PipelineConfig::with_depth(8).with_decode_threads(2),
-        ),
-    ]
-}
-
-fn bench_pipelined_replay(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pipelined_replay");
-    group.sample_size(10);
-    let cfg = ExperimentConfig::quick().with_accesses(ACCESSES);
-    let kind = PrefetcherKind::Baseline;
-    let spec = bench_workload().with_accesses(ACCESSES);
-    let replay = |store: &TraceStore| {
-        store.replay_streaming(&spec, ACCESSES, |source| {
-            run_source(&cfg, source, &kind).map(|result| result.cycles)
-        })
-    };
-
-    // Cold: every iteration regenerates and replays in one streamed pass,
-    // so the pipeline's win is generation overlapped with simulation.
-    for (name, config) in pipeline_matrix() {
-        let store = TraceStore::new().with_streaming(true).with_pipeline(config);
-        group.bench_function(format!("cold_generator/{name}"), |b| {
-            b.iter(|| black_box(replay(&store)))
-        });
-    }
-
-    // Warm: every iteration re-reads the same sealed chunk-framed file, so
-    // the win is read+checksum+decode overlapped with simulation.
-    let dir = bench_dir("pipe-warm");
-    for (name, config) in pipeline_matrix() {
-        let store = TraceStore::with_disk_tier(DiskTierConfig::new(&dir))
-            .expect("create bench cache dir")
-            .with_streaming(true)
-            .with_pipeline(config);
-        replay(&store); // populate (first config) / open warm (the rest)
-        group.bench_function(format!("warm_disk/{name}"), |b| {
-            b.iter(|| black_box(replay(&store)))
-        });
-    }
     group.finish();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -214,24 +163,22 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         })
     };
 
-    // The most instrumented replay shape there is: warm disk tier behind
-    // the staged pipeline, so every iteration crosses the stage observer
-    // (prefetch/decode/stall), the simulate histogram, and the cache-tier
-    // latency probes. The registry-disabled row is the same replay with
-    // every record call reduced to one relaxed atomic load.
+    // Serial streaming from a warm disk tier: every iteration crosses the
+    // per-chunk simulate histogram (`stream.simulate_ns`). The
+    // registry-disabled row is the same replay with every record call
+    // reduced to one relaxed atomic load.
     let dir = bench_dir("telemetry");
     let store = TraceStore::with_disk_tier(DiskTierConfig::new(&dir))
         .expect("create bench cache dir")
-        .with_streaming(true)
-        .with_pipeline(PipelineConfig::with_depth(4));
+        .with_streaming(true);
     replay(&store); // populate the disk tier
 
     stms_obs::set_enabled(false);
-    group.bench_function("warm_disk_pipelined/disabled", |b| {
+    group.bench_function("warm_disk/disabled", |b| {
         b.iter(|| black_box(replay(&store)))
     });
     stms_obs::set_enabled(true);
-    group.bench_function("warm_disk_pipelined/instrumented", |b| {
+    group.bench_function("warm_disk/instrumented", |b| {
         b.iter(|| black_box(replay(&store)))
     });
     group.finish();
@@ -241,7 +188,6 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_streamed_replay,
-    bench_pipelined_replay,
     bench_codec_axis,
     bench_telemetry_overhead
 );

@@ -264,11 +264,8 @@ impl<'a> CmpSimulator<'a> {
     /// [`stms_types::stream::TraceReader`], or a generator streaming on the
     /// fly) replays in bounded space. Source dispatch happens once per
     /// chunk; the per-access hot path is unchanged from [`CmpSimulator::run`],
-    /// and the metrics are bit-identical for the same access sequence —
-    /// including when the source is the consumer end of a staged
-    /// [`stms_types::ChunkPipeline`], whatever its depth, decode-worker
-    /// count, chunking, or warm-up boundary alignment (the pipeline
-    /// preserves chunk order and boundaries exactly).
+    /// and the metrics are bit-identical for the same access sequence,
+    /// whatever the chunking or its alignment with the warm-up boundary.
     ///
     /// The warm-up boundary is computed from
     /// [`TraceSource::total_accesses`], which every source knows up front.
@@ -984,47 +981,6 @@ mod tests {
                     reference.encode(),
                     "warmup {warmup}, chunk_len {chunk_len}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_replay_is_bit_identical_to_materialized_replay() {
-        use stms_types::{ChunkPipeline, PipelineConfig, PipelineInput};
-        let cfg = SystemConfig::tiny_for_tests();
-        let lines: Vec<u64> = (0..2000).map(|i: u64| (i * 7919 + 13) % 500_000).collect();
-        let t = trace_of(&lines, 0);
-        // Sweep warm-up boundaries, chunkings that do and do not divide the
-        // trace, and pipeline shapes from double-buffered to deep
-        // multi-worker: the simulator must not be able to tell any of them
-        // apart from the materialized replay.
-        for warmup in [0.0, 0.3] {
-            let opts = SimOptions {
-                warmup_fraction: warmup,
-                ..Default::default()
-            };
-            let reference = CmpSimulator::new(&cfg, opts).run(&t, &mut NextLines(8));
-            for chunk_len in [97usize, 600] {
-                for config in [
-                    PipelineConfig::with_depth(2),
-                    PipelineConfig::with_depth(8).with_decode_threads(3),
-                ] {
-                    let mut source = t.chunks(chunk_len);
-                    let (piped, stats) =
-                        ChunkPipeline::new(PipelineInput::Decoded(&mut source), config).run(
-                            |piped| {
-                                CmpSimulator::new(&cfg, opts)
-                                    .run_stream(piped, &mut NextLines(8))
-                                    .expect("in-memory source cannot fail")
-                            },
-                        );
-                    assert_eq!(
-                        piped.encode(),
-                        reference.encode(),
-                        "warmup {warmup}, chunk_len {chunk_len}, {config:?}"
-                    );
-                    assert!(stats.chunks_prefetched >= 1, "{config:?}");
-                }
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Process-wide telemetry for the STMS reproduction.
 //!
-//! Every layer of a campaign — the job pool, the chunk pipeline, the cache
+//! Every layer of a campaign — the job pool, streamed replay, the cache
 //! tiers, the serving daemon — records into one lock-cheap [`Registry`] of
 //! named metrics:
 //!
@@ -10,7 +10,7 @@
 //! * [`Histogram`] — fixed-bucket log2 latency distributions with no
 //!   allocation on the record path;
 //! * [`Span`] — RAII timers that feed a histogram with elapsed nanoseconds
-//!   on drop (`obs::span("pipeline/decode_ns")`).
+//!   on drop (`obs::span("job/run_ns")`).
 //!
 //! Handles are `Arc`-backed clones: the registry lock is taken only at
 //! registration, never on the hot path. Recording is a handful of relaxed

@@ -3,8 +3,8 @@
 //! ```text
 //! stms-serve --socket PATH [--quick] [--accesses N] [--threads N]
 //!            [--trace-cache DIR] [--result-cache DIR] [--cache-verify]
-//!            [--stream-traces] [--replay-pipeline DEPTH|auto] [--decode-threads N]
-//!            [--trace-codec v2|v3] [--metrics-out FILE] [--calibrate-from DIR]
+//!            [--stream-traces] [--trace-codec v2|v3] [--metrics-out FILE]
+//!            [--calibrate-from DIR]
 //!            [--max-active N] [--max-queue N] [--read-timeout-ms MS]
 //! ```
 //!
@@ -21,13 +21,11 @@
 //! The experiment-model flags (`--quick`, `--accesses`, cache and
 //! streaming flags) mean exactly what they mean on `stms-experiments`; a
 //! daemon and a one-shot run configured alike produce byte-identical
-//! figure bytes. That includes `--replay-pipeline auto` (serial streaming
-//! on a single-hardware-thread box, depth 2 otherwise) and
-//! `--calibrate-from DIR`, which rescales the daemon's job-cost model once
-//! at startup from the per-job timings sealed in prior shard manifests —
-//! every request served afterwards schedules its pool with the calibrated
-//! longest-predicted-first order. Scheduling changes order only, never
-//! figure bytes.
+//! figure bytes. That includes `--calibrate-from DIR`, which rescales the
+//! daemon's job-cost model once at startup from the per-job timings sealed
+//! in prior shard manifests — every request served afterwards schedules
+//! its pool with the calibrated longest-predicted-first order. Scheduling
+//! changes order only, never figure bytes.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -62,8 +60,8 @@ fn install_signal_handlers() {
 fn usage() -> &'static str {
     "usage: stms-serve --socket PATH [--quick] [--accesses N] [--threads N]\n\
      \x20                 [--trace-cache DIR] [--result-cache DIR] [--cache-verify]\n\
-     \x20                 [--stream-traces] [--replay-pipeline DEPTH|auto] [--decode-threads N]\n\
-     \x20                 [--trace-codec v2|v3] [--metrics-out FILE] [--calibrate-from DIR]\n\
+     \x20                 [--stream-traces] [--trace-codec v2|v3] [--metrics-out FILE]\n\
+     \x20                 [--calibrate-from DIR]\n\
      \x20                 [--max-active N] [--max-queue N] [--read-timeout-ms MS]"
 }
 
@@ -72,7 +70,6 @@ fn parse_args(args: &[String]) -> Result<(ServeConfig, Option<PathBuf>, Option<P
     let mut cfg = ExperimentConfig::scaled();
     let mut accesses: Option<usize> = None;
     let mut config = ServeConfig::new(PathBuf::new(), cfg.clone());
-    let mut decode_threads: Option<usize> = None;
     let mut metrics_out: Option<PathBuf> = None;
     let mut calibrate_from: Option<PathBuf> = None;
 
@@ -113,40 +110,6 @@ fn parse_args(args: &[String]) -> Result<(ServeConfig, Option<PathBuf>, Option<P
             }
             "--cache-verify" => config.caches.verify = true,
             "--stream-traces" => config.caches.stream_traces = true,
-            "--replay-pipeline" => {
-                let v = value_of(&mut i, "--replay-pipeline")?;
-                if v == "auto" {
-                    // Same policy as stms-experiments: on a single
-                    // hardware thread the stages cannot overlap, so fall
-                    // back to serial streaming; otherwise the minimal
-                    // depth that overlaps prefetch with simulation.
-                    let parallelism = std::thread::available_parallelism()
-                        .map(std::num::NonZeroUsize::get)
-                        .unwrap_or(1);
-                    if parallelism <= 1 {
-                        config.caches.stream_traces = true;
-                    } else {
-                        config.caches.pipeline_depth = 2;
-                    }
-                } else {
-                    let depth: usize = v.parse().map_err(|_| {
-                        format!("--replay-pipeline requires a depth or `auto`, got `{v}`")
-                    })?;
-                    if depth < 2 {
-                        return Err(format!(
-                            "--replay-pipeline depth must be at least 2, got {depth}"
-                        ));
-                    }
-                    config.caches.pipeline_depth = depth;
-                }
-            }
-            "--decode-threads" => {
-                let n = number_of(&mut i, "--decode-threads")?;
-                if n == 0 {
-                    return Err("--decode-threads must be non-zero".into());
-                }
-                decode_threads = Some(n);
-            }
             "--trace-codec" => {
                 let v = value_of(&mut i, "--trace-codec")?;
                 config.caches.trace_codec = match v.as_str() {
@@ -187,12 +150,6 @@ fn parse_args(args: &[String]) -> Result<(ServeConfig, Option<PathBuf>, Option<P
         cfg = cfg.with_accesses(n);
     }
     cfg.sim.validate().map_err(|e| e.to_string())?;
-    if let Some(n) = decode_threads {
-        if config.caches.pipeline_depth == 0 {
-            return Err("--decode-threads is only meaningful with --replay-pipeline DEPTH".into());
-        }
-        config.caches.decode_threads = n;
-    }
     config.socket = socket;
     config.cfg = cfg;
     Ok((config, metrics_out, calibrate_from))

@@ -6,8 +6,7 @@
 //! stms-experiments [--quick] [--accesses N] [--threads N] [--warmup F]
 //!                  [--figures ID[,ID...]] [--format text|json] [--csv DIR]
 //!                  [--trace-cache DIR] [--result-cache DIR] [--cache-verify]
-//!                  [--stream-traces] [--replay-pipeline DEPTH|auto] [--decode-threads N]
-//!                  [--trace-codec v2|v3] [--metrics-out FILE]
+//!                  [--stream-traces] [--trace-codec v2|v3] [--metrics-out FILE]
 //!                  [--calibrate-from DIR]
 //!                  [--shard I/N --shard-out DIR [--shard-balance count|cost]
 //!                   | --merge-shards DIR[,DIR...] | --retry-failed MANIFEST]
@@ -40,18 +39,8 @@
 //! chunk-framed file once and streamed from disk by every job; without a
 //! cache each job streams its own generator. Stdout is byte-identical to
 //! the materialized path either way, and a `streamed replay:` line joins
-//! the stderr run summary.
-//!
-//! `--replay-pipeline DEPTH` (implies `--stream-traces`) runs each streamed
-//! replay through the staged prefetch→decode→simulate engine with `DEPTH`
-//! chunks in flight; `--decode-threads N` adds checksum/decode workers.
-//! All concurrent pipelines share one campaign-global in-flight byte budget,
-//! stdout stays byte-identical to the serial path, and a `pipelined replay:`
-//! line joins the stderr run summary. `DEPTH` must be at least 2 (depth 1
-//! could never overlap anything). `--replay-pipeline auto` picks for you:
-//! serial streaming on a single-hardware-thread box (where staging overhead
-//! cannot be overlapped and measurably loses), depth 2 when threads exist
-//! to overlap prefetch/decode with simulation.
+//! the stderr run summary. Each streamed replay is one serial loop on its
+//! job thread: read a frame, verify its checksum, decode it, simulate it.
 //!
 //! # Cost-model scheduling
 //!
@@ -78,16 +67,16 @@
 //!
 //! Every run records into the process-wide `stms_obs` metrics registry:
 //! per-job queue/run/total phase histograms (also keyed per figure),
-//! pipeline stage timings (prefetch, decode, budget stall, simulate —
-//! pipelined replays only), cache tier hit/miss/evict latencies, and
-//! in-flight dedup counters. The snapshot is rendered as a `telemetry:`
-//! block at the end of the stderr run summary, and `--metrics-out FILE`
-//! additionally writes it as a versioned JSON document
-//! (`"stms-metrics/v1"`). Telemetry never writes to stdout, so figure
-//! output stays byte-identical to an uninstrumented run. Shard runs embed
-//! their per-job phase timings into the sealed manifest; `--merge-shards`
-//! folds every shard's timings back into `merge.queue_ns`/`merge.run_ns`,
-//! aggregating fleet-wide timing without rerunning anything.
+//! per-chunk simulate time of streamed replays (`stream.simulate_ns`),
+//! cache tier hit/miss/evict latencies, and in-flight dedup counters. The
+//! snapshot is rendered as a `telemetry:` block at the end of the stderr
+//! run summary, and `--metrics-out FILE` additionally writes it as a
+//! versioned JSON document (`"stms-metrics/v1"`). Telemetry never writes
+//! to stdout, so figure output stays byte-identical to an uninstrumented
+//! run. Shard runs embed their per-job phase timings into the sealed
+//! manifest; `--merge-shards` folds every shard's timings back into
+//! `merge.queue_ns`/`merge.run_ns`, aggregating fleet-wide timing without
+//! rerunning anything.
 //!
 //! # Distributed campaigns
 //!
@@ -169,8 +158,7 @@ fn usage() -> String {
         "usage: stms-experiments [--quick] [--accesses N] [--threads N] [--warmup F]\n\
          \x20                       [--figures ID[,ID...]] [--format text|json] [--csv DIR]\n\
          \x20                       [--trace-cache DIR] [--result-cache DIR] [--cache-verify]\n\
-         \x20                       [--stream-traces] [--replay-pipeline DEPTH|auto] [--decode-threads N]\n\
-         \x20                       [--trace-codec v2|v3] [--metrics-out FILE]\n\
+         \x20                       [--stream-traces] [--trace-codec v2|v3] [--metrics-out FILE]\n\
          \x20                       [--calibrate-from DIR]\n\
          \x20                       [--shard I/N --shard-out DIR [--shard-balance count|cost]\n\
          \x20                        | --merge-shards DIR[,DIR...] | --retry-failed MANIFEST]\n\
@@ -189,7 +177,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut warmup: Option<f64> = None;
     let mut accesses: Option<usize> = None;
     let mut caches = CampaignCaches::default();
-    let mut decode_threads: Option<usize> = None;
     let mut shard: Option<ShardSpec> = None;
     let mut shard_out: Option<PathBuf> = None;
     let mut shard_balance: Option<ShardBalance> = None;
@@ -260,37 +247,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--cache-verify" => caches.verify = true,
             "--stream-traces" => caches.stream_traces = true,
-            "--replay-pipeline" => {
-                let v = value_of(&mut i, "--replay-pipeline")?;
-                if v == "auto" {
-                    // On a single-hardware-thread box the pipeline stages
-                    // cannot overlap, so staging overhead is pure loss (the
-                    // committed bench shows depth 2 slower than serial
-                    // there): fall back to serial streaming. Anywhere else,
-                    // the minimal depth that overlaps prefetch with
-                    // simulation.
-                    let parallelism = std::thread::available_parallelism()
-                        .map(std::num::NonZeroUsize::get)
-                        .unwrap_or(1);
-                    if parallelism <= 1 {
-                        caches.stream_traces = true;
-                    } else {
-                        caches.pipeline_depth = 2;
-                    }
-                } else {
-                    let depth: usize = v.parse().map_err(|_| {
-                        format!("--replay-pipeline requires a depth or `auto`, got `{v}`")
-                    })?;
-                    if depth < 2 {
-                        return Err(format!(
-                            "--replay-pipeline depth must be at least 2 \
-                             (got {depth}); a depth-1 pipeline could never \
-                             overlap prefetch with simulation"
-                        ));
-                    }
-                    caches.pipeline_depth = depth;
-                }
-            }
             "--trace-codec" => {
                 let v = value_of(&mut i, "--trace-codec")?;
                 caches.trace_codec = match v.as_str() {
@@ -298,16 +254,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     "v3" => stms_types::TraceCodec::V3,
                     other => return Err(format!("--trace-codec must be v2 or v3, got `{other}`")),
                 };
-            }
-            "--decode-threads" => {
-                let v = value_of(&mut i, "--decode-threads")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--decode-threads requires a number, got `{v}`"))?;
-                if n == 0 {
-                    return Err("--decode-threads must be non-zero".into());
-                }
-                decode_threads = Some(n);
             }
             "--metrics-out" => {
                 metrics_out = Some(value_of(&mut i, "--metrics-out")?.into());
@@ -366,14 +312,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             .map_err(|e| e.to_string())?;
     }
     cfg.sim.validate().map_err(|e| e.to_string())?;
-
-    // Decode workers only exist inside a pipeline.
-    if let Some(n) = decode_threads {
-        if caches.pipeline_depth == 0 {
-            return Err("--decode-threads is only meaningful with --replay-pipeline DEPTH".into());
-        }
-        caches.decode_threads = n;
-    }
 
     // Sharding flags must form a coherent mode.
     let modes = [

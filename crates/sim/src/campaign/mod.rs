@@ -75,10 +75,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use stms_mem::CmpSimulator;
 use stms_prefetch::MissTraceCollector;
-use stms_types::{
-    Fingerprint, Fingerprintable, InflightBudget, PipelineConfig, ShardBalance, ShardJobTiming,
-    ShardManifest,
-};
+use stms_types::{Fingerprint, Fingerprintable, ShardBalance, ShardJobTiming, ShardManifest};
 use stms_workloads::WorkloadSpec;
 
 /// The render stage of a [`FigurePlan`]: folds the plan's job outputs
@@ -200,16 +197,6 @@ pub struct CampaignCaches {
     /// without a disk tier each job streams its own generator. Rendered
     /// output is byte-identical either way.
     pub stream_traces: bool,
-    /// Prefetch depth of the staged replay pipeline (`--replay-pipeline`):
-    /// `0` replays serially on the job thread; `>= 2` overlaps chunk
-    /// read/decode with simulation, keeping up to this many decoded chunks
-    /// in flight per job. Implies `stream_traces`. (Depth `1` is rejected
-    /// at the CLI; the library clamps it up to the double-buffered minimum,
-    /// [`stms_types::MIN_PIPELINE_DEPTH`].)
-    pub pipeline_depth: usize,
-    /// Decode workers per pipelined replay (`--decode-threads`); `0` means
-    /// one. Only meaningful with `pipeline_depth > 0`.
-    pub decode_threads: usize,
     /// Payload codec for newly written trace files (`--trace-codec`). The
     /// default, [`stms_types::TraceCodec::V3`], writes columnar compressed
     /// chunks; [`stms_types::TraceCodec::V2`] keeps the fixed-width row
@@ -238,12 +225,6 @@ impl CampaignCaches {
     }
 }
 
-/// Campaign-global cap on decoded bytes buffered by all concurrently
-/// running replay pipelines. The budget is shared across the whole
-/// [`JobPool`] — not per job — so raising the worker count or pipeline
-/// depth cannot multiply peak replay memory past this bound.
-pub const PIPELINE_BUDGET_BYTES: u64 = 64 << 20;
-
 /// Combined cache counters of one campaign (see [`Campaign::cache_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CampaignCacheStats {
@@ -253,12 +234,12 @@ pub struct CampaignCacheStats {
     pub result: Option<ResultStoreStats>,
 }
 
-/// Appends one line per configured cache tier (plus the streamed-replay and
-/// pipeline counters when those modes are on) to a stderr `run summary:`
+/// Appends one line per configured cache tier (plus the streamed-replay
+/// counters when that mode is on) to a stderr `run summary:`
 /// block. Shared by the `stms-experiments` and `stms-serve` binaries so
 /// their accounting lines stay identical.
 pub fn push_cache_reports(summary: &mut stms_stats::RunSummary, campaign: &Campaign) {
-    use stms_stats::{CacheReport, PipelineReport, StreamReport};
+    use stms_stats::{CacheReport, StreamReport};
     let stats = campaign.cache_stats();
     let trace = stats.trace;
     if campaign.store().is_streaming() {
@@ -268,17 +249,6 @@ pub fn push_cache_reports(summary: &mut stms_stats::RunSummary, campaign: &Campa
             fallbacks: trace.stream_fallbacks,
             disk_bytes: trace.stream_disk_bytes,
             decoded_bytes: trace.stream_decoded_bytes,
-        });
-    }
-    let pipeline = campaign.store().pipeline_config();
-    if !pipeline.is_serial() {
-        summary.push_pipeline(PipelineReport {
-            depth: pipeline.depth as u64,
-            decode_threads: pipeline.decode_threads as u64,
-            chunks_prefetched: trace.pipeline_chunks,
-            stalls_full: trace.pipeline_stalls_full,
-            stalls_empty: trace.pipeline_stalls_empty,
-            peak_bytes_in_flight: trace.pipeline_peak_bytes,
         });
     }
     if campaign.store().disk_dir().is_some() {
@@ -540,7 +510,7 @@ impl Campaign {
         threads: usize,
         caches: CampaignCaches,
     ) -> std::io::Result<Self> {
-        let mut store = match &caches.trace_dir {
+        let store = match &caches.trace_dir {
             Some(dir) => {
                 let mut tier = DiskTierConfig::new(dir).with_verify(caches.verify);
                 tier.max_bytes = caches.trace_max_bytes;
@@ -548,18 +518,8 @@ impl Campaign {
             }
             None => TraceStore::new(),
         }
-        .with_streaming(caches.stream_traces || caches.pipeline_depth > 0)
+        .with_streaming(caches.stream_traces)
         .with_codec(caches.trace_codec);
-        if caches.pipeline_depth > 0 {
-            store = store
-                .with_pipeline(
-                    PipelineConfig::with_depth(caches.pipeline_depth)
-                        .with_decode_threads(caches.decode_threads.max(1)),
-                )
-                // One budget for the whole pool: every job's pipeline draws
-                // from the same cap.
-                .with_pipeline_budget(Arc::new(InflightBudget::new(PIPELINE_BUDGET_BYTES)));
-        }
         let results = match &caches.result_dir {
             Some(dir) => Some(Arc::new(ResultStore::open(dir)?.with_verify(caches.verify))),
             None if caches.result_memory => Some(Arc::new(ResultStore::in_memory())),

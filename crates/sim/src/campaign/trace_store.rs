@@ -58,10 +58,6 @@ use std::io::{self, BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-use stms_types::stream::pipeline::{
-    ChunkPipeline, InflightBudget, PipeStage, PipelineConfig, PipelineInput, PipelineStats,
-    StageObserver,
-};
 use stms_types::stream::{
     collect_trace, AccessChunk, ChunkedTraceWriter, TraceCodec, TraceReader, TraceSource,
     TraceStreamError, DEFAULT_CHUNK_LEN,
@@ -110,16 +106,6 @@ pub struct TraceStoreStats {
     /// Streamed replay attempts abandoned because the backing file failed
     /// mid-stream (the file is evicted and the replay retried).
     pub stream_fallbacks: u64,
-    /// Chunks prefetched by the staged replay pipeline across all jobs
-    /// (zero when replays run serially).
-    pub pipeline_chunks: u64,
-    /// Times a pipeline's reader stage stalled on a full prefetch window or
-    /// an exhausted in-flight byte budget.
-    pub pipeline_stalls_full: u64,
-    /// Times a pipeline's consumer stalled waiting for the next chunk.
-    pub pipeline_stalls_empty: u64,
-    /// High-water mark of decoded bytes buffered by any single pipeline.
-    pub pipeline_peak_bytes: u64,
     /// Bytes read from disk by successful streamed replays (sealed file
     /// sizes, i.e. compressed bytes under codec v3).
     pub stream_disk_bytes: u64,
@@ -200,21 +186,10 @@ pub struct TraceStore {
     /// cache directory); later streamed replays skip straight to the
     /// generator instead of regenerating into the void each time.
     failed_stream_writes: Mutex<HashSet<WorkloadSpec>>,
-    /// Shape of the staged replay pipeline wrapped around every streamed
-    /// replay. The default (serial) runs the synchronous path unchanged.
-    pipeline: PipelineConfig,
-    /// Campaign-global cap on decoded bytes buffered by all concurrently
-    /// running pipelines — shared across every job of the `JobPool`, not
-    /// per job.
-    pipeline_budget: Option<Arc<InflightBudget>>,
     /// Payload codec stamped into every trace file this store writes. The
     /// reader side is version-dispatched, so a store always replays files
     /// written under either codec regardless of this setting.
     codec: TraceCodec,
-    /// Telemetry forwarder for staged-pipeline stage timings, created on
-    /// first instrumented replay (only while the global registry is
-    /// enabled, so disabled telemetry costs the pipeline no clock reads).
-    stage_observer: OnceLock<PipelineObserver>,
     hits: AtomicU64,
     misses: AtomicU64,
     generated: AtomicU64,
@@ -227,10 +202,6 @@ pub struct TraceStore {
     stream_replays: AtomicU64,
     stream_chunks: AtomicU64,
     stream_fallbacks: AtomicU64,
-    pipeline_chunks: AtomicU64,
-    pipeline_stalls_full: AtomicU64,
-    pipeline_stalls_empty: AtomicU64,
-    pipeline_peak_bytes: AtomicU64,
     stream_disk_bytes: AtomicU64,
     stream_decoded_bytes: AtomicU64,
 }
@@ -247,11 +218,6 @@ fn counter_add(counter: &AtomicU64, n: u64) {
     });
 }
 
-/// Monotonic-max update for gauge-style counters (peaks).
-fn counter_max(counter: &AtomicU64, n: u64) {
-    counter.fetch_max(n, Ordering::Relaxed);
-}
-
 /// `Instant::now()` gated on telemetry being enabled; pair with
 /// [`record_elapsed`]. Cache paths take their clock reads through this so a
 /// disabled registry costs them nothing at all.
@@ -266,37 +232,6 @@ pub(crate) fn record_elapsed(name: &str, started: Option<std::time::Instant>) {
     if let Some(started) = started {
         let nanos = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         stms_obs::histogram(name).record(nanos);
-    }
-}
-
-/// Forwards staged-pipeline stage timings into the global telemetry
-/// registry: per-chunk prefetch (frame read / generation) and
-/// checksum/decode service time, plus time a reader spent stalled on the
-/// shared in-flight byte budget.
-#[derive(Debug)]
-struct PipelineObserver {
-    prefetch: stms_obs::Histogram,
-    decode: stms_obs::Histogram,
-    stall: stms_obs::Histogram,
-}
-
-impl PipelineObserver {
-    fn new() -> Self {
-        PipelineObserver {
-            prefetch: stms_obs::histogram("pipeline.prefetch_ns"),
-            decode: stms_obs::histogram("pipeline.decode_ns"),
-            stall: stms_obs::histogram("pipeline.budget_stall_ns"),
-        }
-    }
-}
-
-impl StageObserver for PipelineObserver {
-    fn record(&self, stage: PipeStage, nanos: u64) {
-        match stage {
-            PipeStage::Prefetch => self.prefetch.record(nanos),
-            PipeStage::Decode => self.decode.record(nanos),
-            PipeStage::BudgetStall => self.stall.record(nanos),
-        }
     }
 }
 
@@ -404,15 +339,6 @@ impl TraceStore {
         self.streaming
     }
 
-    /// Returns the store with a staged replay pipeline of the given shape
-    /// wrapped around every streamed replay. The default (serial) config
-    /// runs the unchanged synchronous path; any non-zero depth prefetches
-    /// and decodes chunks ahead of the simulator on dedicated threads.
-    pub fn with_pipeline(mut self, config: PipelineConfig) -> Self {
-        self.pipeline = config;
-        self
-    }
-
     /// Returns the store with the given on-disk payload codec. New trace
     /// files are written under it; existing files of either codec stay
     /// readable (the reader dispatches on the envelope version).
@@ -424,41 +350,6 @@ impl TraceStore {
     /// The codec stamped into trace files this store writes.
     pub fn codec(&self) -> TraceCodec {
         self.codec
-    }
-
-    /// Shares a campaign-global in-flight byte budget across every pipeline
-    /// this store constructs (and, via clones of the `Arc`, across other
-    /// stores of the same campaign). Without one, each pipeline is bounded
-    /// only by its own depth.
-    pub fn with_pipeline_budget(mut self, budget: Arc<InflightBudget>) -> Self {
-        self.pipeline_budget = Some(budget);
-        self
-    }
-
-    /// The configured pipeline shape.
-    pub fn pipeline_config(&self) -> PipelineConfig {
-        self.pipeline
-    }
-
-    /// Wraps `input` in this store's pipeline shape and shared budget.
-    fn pipeline_for<'a>(&'a self, input: PipelineInput<'a>) -> ChunkPipeline<'a> {
-        let mut pipeline = ChunkPipeline::new(input, self.pipeline);
-        if let Some(budget) = &self.pipeline_budget {
-            pipeline = pipeline.with_budget(budget);
-        }
-        if stms_obs::is_enabled() {
-            pipeline =
-                pipeline.with_observer(self.stage_observer.get_or_init(PipelineObserver::new));
-        }
-        pipeline
-    }
-
-    /// Folds one pipeline run's counters into the store-level gauges.
-    fn note_pipeline(&self, stats: &PipelineStats) {
-        counter_add(&self.pipeline_chunks, stats.chunks_prefetched);
-        counter_add(&self.pipeline_stalls_full, stats.stalls_full);
-        counter_add(&self.pipeline_stalls_empty, stats.stalls_empty);
-        counter_max(&self.pipeline_peak_bytes, stats.peak_bytes_in_flight);
     }
 
     /// Replays the trace for `spec` as a chunked stream, without ever
@@ -513,19 +404,12 @@ impl TraceStore {
             }
         }
         // No disk tier (or a disk that keeps failing): stream straight from
-        // the resumable generator. Under a pipeline, generation itself runs
-        // on the reader thread, overlapping with simulation.
+        // the resumable generator.
         counter_add(&self.generated, 1);
         counter_add(&self.stream_replays, 1);
         let mut generator = TraceGenerator::new(&key);
-        let (result, stats) = self
-            .pipeline_for(PipelineInput::Decoded(&mut generator))
-            .run(|source| {
-                let mut counted = CountingSource::new(source, &self.stream_chunks);
-                run(&mut counted)
-            });
-        self.note_pipeline(&stats);
-        result.expect("generator-backed trace sources cannot fail")
+        let mut source = CountingSource::new(&mut generator, &self.stream_chunks);
+        run(&mut source).expect("generator-backed trace sources cannot fail")
     }
 
     /// Makes sure a sealed chunk-framed file exists for `key`, generating
@@ -641,17 +525,7 @@ impl TraceStore {
             return Err(());
         }
         let total_accesses = reader.total_accesses();
-        // Under a pipeline, frame I/O runs on the reader thread and
-        // checksum/decode on the worker threads; serially, this is the
-        // unchanged synchronous read-verify-decode loop.
-        let (outcome, stats) =
-            self.pipeline_for(PipelineInput::Frames(&mut reader))
-                .run(|source| {
-                    let mut counted = CountingSource::new(source, &self.stream_chunks);
-                    run(&mut counted)
-                });
-        self.note_pipeline(&stats);
-        match outcome {
+        match run(&mut CountingSource::new(&mut reader, &self.stream_chunks)) {
             Ok(value) => {
                 counter_add(&self.disk_hits, 1);
                 // On-disk vs decoded byte accounting of the replay that
@@ -863,10 +737,6 @@ impl TraceStore {
             stream_replays: self.stream_replays.load(Ordering::Relaxed),
             stream_chunks: self.stream_chunks.load(Ordering::Relaxed),
             stream_fallbacks: self.stream_fallbacks.load(Ordering::Relaxed),
-            pipeline_chunks: self.pipeline_chunks.load(Ordering::Relaxed),
-            pipeline_stalls_full: self.pipeline_stalls_full.load(Ordering::Relaxed),
-            pipeline_stalls_empty: self.pipeline_stalls_empty.load(Ordering::Relaxed),
-            pipeline_peak_bytes: self.pipeline_peak_bytes.load(Ordering::Relaxed),
             stream_disk_bytes: self.stream_disk_bytes.load(Ordering::Relaxed),
             stream_decoded_bytes: self.stream_decoded_bytes.load(Ordering::Relaxed),
         }
@@ -902,10 +772,6 @@ impl TraceStore {
             &self.stream_replays,
             &self.stream_chunks,
             &self.stream_fallbacks,
-            &self.pipeline_chunks,
-            &self.pipeline_stalls_full,
-            &self.pipeline_stalls_empty,
-            &self.pipeline_peak_bytes,
             &self.stream_disk_bytes,
             &self.stream_decoded_bytes,
         ] {
@@ -955,9 +821,9 @@ fn write_chunked_file(
 
 /// A pass-through [`TraceSource`] that counts delivered chunks into a
 /// store-level gauge (the `streamed N chunks` line of the run summary) and,
-/// while telemetry is enabled, records the simulate-stage service time of
-/// each chunk — the gap between one chunk's delivery and the next request,
-/// which is exactly how long the simulator spent consuming it.
+/// while telemetry is enabled, records the simulation time of each chunk —
+/// the gap between one chunk's delivery and the next request, which is
+/// exactly how long the simulator spent consuming it.
 struct CountingSource<'a, S: TraceSource + ?Sized> {
     inner: &'a mut S,
     chunks: &'a AtomicU64,
@@ -970,7 +836,7 @@ impl<'a, S: TraceSource + ?Sized> CountingSource<'a, S> {
         CountingSource {
             inner,
             chunks,
-            simulate: stms_obs::is_enabled().then(|| stms_obs::histogram("pipeline.simulate_ns")),
+            simulate: stms_obs::is_enabled().then(|| stms_obs::histogram("stream.simulate_ns")),
             delivered: None,
         }
     }
@@ -1516,11 +1382,6 @@ mod tests {
         // Zero-adds are free and never touch the cell.
         counter_add(&store.hits, 0);
         assert_eq!(store.stats().hits, 0);
-        // The high-water-mark combinator only ever moves up.
-        counter_max(&store.pipeline_peak_bytes, 100);
-        counter_max(&store.pipeline_peak_bytes, 40);
-        counter_max(&store.pipeline_peak_bytes, 120);
-        assert_eq!(store.stats().pipeline_peak_bytes, 120);
     }
 
     #[test]
@@ -1543,127 +1404,5 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.stream_chunks, per_replay * (THREADS + 1));
         assert_eq!(stats.stream_replays, THREADS + 1);
-    }
-
-    /// The pipelined configurations the identity tests sweep: serial,
-    /// minimum depth single decoder, and deep multi-decoder.
-    fn pipeline_matrix() -> Vec<PipelineConfig> {
-        vec![
-            PipelineConfig::serial(),
-            PipelineConfig::with_depth(2),
-            PipelineConfig::with_depth(8).with_decode_threads(3),
-        ]
-    }
-
-    #[test]
-    fn pipelined_replay_is_bit_identical_to_serial() {
-        let dir = temp_dir("pipe-identity");
-        let spec = presets::oltp_db2();
-        let expect = generate(&spec.clone().with_accesses(3_000));
-
-        for config in pipeline_matrix() {
-            // Generator-backed (no disk tier) and disk-backed replays must
-            // both be byte-for-byte identical to the serial baseline.
-            let memory = TraceStore::new().with_streaming(true).with_pipeline(config);
-            assert_eq!(
-                memory.replay_streaming(&spec, 3_000, drain),
-                expect.accesses(),
-                "generator path, {config:?}"
-            );
-
-            let disk = TraceStore::with_disk_tier(DiskTierConfig::new(&dir))
-                .unwrap()
-                .with_streaming(true)
-                .with_pipeline(config);
-            assert_eq!(
-                disk.replay_streaming(&spec, 3_000, drain),
-                expect.accesses(),
-                "cold disk path, {config:?}"
-            );
-            assert_eq!(
-                disk.replay_streaming(&spec, 3_000, drain),
-                expect.accesses(),
-                "warm disk path, {config:?}"
-            );
-            let stats = disk.stats();
-            if config.is_serial() {
-                assert_eq!(stats.pipeline_chunks, 0, "serial replays bypass stages");
-            } else {
-                assert!(stats.pipeline_chunks >= 1, "{config:?}: {stats:?}");
-                assert!(stats.pipeline_peak_bytes >= 1, "{config:?}: {stats:?}");
-            }
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn pipelined_corrupt_fallback_regenerates_exactly_once() {
-        let dir = temp_dir("pipe-corrupt");
-        let spec = presets::dss_qry17();
-        let expect = generate(&spec.clone().with_accesses(2_500));
-
-        let cold = TraceStore::with_disk_tier(DiskTierConfig::new(&dir))
-            .unwrap()
-            .with_streaming(true);
-        cold.replay_streaming(&spec, 2_500, drain);
-        let path = trace_path(&dir, spec.clone().with_accesses(2_500).fingerprint());
-        let pristine = fs::read(&path).unwrap();
-
-        for config in pipeline_matrix() {
-            // Re-corrupt for each configuration: a payload byte deep in the
-            // stream, so the error surfaces mid-replay inside the pipeline.
-            let mut bytes = pristine.clone();
-            let at = bytes.len() - 100;
-            bytes[at] ^= 0xff;
-            fs::write(&path, &bytes).unwrap();
-
-            let store = TraceStore::with_disk_tier(DiskTierConfig::new(&dir))
-                .unwrap()
-                .with_streaming(true)
-                .with_pipeline(config);
-            assert_eq!(
-                store.replay_streaming(&spec, 2_500, drain),
-                expect.accesses(),
-                "{config:?}"
-            );
-            let stats = store.stats();
-            assert_eq!(
-                stats.generated, 1,
-                "{config:?}: regenerated once, not per retry"
-            );
-            assert_eq!(
-                stats.disk_corrupt, 1,
-                "{config:?}: the bad file was evicted"
-            );
-            assert!(stats.stream_fallbacks >= 1, "{config:?}: {stats:?}");
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shared_budget_spans_concurrent_pipelined_replays() {
-        // One campaign-global byte budget across many jobs: replays stay
-        // correct (the at-least-one admission rule prevents starvation) even
-        // when the cap is far below one chunk's decoded size.
-        let budget = Arc::new(InflightBudget::new(512));
-        let store = TraceStore::new()
-            .with_streaming(true)
-            .with_pipeline(PipelineConfig::with_depth(4).with_decode_threads(2))
-            .with_pipeline_budget(Arc::clone(&budget));
-        let spec = presets::web_apache();
-        let expect = generate(&spec.clone().with_accesses(2_000));
-
-        std::thread::scope(|scope| {
-            for _ in 0..3 {
-                scope.spawn(|| {
-                    assert_eq!(
-                        store.replay_streaming(&spec, 2_000, drain),
-                        expect.accesses()
-                    );
-                });
-            }
-        });
-        assert_eq!(store.stats().stream_replays, 3);
-        assert_eq!(budget.in_use(), 0, "all in-flight bytes were released");
     }
 }

@@ -57,6 +57,15 @@ fn unknown_figure_and_invalid_options_exit_with_usage_error() {
 
     let out = run_cli(&["--format", "yaml"]);
     assert_eq!(out.status.code(), Some(2));
+
+    // Removed flags fail loudly instead of being ignored.
+    for removed in [["--replay-pipeline", "4"], ["--decode-threads", "2"]] {
+        let out = run_cli(&removed);
+        assert_eq!(out.status.code(), Some(2), "{removed:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag"), "{removed:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{removed:?}: {stderr}");
+    }
 }
 
 #[test]

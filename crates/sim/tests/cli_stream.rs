@@ -84,6 +84,30 @@ fn streamed_replay_renders_byte_identical_stdout() {
     assert_eq!(warm.stdout, direct.stdout);
     assert!(warm_err.contains("generated 0,"), "{warm_err}");
     assert!(warm_err.contains("streamed replay:"), "{warm_err}");
+    assert!(warm_err.contains("0 fallbacks"), "{warm_err}");
+
+    // Corrupt a payload byte deep inside every cached trace file: the
+    // envelope still opens, so each failure surfaces mid-stream. Every
+    // file is evicted and regenerated exactly once, and stdout is
+    // unchanged.
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes.len() - 100;
+        bytes[at] ^= 0xff;
+        std::fs::write(&path, &bytes).unwrap();
+    }
+    let healed = run_cli(&with(
+        COMMON,
+        &["--stream-traces", "--trace-cache", &dir_str],
+    ));
+    let healed_err = String::from_utf8_lossy(&healed.stderr);
+    assert!(healed.status.success(), "stderr: {healed_err}");
+    assert_eq!(
+        healed.stdout, direct.stdout,
+        "fallback replay must stay byte-identical"
+    );
+    assert!(healed_err.contains("generated 8,"), "{healed_err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -27,7 +27,6 @@ pub use aggregate::{batch_means, geometric_mean, mean, std_dev, MatchedPair};
 pub use cdf::Cdf;
 pub use streams::{analyze_streams, analyze_streams_multi, StreamAnalysis};
 pub use summary::{
-    CacheReport, PipelineReport, RunSummary, SchedReport, ServeReport, ShardReport, StreamReport,
-    TelemetryReport,
+    CacheReport, RunSummary, SchedReport, ServeReport, ShardReport, StreamReport, TelemetryReport,
 };
 pub use table::{pct, ratio, TextTable};

@@ -256,45 +256,6 @@ impl StreamReport {
     }
 }
 
-/// Counters of the staged replay pipeline (`--replay-pipeline`): how far
-/// the prefetching reader ran ahead, where the stages stalled, and the
-/// high-water mark of decoded bytes buffered between them. Stalls are the
-/// diagnostic payload: full stalls mean the consumer is the bottleneck,
-/// empty stalls mean the disk/decode side is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PipelineReport {
-    /// Configured prefetch depth (chunks the reader may run ahead).
-    pub depth: u64,
-    /// Configured checksum/decode worker count.
-    pub decode_threads: u64,
-    /// Chunks the reader stages lifted off their sources.
-    pub chunks_prefetched: u64,
-    /// Times a reader stalled because every prefetch slot was full or the
-    /// shared in-flight byte budget was exhausted.
-    pub stalls_full: u64,
-    /// Times a consumer stalled waiting for the next in-order chunk.
-    pub stalls_empty: u64,
-    /// High-water mark of decoded bytes in flight across the pipelines.
-    pub peak_bytes_in_flight: u64,
-}
-
-impl PipelineReport {
-    /// One summary line, e.g.
-    /// `pipelined replay: depth 4, 2 decode threads, 128 chunks prefetched, 3 full stalls, 17 empty stalls, peak 2097152 bytes in flight`.
-    pub fn render_line(&self) -> String {
-        format!(
-            "pipelined replay: depth {}, {} decode threads, {} chunks prefetched, \
-             {} full stalls, {} empty stalls, peak {} bytes in flight",
-            self.depth,
-            self.decode_threads,
-            self.chunks_prefetched,
-            self.stalls_full,
-            self.stalls_empty,
-            self.peak_bytes_in_flight
-        )
-    }
-}
-
 /// Lifetime counters of one `stms-serve` daemon: how requests fared at the
 /// admission gate and how much replay work in-flight dedup and the result
 /// memo absorbed.
@@ -370,15 +331,14 @@ impl TelemetryReport {
 }
 
 /// An ordered collection of [`ServeReport`]s, [`ShardReport`]s,
-/// [`StreamReport`]s, [`PipelineReport`]s, [`CacheReport`]s and an
-/// optional [`TelemetryReport`] rendered as one block.
+/// [`StreamReport`]s, [`CacheReport`]s and an optional [`TelemetryReport`]
+/// rendered as one block.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunSummary {
     serves: Vec<ServeReport>,
     shards: Vec<ShardReport>,
     scheds: Vec<SchedReport>,
     streams: Vec<StreamReport>,
-    pipelines: Vec<PipelineReport>,
     reports: Vec<CacheReport>,
     telemetry: Option<TelemetryReport>,
 }
@@ -417,12 +377,6 @@ impl RunSummary {
         self.streams.push(report);
     }
 
-    /// Appends the pipelined-replay report (rendered after the stream
-    /// lines, before the cache tiers).
-    pub fn push_pipeline(&mut self, report: PipelineReport) {
-        self.pipelines.push(report);
-    }
-
     /// Attaches the telemetry block (rendered last, after the cache
     /// tiers). A later call replaces an earlier one — the registry is
     /// process-wide, so there is only ever one current snapshot.
@@ -437,7 +391,6 @@ impl RunSummary {
             && self.shards.is_empty()
             && self.scheds.is_empty()
             && self.streams.is_empty()
-            && self.pipelines.is_empty()
             && self.telemetry.as_ref().is_none_or(|t| t.lines.is_empty())
     }
 
@@ -473,11 +426,6 @@ impl RunSummary {
                 out.push_str(&line);
                 out.push('\n');
             }
-        }
-        for pipeline in &self.pipelines {
-            out.push_str("  ");
-            out.push_str(&pipeline.render_line());
-            out.push('\n');
         }
         for report in &self.reports {
             out.push_str("  ");
@@ -647,36 +595,6 @@ mod tests {
             lines[2],
             "    compression: 1000 bytes on disk, 2500 decoded (2.50x)"
         );
-    }
-
-    #[test]
-    fn pipeline_report_renders_after_streams_before_caches() {
-        let report = PipelineReport {
-            depth: 4,
-            decode_threads: 2,
-            chunks_prefetched: 128,
-            stalls_full: 3,
-            stalls_empty: 17,
-            peak_bytes_in_flight: 2_097_152,
-        };
-        assert_eq!(
-            report.render_line(),
-            "pipelined replay: depth 4, 2 decode threads, 128 chunks prefetched, \
-             3 full stalls, 17 empty stalls, peak 2097152 bytes in flight"
-        );
-        let mut summary = RunSummary::new();
-        summary.push(CacheReport::new("traces", 1, 0));
-        summary.push_pipeline(report);
-        summary.push_stream(StreamReport::default());
-        let lines: Vec<String> = summary.render().lines().map(str::to_string).collect();
-        assert!(lines[1].starts_with("  streamed replay:"), "{}", lines[1]);
-        assert!(lines[2].starts_with("  pipelined replay:"), "{}", lines[2]);
-        assert!(lines[3].starts_with("  traces:"), "{}", lines[3]);
-
-        let mut only_pipeline = RunSummary::new();
-        assert!(only_pipeline.is_empty());
-        only_pipeline.push_pipeline(PipelineReport::default());
-        assert!(!only_pipeline.is_empty());
     }
 
     #[test]

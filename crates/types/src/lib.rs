@@ -39,14 +39,9 @@ pub use manifest::{
     ManifestEntry, ManifestError, ManifestScan, ShardBalance, ShardJobTiming, ShardManifest,
     MANIFEST_CODEC_V2, MANIFEST_CODEC_VERSION,
 };
-pub use stream::pipeline::{
-    ChunkPipeline, InflightBudget, PipeStage, PipelineConfig, PipelineInput, PipelineStats,
-    StageObserver, MIN_PIPELINE_DEPTH,
-};
 pub use stream::{
-    AccessChunk, ChunkedTraceWriter, RawChunk, RawFrameSource, TraceChunks, TraceCodec,
-    TraceReader, TraceSource, TraceStreamError, DEFAULT_CHUNK_LEN, TRACE_CHUNKED_CODEC_VERSION,
-    TRACE_COLUMNAR_CODEC_VERSION,
+    AccessChunk, ChunkedTraceWriter, TraceChunks, TraceCodec, TraceReader, TraceSource,
+    TraceStreamError, DEFAULT_CHUNK_LEN, TRACE_CHUNKED_CODEC_VERSION, TRACE_COLUMNAR_CODEC_VERSION,
 };
 pub use time::Cycle;
 pub use trace::{SharedTrace, Trace, TraceMeta, ACCESS_RECORD_BYTES, TRACE_CODEC_VERSION};

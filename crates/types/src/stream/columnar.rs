@@ -27,8 +27,7 @@
 //!   trace. Temporal streams are per-core sequences — a core sweeping a
 //!   scan emits `+1` deltas even though the cores interleave round-robin in
 //!   trace order. The reference state resets at every chunk boundary so any
-//!   chunk decodes independently (that is what lets the pipeline decode
-//!   frames on parallel workers).
+//!   chunk decodes independently of the frames before it.
 //! * **Fail-closed decoding.** The decoder knows the record count from the
 //!   frame header and must consume the compressed block *exactly*: token
 //!   overruns, zero-length tokens, oversized core ids, varints that overflow

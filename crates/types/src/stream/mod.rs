@@ -27,19 +27,12 @@
 //!   Both fold the whole-payload checksum incrementally while chunks flow
 //!   through, so sealing never materializes the encoded trace. The reader
 //!   dispatches on the codec version in the envelope, so v2 blobs written
-//!   by earlier builds stay readable with no flag;
-//! * the [`pipeline`] submodule — a staged prefetch→decode engine
-//!   ([`pipeline::ChunkPipeline`]) that overlaps reading, checksum/decode
-//!   work and simulation across threads while preserving the exact chunk
-//!   order and error behaviour of the synchronous path.
+//!   by earlier builds stay readable with no flag.
 //!
-//! The reader itself is split into two stages so the pipeline can
-//! parallelize them: [`TraceReader::next_raw`] performs the I/O (frame
-//! header, record bytes, whole-payload checksum folding) and returns an
-//! owned [`RawChunk`]; [`RawChunk::decode_into`] verifies the frame
-//! checksum and parses the records. The synchronous
-//! [`TraceSource::next_chunk`] path is exactly `next_raw` + `decode_into`
-//! on one thread — the depth-0 special case of the pipeline.
+//! The reader is a single serial loop on the calling thread: each
+//! [`TraceSource::next_chunk`] reads one frame (header, payload bytes,
+//! whole-payload checksum folding), verifies its frame checksum, and only
+//! then decodes its records.
 //!
 //! The classic whole-trace codec ([`Trace::encode`], codec version
 //! [`crate::trace::TRACE_CODEC_VERSION`]) remains the single-chunk special
@@ -71,7 +64,6 @@ use std::fmt;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
 pub mod columnar;
-pub mod pipeline;
 
 /// Version of the chunk-framed **row** trace payload codec (fixed-width
 /// records), stamped into the sealed [`crate::blob`] envelope. Distinct
@@ -94,8 +86,7 @@ pub enum TraceCodec {
     /// older builds.
     V2,
     /// Columnar per-chunk compression ([`TRACE_COLUMNAR_CODEC_VERSION`]):
-    /// several-fold smaller on disk for the same trace, decompressed on the
-    /// pipeline's decode workers.
+    /// several-fold smaller on disk for the same trace.
     #[default]
     V3,
 }
@@ -599,103 +590,6 @@ fn payload_checksum(fp: &Fingerprinter) -> u64 {
     blob::checksum_finish(fp)
 }
 
-/// One undecoded chunk frame lifted off a chunk-framed stream: the frame's
-/// payload bytes (row records under v2, a compressed column block under
-/// v3), its record count, and the frame checksum the writer recorded.
-///
-/// Produced by [`TraceReader::next_raw`] (stage one: I/O). Verification,
-/// decompression and parsing happen in [`RawChunk::decode_into`] (stage
-/// two: CPU), which is what lets the [`pipeline`] run several decode
-/// workers in parallel while a single reader thread owns the file handle —
-/// under v3 that includes the per-chunk decompression. A `RawChunk` is
-/// fully owned, so it can cross threads freely.
-#[derive(Debug, Clone)]
-pub struct RawChunk {
-    first_index: u64,
-    chunk_index: u64,
-    checksum: u64,
-    codec: TraceCodec,
-    count: usize,
-    records: Vec<u8>,
-}
-
-impl RawChunk {
-    /// Number of access records in this frame — the *decoded* count, which
-    /// is what the pipeline's in-flight byte budget charges, so the budget
-    /// invariant is codec-independent.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// Whether the frame carries no records (never produced by a
-    /// well-formed stream, but the type does not forbid it).
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Index (within the whole trace) of the first access of the frame.
-    pub fn first_index(&self) -> u64 {
-        self.first_index
-    }
-
-    /// Size of the undecoded frame payload held by this frame — the raw
-    /// record bytes under v2, the compressed column block under v3.
-    pub fn byte_len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Verifies the frame checksum, then decompresses (v3) and parses the
-    /// records into `out` (cleared first) — stage two of the reader, safe
-    /// to run on any thread.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeTraceError::ChunkChecksumMismatch`] when the frame payload
-    /// does not match the recorded frame checksum, or a record-level decode
-    /// error for malformed records.
-    pub fn decode_into(&self, out: &mut Vec<MemAccess>) -> Result<(), TraceStreamError> {
-        let mut fp = Fingerprinter::new();
-        fp.write_bytes(&self.records);
-        if chunk_checksum(&fp) != self.checksum {
-            return Err(DecodeTraceError::ChunkChecksumMismatch {
-                chunk: self.chunk_index,
-            }
-            .into());
-        }
-        match self.codec {
-            TraceCodec::V2 => {
-                out.clear();
-                out.reserve(self.count);
-                let mut records: &[u8] = &self.records;
-                for _ in 0..self.count {
-                    out.push(parse_access(&mut records)?);
-                }
-                Ok(())
-            }
-            TraceCodec::V3 => {
-                columnar::decode_columns(&self.records, self.count, self.chunk_index, out)
-                    .map_err(Into::into)
-            }
-        }
-    }
-}
-
-/// A [`TraceSource`] that can additionally hand out *undecoded* frames, so
-/// a pipeline can move the checksum/parse work onto worker threads.
-/// Implemented by [`TraceReader`]; in-memory and generator sources have no
-/// raw form (their chunks are born decoded).
-pub trait RawFrameSource: TraceSource {
-    /// The next raw frame, or `Ok(None)` once the stream is exhausted (the
-    /// trailing whole-payload checksum is verified before `None`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceStreamError`] exactly like [`TraceSource::next_chunk`],
-    /// except per-frame checksum mismatches, which surface later from
-    /// [`RawChunk::decode_into`].
-    fn next_raw(&mut self) -> Result<Option<RawChunk>, TraceStreamError>;
-}
-
 /// Streaming decoder of the chunk-framed codec: verifies the envelope
 /// header eagerly, then hands out one verified chunk at a time. Memory use
 /// is one chunk, regardless of trace length.
@@ -722,8 +616,7 @@ pub struct TraceReader<R: Read> {
     finished: bool,
     /// First error returned, if any. A failed reader is poisoned: the
     /// stream position is indeterminate after an error, so every later
-    /// call returns the same error instead of misreading frames —
-    /// matching the sticky-error contract of the pipelined path.
+    /// call returns the same error instead of misreading frames.
     failed: Option<TraceStreamError>,
 }
 
@@ -869,25 +762,22 @@ impl<R: Read> TraceReader<R> {
         }
     }
 
-    /// Stage one of the reader: reads the next frame's header and record
-    /// bytes into `records` (reused if large enough), folding them into the
-    /// whole-payload checksum, without verifying the frame checksum or
-    /// parsing a single record.
-    fn next_raw_into(&mut self, records: Vec<u8>) -> Result<Option<RawChunk>, TraceStreamError> {
+    /// Reads, verifies and decodes the next frame into `self.accesses`,
+    /// returning the trace index of its first access, or `None` once the
+    /// stream is exhausted and its trailing checksum verified. The first
+    /// error is remembered and returned again by every later call.
+    fn next_frame(&mut self) -> Result<Option<u64>, TraceStreamError> {
         if let Some(err) = &self.failed {
             return Err(err.clone());
         }
-        let result = self.next_raw_inner(records);
+        let result = self.read_frame();
         if let Err(err) = &result {
             self.failed = Some(err.clone());
         }
         result
     }
 
-    fn next_raw_inner(
-        &mut self,
-        mut records: Vec<u8>,
-    ) -> Result<Option<RawChunk>, TraceStreamError> {
+    fn read_frame(&mut self) -> Result<Option<u64>, TraceStreamError> {
         if self.finished {
             return Ok(None);
         }
@@ -897,7 +787,7 @@ impl<R: Read> TraceReader<R> {
             return Ok(None);
         }
         let expected = (self.total - self.read_accesses).min(self.chunk_len as u64);
-        let (count, recorded) = match self.codec {
+        let (count, payload_len, recorded) = match self.codec {
             TraceCodec::V2 => {
                 let mut frame = [0u8; V2_FRAME_HEADER];
                 self.read_payload(&mut frame, "chunk frame")?;
@@ -909,9 +799,7 @@ impl<R: Read> TraceReader<R> {
                     }
                     .into());
                 }
-                records.clear();
-                records.resize(count as usize * ACCESS_RECORD_BYTES, 0);
-                (count, recorded)
+                (count, count as usize * ACCESS_RECORD_BYTES, recorded)
             }
             TraceCodec::V3 => {
                 let mut frame = [0u8; V3_FRAME_HEADER];
@@ -931,50 +819,44 @@ impl<R: Read> TraceReader<R> {
                     }
                     .into());
                 }
-                records.clear();
-                records.resize(comp_len, 0);
-                (count, recorded)
+                (count, comp_len, recorded)
             }
         };
-        self.read_payload(&mut records, "chunk records")?;
-        let raw = RawChunk {
-            first_index: self.read_accesses,
-            chunk_index: self.chunk_index,
-            checksum: recorded,
-            codec: self.codec,
-            count: count as usize,
-            records,
-        };
+        let mut bytes = std::mem::take(&mut self.byte_buf);
+        bytes.clear();
+        bytes.resize(payload_len, 0);
+        let read = self.read_payload(&mut bytes, "chunk records");
+        self.byte_buf = bytes;
+        read?;
+        // The frame checksum is verified before a single record is parsed.
+        let mut fp = Fingerprinter::new();
+        fp.write_bytes(&self.byte_buf);
+        if chunk_checksum(&fp) != recorded {
+            return Err(DecodeTraceError::ChunkChecksumMismatch {
+                chunk: self.chunk_index,
+            }
+            .into());
+        }
+        match self.codec {
+            TraceCodec::V2 => {
+                self.accesses.clear();
+                self.accesses.reserve(count as usize);
+                let mut records: &[u8] = &self.byte_buf;
+                for _ in 0..count {
+                    self.accesses.push(parse_access(&mut records)?);
+                }
+            }
+            TraceCodec::V3 => columnar::decode_columns(
+                &self.byte_buf,
+                count as usize,
+                self.chunk_index,
+                &mut self.accesses,
+            )?,
+        }
+        let first_index = self.read_accesses;
         self.read_accesses += count;
         self.chunk_index += 1;
-        Ok(Some(raw))
-    }
-
-    /// Stage one + stage two on the calling thread — the synchronous path,
-    /// and byte-for-byte the depth-0 special case of the pipeline.
-    fn read_one_chunk(&mut self) -> Result<Option<AccessChunk<'_>>, TraceStreamError> {
-        let buf = std::mem::take(&mut self.byte_buf);
-        let raw = match self.next_raw_into(buf)? {
-            None => return Ok(None),
-            Some(raw) => raw,
-        };
-        let decoded = raw.decode_into(&mut self.accesses);
-        let first_index = raw.first_index;
-        self.byte_buf = raw.records;
-        if let Err(err) = decoded {
-            self.failed = Some(err.clone());
-            return Err(err);
-        }
-        Ok(Some(AccessChunk {
-            accesses: &self.accesses,
-            first_index,
-        }))
-    }
-}
-
-impl<R: Read> RawFrameSource for TraceReader<R> {
-    fn next_raw(&mut self) -> Result<Option<RawChunk>, TraceStreamError> {
-        self.next_raw_into(Vec::new())
+        Ok(Some(first_index))
     }
 }
 
@@ -988,7 +870,10 @@ impl<R: Read> TraceSource for TraceReader<R> {
     }
 
     fn next_chunk(&mut self) -> Result<Option<AccessChunk<'_>>, TraceStreamError> {
-        self.read_one_chunk()
+        Ok(self.next_frame()?.map(|first_index| AccessChunk {
+            accesses: &self.accesses,
+            first_index,
+        }))
     }
 }
 
@@ -1205,6 +1090,9 @@ mod tests {
             ),
             "{err:?}"
         );
+        // The error is sticky: the stream position is indeterminate, so a
+        // second call repeats it instead of reading on.
+        assert_eq!(reader.next_chunk().unwrap_err(), err);
     }
 
     #[test]
@@ -1240,6 +1128,21 @@ mod tests {
             ),
             "{result:?}"
         );
+        // A cut inside the last frame yields every intact frame first.
+        let t = sample_trace(200);
+        let sealed = encode_chunked(&t, key(), 64);
+        let cut = sealed.len() - 20;
+        let mut reader = TraceReader::new(io::Cursor::new(&sealed[..cut]), key()).unwrap();
+        let mut yielded = 0u64;
+        let err = loop {
+            match reader.next_chunk() {
+                Ok(Some(chunk)) => yielded += chunk.accesses.len() as u64,
+                Ok(None) => panic!("truncation must surface"),
+                Err(err) => break err,
+            }
+        };
+        assert_eq!(yielded, 192, "three intact chunks, then the error");
+        assert!(matches!(err, TraceStreamError::Envelope(_)), "{err:?}");
     }
 
     #[test]
