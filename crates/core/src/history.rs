@@ -11,9 +11,9 @@
 //! following the last contiguously-prefetched address of a followed stream is
 //! marked, and later reads stop when they encounter a mark.
 
-use std::collections::HashSet;
 use stms_mem::{DramModel, TrafficClass};
 use stms_prefetch::HistoryLog;
+use stms_types::hash::IntHashSet;
 use stms_types::{CoreId, Cycle, LineAddr};
 
 /// One block read from a history buffer.
@@ -52,7 +52,7 @@ pub struct HistoryBlock {
 #[derive(Debug)]
 pub struct OffChipHistory {
     logs: Vec<HistoryLog>,
-    end_marks: Vec<HashSet<u64>>,
+    end_marks: Vec<IntHashSet<u64>>,
     pending_writes: Vec<usize>,
     entries_per_block: usize,
     appended: u64,
@@ -74,7 +74,7 @@ impl OffChipHistory {
             logs: (0..cores)
                 .map(|_| HistoryLog::new(entries_per_core))
                 .collect(),
-            end_marks: vec![HashSet::new(); cores],
+            end_marks: vec![IntHashSet::default(); cores],
             pending_writes: vec![0; cores],
             entries_per_block,
             appended: 0,
@@ -142,12 +142,12 @@ impl OffChipHistory {
         let idx = core.index();
         let ready_at = dram.access(TrafficClass::MetaLookup, 64, now);
         self.blocks_read += 1;
-        let raw = self.logs[idx].read_from(pos, self.entries_per_block);
-        let mut addresses = Vec::with_capacity(raw.len());
+        let (log, marks) = (&self.logs[idx], &self.end_marks[idx]);
+        let mut addresses = Vec::with_capacity(self.entries_per_block);
         let mut hit_end_mark = false;
-        for (offset, line) in raw.into_iter().enumerate() {
-            let p = pos + offset as u64;
-            if self.end_marks[idx].contains(&p) {
+        for p in pos..pos.saturating_add(self.entries_per_block as u64) {
+            let Some(line) = log.get(p) else { break };
+            if marks.contains(&p) {
                 hit_end_mark = true;
                 break;
             }

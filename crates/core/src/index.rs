@@ -11,8 +11,14 @@
 //! The small on-chip *bucket buffer* (8 KB = 128 buckets) holds recently
 //! accessed buckets so that an update immediately following a lookup of the
 //! same bucket does not pay a second memory round trip, and so that dirty
-//! buckets are written back lazily when bandwidth is available.
+//! buckets are written back lazily when bandwidth is available. Each
+//! buffer slot has a `u32` lane holding its bucket's index plus one (0
+//! marks a free slot), so finding a buffered bucket is one branch-free
+//! compare of all lanes, and a [`RecencyList`] over the slots gives the
+//! least recently used one, the victim, in O(1).
 
+use stms_mem::lanes::Lanes;
+use stms_mem::recency::{Link, Linked, RecencyList};
 use stms_mem::{DramModel, TrafficClass};
 use stms_types::{CoreId, Cycle, LineAddr};
 
@@ -29,6 +35,31 @@ pub struct HistoryPointer {
 struct BucketEntry {
     line: LineAddr,
     pointer: HistoryPointer,
+}
+
+/// The bucket of `buckets` that `line` hashes to.
+pub(crate) fn bucket_of(line: LineAddr, buckets: usize) -> usize {
+    // SplitMix64-style finalizer: spreads even highly-structured line
+    // addresses (e.g. strided allocations) evenly across buckets.
+    let mut h = line.raw().wrapping_add(0x9E37_79B9_7F4A_7C15);
+    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^= h >> 31;
+    (h % buckets as u64) as usize
+}
+
+/// A bucket-buffer slot: its bucket's dirty bit, and its place in recency
+/// order.
+#[derive(Debug, Clone, Copy)]
+struct BufferSlot {
+    dirty: bool,
+    link: Link,
+}
+
+impl Linked for BufferSlot {
+    fn link(&mut self) -> &mut Link {
+        &mut self.link
+    }
 }
 
 /// One 64-byte bucket: entries kept in MRU-first order.
@@ -74,9 +105,15 @@ pub struct IndexStats {
 pub struct HashIndexTable {
     buckets: Vec<Bucket>,
     entries_per_bucket: usize,
-    /// On-chip bucket buffer: (bucket index, dirty), MRU at the back.
-    buffer: Vec<(usize, bool)>,
+    /// Each bucket-buffer slot's bucket index plus one; 0 marks a free slot.
+    held: Lanes,
+    /// The bucket buffer's slots; grows to `buffer_capacity` and then
+    /// stays full.
+    buffer: Vec<BufferSlot>,
     buffer_capacity: usize,
+    /// The buffer's slots by recency; the oldest is the victim once the
+    /// buffer is full.
+    recency: RecencyList,
     stats: IndexStats,
 }
 
@@ -86,14 +123,21 @@ impl HashIndexTable {
     ///
     /// # Panics
     ///
-    /// Panics if `buckets` or `entries_per_bucket` is zero.
+    /// Panics if `buckets` or `entries_per_bucket` is zero, or if `buckets`
+    /// does not fit a `u32` lane.
     pub fn new(buckets: usize, entries_per_bucket: usize, bucket_buffer_blocks: usize) -> Self {
         assert!(buckets > 0 && entries_per_bucket > 0);
+        assert!(
+            buckets < u32::MAX as usize,
+            "too many buckets for a u32 lane"
+        );
         HashIndexTable {
             buckets: vec![Bucket::default(); buckets],
             entries_per_bucket,
+            held: Lanes::new(bucket_buffer_blocks),
             buffer: Vec::with_capacity(bucket_buffer_blocks),
             buffer_capacity: bucket_buffer_blocks,
+            recency: RecencyList::default(),
             stats: IndexStats::default(),
         }
     }
@@ -114,50 +158,48 @@ impl HashIndexTable {
     }
 
     fn bucket_of(&self, line: LineAddr) -> usize {
-        // SplitMix64-style finalizer: spreads even highly-structured line
-        // addresses (e.g. strided allocations) evenly across buckets.
-        let mut h = line.raw().wrapping_add(0x9E37_79B9_7F4A_7C15);
-        h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        h ^= h >> 31;
-        (h % self.buckets.len() as u64) as usize
+        bucket_of(line, self.buckets.len())
     }
 
     /// Brings `bucket` into the on-chip buffer, charging a memory read if it
     /// was not already buffered. Returns the cycle at which the bucket's
-    /// contents are available.
+    /// contents are available, and the buffer slot now holding it (none
+    /// when the buffer has no capacity).
     fn acquire_bucket(
         &mut self,
         bucket: usize,
         now: Cycle,
         dram: &mut DramModel,
         class: TrafficClass,
-    ) -> Cycle {
-        if let Some(pos) = self.buffer.iter().position(|&(b, _)| b == bucket) {
-            // Refresh recency.
-            let entry = self.buffer.remove(pos);
-            self.buffer.push(entry);
+    ) -> (Cycle, Option<usize>) {
+        if self.buffer_capacity == 0 {
+            return (dram.access(class, 64, now), None);
+        }
+        let lane = bucket as u32 + 1;
+        if let Some(slot) = self.held.find(lane, |_| true) {
+            self.recency.push_newest(&mut self.buffer, slot as u32);
             self.stats.buffer_hits += 1;
-            return now;
+            return (now, Some(slot));
         }
         let ready = dram.access(class, 64, now);
-        if self.buffer.len() >= self.buffer_capacity && self.buffer_capacity > 0 {
-            let (_, dirty) = self.buffer.remove(0);
-            if dirty {
+        let slot = if self.buffer.len() < self.buffer_capacity {
+            self.buffer.push(BufferSlot {
+                dirty: false,
+                link: Link::default(),
+            });
+            self.buffer.len() - 1
+        } else {
+            let victim = self.recency.oldest().expect("a full buffer has a slot") as usize;
+            if self.buffer[victim].dirty {
                 dram.access(TrafficClass::MetaUpdate, 64, now);
                 self.stats.writebacks += 1;
             }
-        }
-        if self.buffer_capacity > 0 {
-            self.buffer.push((bucket, false));
-        }
-        ready
-    }
-
-    fn mark_dirty(&mut self, bucket: usize) {
-        if let Some(entry) = self.buffer.iter_mut().find(|(b, _)| *b == bucket) {
-            entry.1 = true;
-        }
+            self.buffer[victim].dirty = false;
+            victim
+        };
+        self.held.set(slot, lane);
+        self.recency.push_newest(&mut self.buffer, slot as u32);
+        (ready, Some(slot))
     }
 
     /// Looks up the history pointer for `line`. Returns the pointer (if any)
@@ -171,7 +213,7 @@ impl HashIndexTable {
     ) -> (Option<HistoryPointer>, Cycle) {
         self.stats.lookups += 1;
         let bucket_idx = self.bucket_of(line);
-        let ready = self.acquire_bucket(bucket_idx, now, dram, TrafficClass::MetaLookup);
+        let (ready, _) = self.acquire_bucket(bucket_idx, now, dram, TrafficClass::MetaLookup);
         let entries = &mut self.buckets[bucket_idx].entries;
         if let Some(pos) = entries.iter().position(|e| e.line == line) {
             // Move to MRU position.
@@ -197,8 +239,10 @@ impl HashIndexTable {
         let bucket_idx = self.bucket_of(line);
         // An update is a read-modify-write of the bucket; the read is skipped
         // when the bucket is buffered, the write is deferred until eviction.
-        self.acquire_bucket(bucket_idx, now, dram, TrafficClass::MetaUpdate);
-        self.mark_dirty(bucket_idx);
+        let (_, slot) = self.acquire_bucket(bucket_idx, now, dram, TrafficClass::MetaUpdate);
+        if let Some(slot) = slot {
+            self.buffer[slot].dirty = true;
+        }
         let entries_per_bucket = self.entries_per_bucket;
         let entries = &mut self.buckets[bucket_idx].entries;
         if let Some(pos) = entries.iter().position(|e| e.line == line) {
@@ -210,11 +254,11 @@ impl HashIndexTable {
 
     /// Writes back every dirty buffered bucket (end of simulation).
     pub fn flush(&mut self, now: Cycle, dram: &mut DramModel) {
-        for (_, dirty) in self.buffer.iter_mut() {
-            if *dirty {
+        for slot in &mut self.buffer {
+            if slot.dirty {
                 dram.access(TrafficClass::MetaUpdate, 64, now);
                 self.stats.writebacks += 1;
-                *dirty = false;
+                slot.dirty = false;
             }
         }
     }

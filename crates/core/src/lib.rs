@@ -44,6 +44,8 @@ pub mod config;
 pub mod history;
 pub mod index;
 pub mod index_alt;
+#[cfg(test)]
+mod reference;
 pub mod sampler;
 pub mod stms;
 

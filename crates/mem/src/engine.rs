@@ -651,7 +651,7 @@ impl<'a> CmpSimulator<'a> {
         }
         // Remaining never-used prefetched blocks are erroneous.
         for st in &mut self.cores {
-            let unused = st.pfb.drain().len() as u64;
+            let unused = st.pfb.clear() as u64;
             self.res.prefetches_unused += unused;
         }
 

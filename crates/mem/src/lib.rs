@@ -11,6 +11,9 @@
 //! * [`StridePrefetcher`] — the base system's stride prefetcher;
 //! * [`MshrFile`], [`PrefetchBuffer`], [`StreamState`] — the on-chip
 //!   structures of Figure 2;
+//! * [`lanes::Lanes`], [`recency::RecencyList`] — branch-free lookup and
+//!   O(1) replacement order for the small on-chip tables (stride table,
+//!   prefetch buffer, index bucket buffer);
 //! * [`Prefetcher`] — the interface implemented by every temporal-streaming
 //!   prefetcher in this workspace (idealized TMS, STMS, and the prior-work
 //!   baselines);
@@ -43,8 +46,10 @@ pub mod cache;
 pub mod config;
 pub mod dram;
 pub mod engine;
+pub mod lanes;
 pub mod mshr;
 pub mod prefetcher;
+pub mod recency;
 #[cfg(test)]
 mod reference;
 pub mod result;

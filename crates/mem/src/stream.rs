@@ -5,11 +5,13 @@
 //! prefetcher implementation; they correspond to the "stream engine",
 //! "prefetch buffer" and "address queue" blocks of Figure 2.
 
+use crate::lanes;
+use crate::recency::{Link, Linked, RecencyList};
 use std::collections::VecDeque;
 use stms_types::{Cycle, LineAddr};
 
 /// One prefetched block held in the prefetch buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PrefetchedBlock {
     /// The prefetched line.
     pub line: LineAddr,
@@ -17,9 +19,29 @@ pub struct PrefetchedBlock {
     pub available_at: Cycle,
 }
 
+/// A prefetch-buffer slot: its block, and its place in fill order.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    block: PrefetchedBlock,
+    link: Link,
+}
+
+impl Linked for Slot {
+    fn link(&mut self) -> &mut Link {
+        &mut self.link
+    }
+}
+
 /// The small, fully-associative per-core prefetch buffer (2 KB = 32 lines in
 /// the paper). Prefetched blocks are held here instead of polluting the
 /// caches; demand accesses that match are "covered" misses.
+///
+/// Blocks sit in fixed slots with a `u32` fingerprint lane each (see
+/// [`crate::lanes`]), so a lookup is one branch-free compare of all lanes
+/// plus an exact line check at each match. A [`RecencyList`] orders the
+/// slots by when they were last filled. A full buffer holds a block in
+/// every slot, so its oldest slot holds the block inserted first, the
+/// victim, found in O(1).
 ///
 /// # Example
 ///
@@ -39,7 +61,12 @@ pub struct PrefetchedBlock {
 #[derive(Debug, Clone)]
 pub struct PrefetchBuffer {
     capacity: usize,
-    blocks: VecDeque<PrefetchedBlock>,
+    len: usize,
+    /// Fingerprint of each slot's line, [`lanes::FREE`] for an empty slot.
+    lanes: lanes::Lanes,
+    slots: Vec<Slot>,
+    /// The slots by when they were last filled.
+    filled: RecencyList,
 }
 
 impl PrefetchBuffer {
@@ -52,23 +79,38 @@ impl PrefetchBuffer {
         assert!(capacity > 0, "prefetch buffer capacity must be non-zero");
         PrefetchBuffer {
             capacity,
-            blocks: VecDeque::with_capacity(capacity),
+            len: 0,
+            lanes: lanes::Lanes::new(capacity),
+            slots: vec![Slot::default(); capacity],
+            filled: RecencyList::default(),
         }
     }
 
     /// Number of blocks currently buffered.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.len
     }
 
     /// Whether the buffer holds no blocks.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.len == 0
+    }
+
+    /// The slot holding `line`, if buffered.
+    #[inline]
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        let slots = &self.slots;
+        self.lanes.find(lanes::fingerprint(line.raw()), |slot| {
+            slots[slot].block.line == line
+        })
     }
 
     /// Whether `line` is buffered (without consuming it).
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.blocks.iter().any(|b| b.line == line)
+        self.find(line).is_some()
     }
 
     /// Inserts a prefetched block, evicting the oldest block if full. The
@@ -76,31 +118,41 @@ impl PrefetchBuffer {
     /// account for it as an erroneous prefetch. Re-inserting an already
     /// buffered line refreshes its availability and evicts nothing.
     pub fn insert(&mut self, line: LineAddr, available_at: Cycle) -> Option<PrefetchedBlock> {
-        if let Some(existing) = self.blocks.iter_mut().find(|b| b.line == line) {
+        if let Some(slot) = self.find(line) {
+            let existing = &mut self.slots[slot].block;
             existing.available_at = existing.available_at.min(available_at);
             return None;
         }
-        let evicted = if self.blocks.len() >= self.capacity {
-            self.blocks.pop_front()
+        let (slot, evicted) = if self.len == self.capacity {
+            let oldest = self.filled.oldest().expect("a full buffer has a block") as usize;
+            (oldest, Some(self.slots[oldest].block))
         } else {
-            None
+            self.len += 1;
+            let free = self.lanes.find(lanes::FREE, |_| true);
+            (free.expect("a buffer below capacity has a free slot"), None)
         };
-        self.blocks
-            .push_back(PrefetchedBlock { line, available_at });
+        self.lanes.set(slot, lanes::fingerprint(line.raw()));
+        self.slots[slot].block = PrefetchedBlock { line, available_at };
+        self.filled.push_newest(&mut self.slots, slot as u32);
         evicted
     }
 
     /// Consumes `line` if buffered, returning the block. This models a demand
     /// access being satisfied from the prefetch buffer.
     pub fn take(&mut self, line: LineAddr) -> Option<PrefetchedBlock> {
-        let idx = self.blocks.iter().position(|b| b.line == line)?;
-        self.blocks.remove(idx)
+        let slot = self.find(line)?;
+        self.lanes.set(slot, lanes::FREE);
+        self.len -= 1;
+        Some(self.slots[slot].block)
     }
 
-    /// Removes and returns every buffered block (end-of-simulation
-    /// accounting of never-used prefetches).
-    pub fn drain(&mut self) -> Vec<PrefetchedBlock> {
-        self.blocks.drain(..).collect()
+    /// Discards every buffered block and returns how many there were
+    /// (end-of-simulation accounting of never-used prefetches).
+    pub fn clear(&mut self) -> usize {
+        let dropped = self.len;
+        self.lanes.clear();
+        self.len = 0;
+        dropped
     }
 }
 
@@ -228,13 +280,14 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_buffer_drain_returns_unused() {
+    fn prefetch_buffer_clear_counts_unused() {
         let mut b = PrefetchBuffer::new(4);
         b.insert(LineAddr::new(1), Cycle::new(1));
         b.insert(LineAddr::new(2), Cycle::new(2));
-        let drained = b.drain();
-        assert_eq!(drained.len(), 2);
+        assert_eq!(b.clear(), 2);
         assert!(b.is_empty());
+        assert!(!b.contains(LineAddr::new(1)));
+        assert_eq!(b.clear(), 0);
     }
 
     #[test]

@@ -7,20 +7,27 @@
 //! constant-stride sequences within 4 KB regions and, once confident,
 //! prefetches `degree` lines ahead directly into the shared L2.
 //!
-//! The table is associative over (region, core). An open-addressed index
-//! maps that key to its entry in O(1), and an intrusive doubly-linked list
-//! keeps the entries in recency order, so the least recently used entry is
-//! the list's tail. Entries are never invalidated, so until the table is
-//! full a miss takes the next unused slot, and afterwards the tail.
+//! The table is associative over (region, core). Each entry has a `u32`
+//! fingerprint lane (see [`crate::lanes`]), so a lookup is one branch-free
+//! compare of all lanes plus an exact key check at each match, and a
+//! [`RecencyList`] keeps the entries in recency order. Entries are never
+//! invalidated, so until the table is full a miss takes the next unused
+//! slot, and afterwards the least recently used one, whose entry and lane
+//! it overwrites.
 
 use crate::config::StrideConfig;
+use crate::lanes;
+use crate::recency::{Link, Linked, RecencyList};
 use stms_types::{CoreId, LineAddr};
 
 /// Lines per 4 KB detection region.
 const REGION_LINES: u64 = 64;
 
-/// Marks an empty index slot and the ends of the recency list.
-const NIL: u32 = u32::MAX;
+/// The hashed key of (region, core). Distinct pairs may share it; the
+/// exact check on `region` and `core` separates them.
+pub(crate) fn entry_key(region: u64, core: u16) -> u64 {
+    region ^ (u64::from(core) << 48)
+}
 
 #[derive(Debug, Clone, Copy)]
 struct StrideEntry {
@@ -31,10 +38,13 @@ struct StrideEntry {
     last_line: LineAddr,
     stride: i64,
     confidence: u32,
-    /// Neighbour towards the most recently used end of the list.
-    newer: u32,
-    /// Neighbour towards the least recently used end of the list.
-    older: u32,
+    link: Link,
+}
+
+impl Linked for StrideEntry {
+    fn link(&mut self) -> &mut Link {
+        &mut self.link
+    }
 }
 
 /// Counters describing stride-prefetcher behaviour.
@@ -107,30 +117,22 @@ pub struct StridePrefetcher {
     cfg: StrideConfig,
     /// Allocated entries; grows to `cfg.streams` and then stays full.
     entries: Vec<StrideEntry>,
-    /// Open-addressed (linear probing) map from (region, core) to an index
-    /// into `entries`; `NIL` marks an empty slot. Its length is a power of
-    /// two at least twice `cfg.streams`, so probes stay short.
-    index: Vec<u32>,
-    /// Right shift taking a hash's top bits as the home slot.
-    index_shift: u32,
-    /// Most recently used entry.
-    newest: u32,
-    /// Least recently used entry: the victim once the table is full.
-    oldest: u32,
+    /// Fingerprint of each entry's key, slot-parallel to `entries`.
+    lanes: lanes::Lanes,
+    /// The entries by recency; the oldest is the victim once the table is
+    /// full.
+    recency: RecencyList,
     stats: StrideStats,
 }
 
 impl StridePrefetcher {
     /// Creates a stride prefetcher with the given table size and degree.
     pub fn new(cfg: StrideConfig) -> Self {
-        let slots = (cfg.streams.max(1) * 2).next_power_of_two();
         StridePrefetcher {
             cfg,
             entries: Vec::with_capacity(cfg.streams),
-            index: vec![NIL; slots],
-            index_shift: 64 - slots.trailing_zeros(),
-            newest: NIL,
-            oldest: NIL,
+            lanes: lanes::Lanes::new(cfg.streams),
+            recency: RecencyList::default(),
             stats: StrideStats::default(),
         }
     }
@@ -142,11 +144,16 @@ impl StridePrefetcher {
         let region = line.raw() / REGION_LINES;
         let core_idx = core.index() as u16;
 
-        match self.find_slot(region, core_idx) {
-            Ok(slot) => {
-                let id = self.index[slot];
-                self.touch(id);
-                let entry = &mut self.entries[id as usize];
+        let fp = lanes::fingerprint(entry_key(region, core_idx));
+        let entries = &self.entries;
+        let found = self.lanes.find(fp, |slot| {
+            let e = &entries[slot];
+            e.region == region && e.core == core_idx
+        });
+        match found {
+            Some(slot) => {
+                self.recency.push_newest(&mut self.entries, slot as u32);
+                let entry = &mut self.entries[slot];
                 let delta = line.delta_from(entry.last_line);
                 if delta == 0 {
                     return StridePredictions::NONE;
@@ -169,7 +176,7 @@ impl StridePrefetcher {
                     };
                 }
             }
-            Err(_) => self.allocate(region, core_idx, line),
+            None => self.allocate(region, core_idx, fp, line),
         }
         StridePredictions::NONE
     }
@@ -179,122 +186,30 @@ impl StridePrefetcher {
         self.stats
     }
 
-    fn home_slot(&self, region: u64, core: u16) -> usize {
-        const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
-        let h = (region ^ (u64::from(core) << 48)).wrapping_mul(MIX);
-        (h >> self.index_shift) as usize
-    }
-
-    /// The index slot holding (region, core) (`Ok`), or the empty slot where
-    /// it would be inserted (`Err`).
-    fn find_slot(&self, region: u64, core: u16) -> Result<usize, usize> {
-        let mask = self.index.len() - 1;
-        let mut slot = self.home_slot(region, core);
-        loop {
-            let id = self.index[slot];
-            if id == NIL {
-                return Err(slot);
-            }
-            let e = &self.entries[id as usize];
-            if e.region == region && e.core == core {
-                return Ok(slot);
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    /// Installs a new entry for the absent key (region, core): in the next
-    /// unused slot while the table has one, else in place of the least
-    /// recently used entry.
-    fn allocate(&mut self, region: u64, core: u16, line: LineAddr) {
-        let entry = StrideEntry {
+    /// Installs a new entry for the absent key (region, core), whose
+    /// fingerprint is `fp`: in the next unused slot while the table has
+    /// one, else in place of the least recently used entry.
+    fn allocate(&mut self, region: u64, core: u16, fp: u32, line: LineAddr) {
+        let mut entry = StrideEntry {
             region,
             core,
             last_line: line,
             stride: 0,
             confidence: 0,
-            newer: NIL,
-            older: NIL,
+            link: Link::default(),
         };
-        let id = if self.entries.len() < self.cfg.streams {
+        let slot = if self.entries.len() < self.cfg.streams {
             self.entries.push(entry);
-            (self.entries.len() - 1) as u32
+            self.entries.len() - 1
         } else {
-            assert!(self.cfg.streams > 0, "streams > 0");
-            let victim = self.oldest;
-            self.unlink(victim);
-            let old = self.entries[victim as usize];
-            let victim_slot = self
-                .find_slot(old.region, old.core)
-                .expect("every entry is indexed");
-            self.remove_slot(victim_slot);
-            self.entries[victim as usize] = entry;
+            let victim = self.recency.oldest().expect("streams > 0") as usize;
+            // The victim keeps its place in the list until it is pushed.
+            entry.link = self.entries[victim].link;
+            self.entries[victim] = entry;
             victim
         };
-        // Looked up only now: removing the victim may shift probe chains.
-        let slot = self
-            .find_slot(region, core)
-            .expect_err("the key was absent");
-        self.index[slot] = id;
-        self.push_newest(id);
-    }
-
-    /// Empties index slot `hole`, shifting later members of its probe chain
-    /// back so every key stays reachable from its home slot.
-    fn remove_slot(&mut self, mut hole: usize) {
-        let mask = self.index.len() - 1;
-        let mut slot = hole;
-        loop {
-            slot = (slot + 1) & mask;
-            let id = self.index[slot];
-            if id == NIL {
-                break;
-            }
-            let e = &self.entries[id as usize];
-            let home = self.home_slot(e.region, e.core);
-            // The entry may move into the hole unless its home lies
-            // cyclically within (hole, slot].
-            if (slot.wrapping_sub(home) & mask) >= (slot.wrapping_sub(hole) & mask) {
-                self.index[hole] = id;
-                hole = slot;
-            }
-        }
-        self.index[hole] = NIL;
-    }
-
-    /// Moves entry `id` to the most recently used end of the list.
-    fn touch(&mut self, id: u32) {
-        if self.newest != id {
-            self.unlink(id);
-            self.push_newest(id);
-        }
-    }
-
-    fn push_newest(&mut self, id: u32) {
-        let old_newest = self.newest;
-        let e = &mut self.entries[id as usize];
-        e.newer = NIL;
-        e.older = old_newest;
-        if old_newest == NIL {
-            self.oldest = id;
-        } else {
-            self.entries[old_newest as usize].newer = id;
-        }
-        self.newest = id;
-    }
-
-    fn unlink(&mut self, id: u32) {
-        let StrideEntry { newer, older, .. } = self.entries[id as usize];
-        if newer == NIL {
-            self.newest = older;
-        } else {
-            self.entries[newer as usize].older = older;
-        }
-        if older == NIL {
-            self.oldest = newer;
-        } else {
-            self.entries[older as usize].newer = newer;
-        }
+        self.lanes.set(slot, fp);
+        self.recency.push_newest(&mut self.entries, slot as u32);
     }
 }
 

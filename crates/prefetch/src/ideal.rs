@@ -9,8 +9,8 @@
 
 use crate::history::HistoryLog;
 use crate::lru_index::LruIndex;
-use std::collections::HashMap;
 use stms_mem::{DramModel, Prefetcher, StreamChunk};
+use stms_types::hash::IntHashMap;
 use stms_types::{CoreId, Cycle, LineAddr};
 
 /// Configuration of the idealized TMS prefetcher.
@@ -81,7 +81,7 @@ pub struct IdealTms {
     cfg: IdealTmsConfig,
     histories: Vec<HistoryLog>,
     /// Unbounded index (used when `index_entries` is `None`).
-    index_unbounded: HashMap<LineAddr, u64>,
+    index_unbounded: IntHashMap<LineAddr, u64>,
     /// Bounded LRU index (used when `index_entries` is `Some`).
     index_bounded: Option<LruIndex>,
     cursors: Vec<Option<Cursor>>,
@@ -97,7 +97,7 @@ impl IdealTms {
             histories: (0..cfg.cores)
                 .map(|_| HistoryLog::new(cfg.history_entries_per_core))
                 .collect(),
-            index_unbounded: HashMap::new(),
+            index_unbounded: IntHashMap::default(),
             index_bounded: cfg.index_entries.map(LruIndex::new),
             cursors: vec![None; cfg.cores],
             stats: IdealTmsStats::default(),

@@ -5,7 +5,8 @@
 //! correlation-table-entries sweep of Figure 1 (left) and the idealized TMS
 //! prefetcher.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use stms_types::hash::IntHashMap;
 use stms_types::LineAddr;
 
 /// A bounded LRU map `LineAddr -> u64` with amortized O(1) operations.
@@ -31,7 +32,7 @@ use stms_types::LineAddr;
 #[derive(Debug, Clone)]
 pub struct LruIndex {
     capacity: usize,
-    map: HashMap<LineAddr, (u64, u64)>, // value, last-touch tick
+    map: IntHashMap<LineAddr, (u64, u64)>, // value, last-touch tick
     recency: VecDeque<(LineAddr, u64)>,
     tick: u64,
 }
@@ -42,7 +43,7 @@ impl LruIndex {
     pub fn new(capacity: usize) -> Self {
         LruIndex {
             capacity,
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
+            map: IntHashMap::with_capacity_and_hasher(capacity.min(1 << 20), Default::default()),
             recency: VecDeque::new(),
             tick: 0,
         }

@@ -24,6 +24,7 @@ pub mod access;
 pub mod addr;
 pub mod blob;
 pub mod fingerprint;
+pub mod hash;
 pub mod ids;
 pub mod manifest;
 pub mod stream;
