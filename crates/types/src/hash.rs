@@ -62,28 +62,8 @@ impl Hasher for IntHasher {
     }
 
     #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.add(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u16(&mut self, n: u16) {
-        self.add(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-
-    #[inline]
     fn write_u64(&mut self, n: u64) {
         self.add(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
     }
 }
 
