@@ -311,8 +311,9 @@ pub struct FlightStats {
     /// memo configured this is exactly the number of *distinct* jobs that
     /// ever ran, however many concurrent requests asked for them.
     pub executed: u64,
-    /// Jobs that joined a concurrent leader's execution and shared its
-    /// output instead of replaying.
+    /// Jobs that took another execution's output instead of replaying: a
+    /// duplicate of an earlier job in the same batch, or a job that joined
+    /// a concurrent leader's execution.
     pub shared: u64,
 }
 
@@ -618,7 +619,8 @@ impl Campaign {
         jobs: Vec<JobSpec>,
         idents: Vec<(String, Fingerprint)>,
     ) -> Vec<Result<JobOutput, JobError>> {
-        self.submit_jobs(jobs, None, None)
+        let fingerprints: Vec<Fingerprint> = idents.iter().map(|(_, fp)| *fp).collect();
+        self.submit_jobs(jobs, &fingerprints, None, None)
             .run_to_completion()
             .into_iter()
             .zip(&idents)
@@ -637,6 +639,10 @@ impl Campaign {
     /// [`Campaign::run_figures`]). A task resolves to `None` only when
     /// `cancel` fired before it reached a worker.
     ///
+    /// Jobs with equal fingerprints (`fingerprints[i]` belongs to
+    /// `jobs[i]`) run once: only the first is enqueued, and its outcome is
+    /// delivered to every duplicate, so a duplicate never holds a worker.
+    ///
     /// `figures[i]`, when given, labels `jobs[i]`'s phase timings with its
     /// figure id in the telemetry registry; the phase clock itself always
     /// runs — queue wait is measured from this enqueue to the moment a
@@ -644,22 +650,37 @@ impl Campaign {
     fn submit_jobs(
         &self,
         jobs: Vec<JobSpec>,
+        fingerprints: &[Fingerprint],
         figures: Option<Vec<Arc<str>>>,
         cancel: Option<&CancelToken>,
-    ) -> BatchHandle<Option<JobOutput>> {
+    ) -> JobBatch {
         let mut figures = figures.map(Vec::into_iter);
+        let mut task_of: HashMap<Fingerprint, usize> = HashMap::with_capacity(jobs.len());
+        let mut members: Vec<Vec<usize>> = Vec::new();
         let tasks: Vec<_> = jobs
             .into_iter()
-            .map(|job| {
+            .zip(fingerprints)
+            .enumerate()
+            .filter_map(|(i, (job, fingerprint))| {
+                let figure = figures.as_mut().and_then(Iterator::next);
+                match task_of.entry(*fingerprint) {
+                    std::collections::hash_map::Entry::Occupied(task) => {
+                        members[*task.get()].push(i);
+                        return None;
+                    }
+                    std::collections::hash_map::Entry::Vacant(task) => {
+                        task.insert(members.len());
+                        members.push(vec![i]);
+                    }
+                }
                 let cfg = Arc::clone(&self.cfg);
                 let store = Arc::clone(&self.store);
                 let results = self.results.clone();
                 let flights = Arc::clone(&self.flights);
                 let timings = Arc::clone(&self.timings);
-                let figure = figures.as_mut().and_then(Iterator::next);
                 let cancel = cancel.cloned();
                 let enqueued = std::time::Instant::now();
-                move || {
+                Some(move || {
                     if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                         return None;
                     }
@@ -679,10 +700,14 @@ impl Campaign {
                         );
                     }
                     Some(output)
-                }
+                })
             })
             .collect();
-        self.pool.submit_batch(tasks)
+        JobBatch {
+            handle: self.pool.submit_batch(tasks),
+            members,
+            flights: Arc::clone(&self.flights),
+        }
     }
 
     /// Drains the per-job phase log accumulated since the last call, sorted
@@ -908,7 +933,13 @@ impl Campaign {
         let submitted_labels: Vec<Arc<str>> =
             order.iter().map(|&i| Arc::clone(&labels[i])).collect();
 
-        let handle = self.submit_jobs(submitted, Some(submitted_labels), cancel);
+        let submitted_fingerprints: Vec<Fingerprint> = order.iter().map(|&i| idents[i].1).collect();
+        let batch = self.submit_jobs(
+            submitted,
+            &submitted_fingerprints,
+            Some(submitted_labels),
+            cancel,
+        );
         let mut outputs: Vec<Option<Result<JobOutput, JobError>>> =
             (0..idents.len()).map(|_| None).collect();
 
@@ -927,13 +958,13 @@ impl Campaign {
             }
         };
         emit_ready(&mut next, &mut parts, &mut outputs, &outstanding, &mut emit);
-        for (submitted, outcome) in handle {
+        batch.for_each(|submitted, outcome| {
             // Map the submission slot back to the job's plan position.
             let i = order[submitted];
             outputs[i] = Some(job_outcome(&idents[i], outcome));
             outstanding[figure_of[i]] -= 1;
             emit_ready(&mut next, &mut parts, &mut outputs, &outstanding, &mut emit);
-        }
+        });
         debug_assert_eq!(next, parts.len(), "every figure emitted");
     }
 
@@ -1355,6 +1386,52 @@ impl ShardRun {
     }
 }
 
+/// A submitted batch whose duplicate jobs share one task (see
+/// [`Campaign::submit_jobs`]).
+struct JobBatch {
+    handle: BatchHandle<Option<JobOutput>>,
+    /// The batch positions each task answers for, its own first.
+    members: Vec<Vec<usize>>,
+    flights: Arc<FlightTable>,
+}
+
+impl JobBatch {
+    /// Hands `deliver` every job's outcome, by batch position, as soon as
+    /// its task completes.
+    fn for_each(self, mut deliver: impl FnMut(usize, Result<Option<JobOutput>, JobPanic>)) {
+        let JobBatch {
+            handle,
+            members,
+            flights,
+        } = self;
+        for (task, outcome) in handle {
+            let (&leader, duplicates) = members[task]
+                .split_first()
+                .expect("every task answers for its own job");
+            if !duplicates.is_empty() && matches!(outcome, Ok(Some(_))) {
+                let shared = duplicates.len() as u64;
+                flights.shared.fetch_add(shared, Ordering::Relaxed);
+                stms_obs::counter("flight.shared").add(shared);
+            }
+            for &duplicate in duplicates {
+                deliver(duplicate, outcome.clone());
+            }
+            deliver(leader, outcome);
+        }
+    }
+
+    /// Every job's outcome, in batch order.
+    fn run_to_completion(self) -> Vec<Result<Option<JobOutput>, JobPanic>> {
+        let jobs = self.members.iter().map(Vec::len).sum();
+        let mut outcomes: Vec<Option<_>> = (0..jobs).map(|_| None).collect();
+        self.for_each(|job, outcome| outcomes[job] = Some(outcome));
+        outcomes
+            .into_iter()
+            .map(|outcome| outcome.expect("every job delivered"))
+            .collect()
+    }
+}
+
 /// Converts one pool outcome into the campaign's per-job result, attaching
 /// the job's label and stable fingerprint to a captured panic or an
 /// admission-level cancellation (`Ok(None)`).
@@ -1692,6 +1769,58 @@ mod tests {
         );
         assert_eq!(results.stores, 0, "memory-only memo writes no files");
         assert_eq!(campaign.store().stats().generated, 2);
+    }
+
+    #[test]
+    fn duplicate_jobs_in_one_batch_execute_once() {
+        // One worker runs the batch in order, so no two copies of a job
+        // are ever in flight together: only batch dedup can share them.
+        let campaign = Campaign::with_threads(quick(), 1);
+        let a = JobSpec::replay(presets::web_apache(), PrefetcherKind::Baseline);
+        let b = JobSpec::collect_misses(presets::oltp_db2());
+        let jobs = vec![a.clone(), b.clone(), a.clone(), a, b];
+        let encoded: Vec<_> = campaign
+            .run_jobs(jobs)
+            .iter()
+            .map(|result| result.as_ref().expect("no job fails").encode())
+            .collect();
+        assert_eq!(encoded[2], encoded[0]);
+        assert_eq!(encoded[3], encoded[0]);
+        assert_eq!(encoded[4], encoded[1]);
+        assert_eq!(
+            campaign.flight_stats(),
+            FlightStats {
+                executed: 2,
+                shared: 3
+            }
+        );
+    }
+
+    #[test]
+    fn every_duplicate_of_a_panicking_job_gets_its_error() {
+        let poisoned = JobSpec::replay(
+            presets::web_apache(),
+            PrefetcherKind::Markov(stms_prefetch::MarkovConfig {
+                entries: 3,
+                associativity: 2,
+                ..Default::default()
+            }),
+        );
+        let healthy = JobSpec::replay(presets::web_apache(), PrefetcherKind::Baseline);
+        let campaign = Campaign::with_threads(quick(), 2);
+        let results = campaign.run_jobs(vec![poisoned.clone(), healthy, poisoned]);
+        let first = results[0].as_ref().expect_err("the job panics");
+        let second = results[2]
+            .as_ref()
+            .expect_err("its duplicate shares the panic");
+        assert_eq!(first.message, second.message);
+        assert_eq!(first.fingerprint, second.fingerprint);
+        assert!(results[1].is_ok());
+        assert_eq!(
+            campaign.flight_stats().shared,
+            0,
+            "a panic is not shared output"
+        );
     }
 
     #[test]
