@@ -187,6 +187,13 @@ impl SetAssocCache {
     /// eviction, if any. If the line is already present the call only updates
     /// its dirty bit and recency.
     pub fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<Eviction> {
+        self.fill_way(line, dirty).1
+    }
+
+    /// [`SetAssocCache::fill`], also naming the way of the line's set that
+    /// now holds it when the fill inserted the line (`None` when it was
+    /// already present).
+    pub fn fill_way(&mut self, line: LineAddr, dirty: bool) -> (Option<usize>, Option<Eviction>) {
         let (set_idx, tag) = self.locate(line);
         self.lru_clock += 1;
         let clock = self.lru_clock;
@@ -202,7 +209,7 @@ impl SetAssocCache {
             if t == tag && stamp != 0 {
                 dirty_bits[w] |= dirty;
                 stamps[w] = clock;
-                return None;
+                return (None, None);
             }
             if stamp < victim_stamp {
                 (victim, victim_stamp) = (w, stamp);
@@ -218,7 +225,7 @@ impl SetAssocCache {
         if eviction.is_some_and(|e| e.dirty) {
             self.stats.dirty_evictions += 1;
         }
-        eviction
+        (Some(victim), eviction)
     }
 
     /// Removes a line if present, returning whether it was dirty.

@@ -25,18 +25,17 @@
 //! dependence flags and compute gaps under this model, and is reported in the
 //! [`SimResult`].
 
-use crate::cache::SetAssocCache;
 use crate::config::SystemConfig;
 use crate::dram::{DramModel, TrafficClass, TrafficStats};
+use crate::hierarchy::{check_cores, Hierarchy, HierarchyBackend, HierarchyLog, HierarchyStep};
 use crate::mshr::MshrFile;
 use crate::prefetcher::Prefetcher;
 use crate::result::SimResult;
 use crate::stream::{PrefetchBuffer, StreamState};
-use crate::stride::StridePrefetcher;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use stms_types::stream::{TraceSource, TraceStreamError, DEFAULT_CHUNK_LEN};
-use stms_types::{AccessKind, Cycle, LineAddr, MemAccess, Trace};
+use stms_types::{AccessKind, Cycle, MemAccess, Trace};
 
 /// Tunables of the simulation engine that are not part of the system model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -155,29 +154,29 @@ impl SimOptions {
 
 /// Per-core dynamic state.
 #[derive(Debug)]
-struct CoreState {
-    clock: Cycle,
-    instructions: u64,
+pub(crate) struct CoreState {
+    pub(crate) clock: Cycle,
+    pub(crate) instructions: u64,
     /// Clock and instruction count at the end of warm-up (subtracted from
     /// the final figures).
-    warmup_clock: Cycle,
-    warmup_instructions: u64,
-    epoch_open: bool,
-    epoch_instr: u64,
-    epoch_misses: u64,
-    mshrs: MshrFile,
-    stream: StreamState,
-    pfb: PrefetchBuffer,
+    pub(crate) warmup_clock: Cycle,
+    pub(crate) warmup_instructions: u64,
+    pub(crate) epoch_open: bool,
+    pub(crate) epoch_instr: u64,
+    pub(crate) epoch_misses: u64,
+    pub(crate) mshrs: MshrFile,
+    pub(crate) stream: StreamState,
+    pub(crate) pfb: PrefetchBuffer,
     /// Prefetches issued for the currently-followed stream that have not yet
     /// been consumed by a demand access (bounds the stream lookahead).
-    inflight_prefetches: usize,
+    pub(crate) inflight_prefetches: usize,
     /// Demand hits observed on the currently-followed stream; used to ramp
     /// the lookahead so that mispredicted streams waste few prefetches.
-    stream_hits: u64,
+    pub(crate) stream_hits: u64,
 }
 
 impl CoreState {
-    fn new(cfg: &SystemConfig, opts: &SimOptions) -> Self {
+    pub(crate) fn new(cfg: &SystemConfig, opts: &SimOptions) -> Self {
         CoreState {
             clock: Cycle::ZERO,
             instructions: 0,
@@ -198,6 +197,13 @@ impl CoreState {
 /// The simulation engine. Create one per run with [`CmpSimulator::new`] and
 /// call [`CmpSimulator::run`].
 ///
+/// The engine is the *lane* of a run: core clocks, epochs and MSHRs, the
+/// DRAM channel, the prefetch buffers, the stream engine and the
+/// prefetcher callbacks. It takes the L1/L2/stride outcome of every access
+/// from the live caches for [`CmpSimulator::run`] and
+/// [`CmpSimulator::run_stream`], or from a recorded [`HierarchyLog`] for
+/// [`CmpSimulator::run_logged`] (see [`crate::hierarchy`]).
+///
 /// # Example
 ///
 /// ```
@@ -217,9 +223,6 @@ impl CoreState {
 pub struct CmpSimulator<'a> {
     cfg: &'a SystemConfig,
     opts: SimOptions,
-    l1: Vec<SetAssocCache>,
-    l2: SetAssocCache,
-    stride: StridePrefetcher,
     dram: DramModel,
     cores: Vec<CoreState>,
     res: SimResult,
@@ -233,9 +236,6 @@ impl<'a> CmpSimulator<'a> {
         CmpSimulator {
             cfg,
             opts,
-            l1: (0..cfg.cores).map(|_| SetAssocCache::new(cfg.l1)).collect(),
-            l2: SetAssocCache::new(cfg.l2),
-            stride: StridePrefetcher::new(cfg.stride),
             dram: DramModel::new(cfg.dram),
             cores,
             res: SimResult::default(),
@@ -276,13 +276,54 @@ impl<'a> CmpSimulator<'a> {
     /// truncated disk stream). The partially-run simulation is discarded —
     /// callers fall back to regenerating the trace.
     pub fn run_stream<P, S>(
-        mut self,
+        self,
         source: &mut S,
         prefetcher: &mut P,
     ) -> Result<SimResult, TraceStreamError>
     where
         P: Prefetcher + ?Sized,
         S: TraceSource + ?Sized,
+    {
+        let mut hierarchy = Hierarchy::new(self.cfg);
+        self.replay(source, &mut hierarchy, prefetcher)
+    }
+
+    /// Replays `trace` with `prefetcher`, taking every L1, L2 and stride
+    /// outcome from `log` instead of simulating the caches. The metrics are
+    /// bit-identical to [`CmpSimulator::run`]; a campaign records the log
+    /// once per trace and runs every prefetcher of the trace this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `log` was recorded under another system or for a trace of
+    /// another length.
+    pub fn run_logged<P: Prefetcher + ?Sized>(
+        self,
+        trace: &Trace,
+        log: &HierarchyLog,
+        prefetcher: &mut P,
+    ) -> SimResult {
+        assert!(
+            log.system() == self.cfg && log.accesses() == trace.len(),
+            "hierarchy log recorded for another system or trace"
+        );
+        let mut source = trace.chunks(DEFAULT_CHUNK_LEN);
+        self.replay(&mut source, &mut log.replay(), prefetcher)
+            .expect("in-memory trace sources cannot fail")
+    }
+
+    /// The replay loop shared by every entry point: one hierarchy step and
+    /// one lane step per access.
+    fn replay<P, S, H>(
+        mut self,
+        source: &mut S,
+        hierarchy: &mut H,
+        prefetcher: &mut P,
+    ) -> Result<SimResult, TraceStreamError>
+    where
+        P: Prefetcher + ?Sized,
+        S: TraceSource + ?Sized,
+        H: HierarchyBackend,
     {
         self.res.prefetcher = prefetcher.name().to_string();
         self.res.workload = source.meta().workload.clone();
@@ -292,12 +333,13 @@ impl<'a> CmpSimulator<'a> {
         let mut idx = 0usize;
         while let Some(chunk) = source.next_chunk()? {
             debug_assert_eq!(chunk.first_index as usize, idx, "chunks arrive in order");
-            self.check_cores(chunk.accesses);
+            check_cores(chunk.accesses, self.cores.len());
             for access in chunk.accesses {
                 if idx == warmup_end {
                     self.end_warmup();
                 }
-                self.step(*access, prefetcher, idx >= warmup_end);
+                let step = hierarchy.step(access);
+                self.step(*access, step, hierarchy, prefetcher, idx >= warmup_end);
                 idx += 1;
             }
         }
@@ -322,20 +364,19 @@ impl<'a> CmpSimulator<'a> {
         };
     }
 
-    /// Panics if any access of a chunk names a core the system does not
-    /// have; [`CmpSimulator::step`] relies on this instead of checking every
-    /// access.
-    fn check_cores(&self, accesses: &[MemAccess]) {
-        let highest = accesses.iter().map(|a| a.core.index()).max();
-        if let Some(core_idx) = highest.filter(|&c| c >= self.cores.len()) {
-            panic!(
-                "trace references core {core_idx} beyond configured {}",
-                self.cores.len()
-            );
-        }
-    }
-
-    fn step<P: Prefetcher + ?Sized>(&mut self, a: MemAccess, prefetcher: &mut P, measure: bool) {
+    /// The lane's half of one access, given what the access did to the
+    /// hierarchy.
+    fn step<P, H>(
+        &mut self,
+        a: MemAccess,
+        hs: HierarchyStep,
+        chip: &H,
+        prefetcher: &mut P,
+        measure: bool,
+    ) where
+        P: Prefetcher + ?Sized,
+        H: HierarchyBackend,
+    {
         let core_idx = a.core.index();
 
         // Advance the core clock over the compute gap (one instruction per cycle).
@@ -352,8 +393,7 @@ impl<'a> CmpSimulator<'a> {
         }
         let is_write = a.kind == AccessKind::Write;
 
-        // L1 lookup.
-        if self.l1[core_idx].access(a.line, is_write).is_hit() {
+        if hs.l1_hit() {
             if measure {
                 self.res.l1_hits += 1;
             }
@@ -361,20 +401,8 @@ impl<'a> CmpSimulator<'a> {
             return;
         }
 
-        // The baseline stride prefetcher observes every L1 miss; its fills go
-        // straight into the shared L2.
-        {
-            let now = self.cores[core_idx].clock;
-            for predicted in self.stride.train(a.core, a.line) {
-                if !self.l2.probe(predicted) {
-                    self.dram.access(
-                        TrafficClass::StridePrefetch,
-                        self.cfg.l2.line_bytes as u64,
-                        now,
-                    );
-                    self.l2_fill(predicted, false);
-                }
-            }
+        if hs.stride_issued() != 0 {
+            self.stride_traffic(core_idx, hs);
         }
 
         // Prefetch buffer lookup (reads only; stores retire via the store buffer).
@@ -424,17 +452,16 @@ impl<'a> CmpSimulator<'a> {
                     }
                     self.res.prefetches_used += 1;
                 }
-                // Install the used block on chip.
-                self.fill_on_chip(core_idx, a.line, false);
+                // The used block is installed on chip.
+                self.fill_writebacks(hs);
                 let now = self.cores[core_idx].clock;
                 prefetcher.record(a.core, a.line, true, now, &mut self.dram);
-                self.pump_stream(core_idx, a.core, prefetcher);
+                self.pump_stream(core_idx, a.core, chip, prefetcher);
                 return;
             }
         }
 
-        // L2 lookup.
-        if self.l2.access(a.line, false).is_hit() {
+        if hs.l2_hit() {
             let st = &mut self.cores[core_idx];
             // Dependent loads expose the full L2 latency; independent ones are
             // largely hidden by out-of-order execution.
@@ -446,7 +473,7 @@ impl<'a> CmpSimulator<'a> {
             if measure {
                 self.res.l2_hits += 1;
             }
-            self.l1_fill(core_idx, a.line, is_write);
+            self.fill_writebacks(hs);
             return;
         }
 
@@ -461,7 +488,7 @@ impl<'a> CmpSimulator<'a> {
             }
             self.dram
                 .access(TrafficClass::DemandFill, self.cfg.l2.line_bytes as u64, now);
-            self.fill_on_chip(core_idx, a.line, true);
+            self.fill_writebacks(hs);
             return;
         }
 
@@ -501,8 +528,8 @@ impl<'a> CmpSimulator<'a> {
             }
         }
         prefetcher.record(a.core, a.line, false, now, &mut self.dram);
-        self.fill_on_chip(core_idx, a.line, false);
-        self.pump_stream(core_idx, a.core, prefetcher);
+        self.fill_writebacks(hs);
+        self.pump_stream(core_idx, a.core, chip, prefetcher);
     }
 
     /// Applies the epoch timing model to an uncovered demand read miss.
@@ -539,12 +566,16 @@ impl<'a> CmpSimulator<'a> {
 
     /// Issues prefetches for the core's active stream, keeping up to
     /// `stream_lookahead` unconsumed prefetched blocks in flight.
-    fn pump_stream<P: Prefetcher + ?Sized>(
+    fn pump_stream<P, H>(
         &mut self,
         core_idx: usize,
         core: stms_types::CoreId,
+        chip: &H,
         prefetcher: &mut P,
-    ) {
+    ) where
+        P: Prefetcher + ?Sized,
+        H: HierarchyBackend,
+    {
         loop {
             let st = &mut self.cores[core_idx];
             if !st.stream.is_active() {
@@ -573,10 +604,7 @@ impl<'a> CmpSimulator<'a> {
                 return;
             };
             // Skip lines that are already on chip or already prefetched.
-            if self.l1[core_idx].probe(line)
-                || self.l2.probe(line)
-                || self.cores[core_idx].pfb.contains(line)
-            {
+            if chip.on_chip(core_idx, line) || self.cores[core_idx].pfb.contains(line) {
                 continue;
             }
             let st = &mut self.cores[core_idx];
@@ -595,28 +623,40 @@ impl<'a> CmpSimulator<'a> {
         }
     }
 
-    fn l1_fill(&mut self, core_idx: usize, line: LineAddr, dirty: bool) {
-        if let Some(evicted) = self.l1[core_idx].fill(line, dirty) {
-            if evicted.dirty {
-                // Dirty L1 victim is absorbed by the (inclusive) L2.
-                self.l2.fill(evicted.line, true);
+    /// Charges the stride prefetcher's fills into the L2, and the
+    /// writebacks of the dirty lines they displaced.
+    #[inline(never)]
+    fn stride_traffic(&mut self, core_idx: usize, hs: HierarchyStep) {
+        let now = self.cores[core_idx].clock;
+        let mut issued = hs.stride_issued();
+        while issued != 0 {
+            let k = issued.trailing_zeros();
+            issued &= issued - 1;
+            self.dram.access(
+                TrafficClass::StridePrefetch,
+                self.cfg.l2.line_bytes as u64,
+                now,
+            );
+            if hs.stride_writebacks() & (1 << k) != 0 {
+                self.writeback();
             }
         }
     }
 
-    fn l2_fill(&mut self, line: LineAddr, dirty: bool) {
-        if let Some(evicted) = self.l2.fill(line, dirty) {
-            if evicted.dirty {
-                let now = self.max_clock();
-                self.dram
-                    .access(TrafficClass::Writeback, self.cfg.l2.line_bytes as u64, now);
-            }
+    /// Charges the writebacks of the dirty L2 lines that filling the
+    /// accessed line displaced.
+    #[inline]
+    fn fill_writebacks(&mut self, hs: HierarchyStep) {
+        for _ in 0..hs.fill_writebacks() {
+            self.writeback();
         }
     }
 
-    fn fill_on_chip(&mut self, core_idx: usize, line: LineAddr, dirty: bool) {
-        self.l2_fill(line, false);
-        self.l1_fill(core_idx, line, dirty);
+    /// One dirty L2 line written back to memory.
+    fn writeback(&mut self) {
+        let now = self.max_clock();
+        self.dram
+            .access(TrafficClass::Writeback, self.cfg.l2.line_bytes as u64, now);
     }
 
     fn max_clock(&self) -> Cycle {
@@ -686,8 +726,10 @@ impl<'a> CmpSimulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prefetcher::{NullPrefetcher, StreamChunk};
-    use stms_types::{CoreId, TraceMeta};
+    use crate::config::CacheConfig;
+    use crate::prefetcher::NullPrefetcher;
+    use crate::reference::NextLines;
+    use stms_types::{CoreId, LineAddr, TraceMeta};
 
     fn trace_of(lines: &[u64], core: u16) -> Trace {
         let mut t = Trace::new(TraceMeta {
@@ -815,44 +857,6 @@ mod tests {
             "independent misses should overlap, mlp={}",
             indep.mlp()
         );
-    }
-
-    /// A toy prefetcher that always predicts the next `n` sequential lines
-    /// with zero lookup latency.
-    #[derive(Debug)]
-    struct NextLines(usize);
-
-    impl Prefetcher for NextLines {
-        fn name(&self) -> &'static str {
-            "next-lines"
-        }
-        fn on_trigger(
-            &mut self,
-            _core: CoreId,
-            line: LineAddr,
-            now: Cycle,
-            _dram: &mut DramModel,
-        ) -> Option<StreamChunk> {
-            let addresses = (1..=self.0 as u64)
-                .map(|k| LineAddr::new(line.raw() + k))
-                .collect();
-            Some(StreamChunk {
-                addresses,
-                ready_at: now,
-            })
-        }
-        fn next_chunk(&mut self, _core: CoreId, now: Cycle, _dram: &mut DramModel) -> StreamChunk {
-            StreamChunk::empty(now)
-        }
-        fn record(
-            &mut self,
-            _core: CoreId,
-            _line: LineAddr,
-            _prefetched: bool,
-            _now: Cycle,
-            _dram: &mut DramModel,
-        ) {
-        }
     }
 
     #[test]
@@ -995,5 +999,41 @@ mod tests {
             .run_stream(dyn_source, &mut NullPrefetcher::new())
             .expect("in-memory source cannot fail");
         assert_eq!(res.accesses, 4);
+    }
+
+    #[test]
+    fn an_l1_victim_that_displaces_a_dirty_l2_line_is_written_back() {
+        // Two direct-mapped L1 sets over a one-set, two-way L2, stride off.
+        let mut cfg = SystemConfig::tiny_for_tests();
+        let cache = |associativity: usize, hit_latency: u64| CacheConfig {
+            capacity_bytes: 128,
+            associativity,
+            line_bytes: 64,
+            hit_latency,
+        };
+        cfg.l1 = cache(1, 2);
+        cfg.l2 = cache(2, 20);
+        cfg.stride.confidence = u32::MAX;
+        // Writes to lines 0 and 1 fill both L1 sets dirty. Line 2 evicts
+        // the dirty 0 from the L1 into the L2. Line 3 evicts the dirty 1,
+        // whose L2 fill displaces the L2's now-dirty copy of 0.
+        let mut t = Trace::new(TraceMeta {
+            workload: "victims".into(),
+            cores: 1,
+            ..Default::default()
+        });
+        for line in 0..4 {
+            t.push(MemAccess::write(CoreId::new(0), LineAddr::new(line)));
+        }
+        let res = CmpSimulator::new(&cfg, opts_no_warmup()).run(&t, &mut NullPrefetcher::new());
+        assert_eq!(res.write_misses, 4);
+        assert_eq!(res.traffic.writeback, 64, "one dirty line written back");
+        let log = HierarchyLog::record(&cfg, &t).expect("tiny geometry logs");
+        let logged = CmpSimulator::new(&cfg, opts_no_warmup()).run_logged(
+            &t,
+            &log,
+            &mut NullPrefetcher::new(),
+        );
+        assert_eq!(logged.encode(), res.encode());
     }
 }

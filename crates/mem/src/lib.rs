@@ -17,6 +17,9 @@
 //! * [`Prefetcher`] — the interface implemented by every temporal-streaming
 //!   prefetcher in this workspace (idealized TMS, STMS, and the prior-work
 //!   baselines);
+//! * [`HierarchyLog`] — the prefetcher-independent L1/L2/stride half of
+//!   every access of a trace, recorded once and replayed by every run of
+//!   the trace;
 //! * [`CmpSimulator`] — the trace replay engine with an epoch-based
 //!   memory-level-parallelism timing model;
 //! * [`SimResult`] — coverage, traffic and timing metrics of one run.
@@ -46,6 +49,7 @@ pub mod cache;
 pub mod config;
 pub mod dram;
 pub mod engine;
+pub mod hierarchy;
 pub mod lanes;
 pub mod mshr;
 pub mod prefetcher;
@@ -60,6 +64,7 @@ pub use cache::{CacheOutcome, CacheStats, Eviction, SetAssocCache};
 pub use config::{CacheConfig, CoreConfig, DramConfig, StrideConfig, SystemConfig};
 pub use dram::{DramModel, TrafficClass, TrafficStats};
 pub use engine::{CmpSimulator, InvalidSimOptions, SimOptions};
+pub use hierarchy::HierarchyLog;
 pub use mshr::{MshrEntry, MshrFile};
 pub use prefetcher::{NullPrefetcher, Prefetcher, StreamChunk};
 pub use result::{DecodeResultError, OverheadBreakdown, SimResult, SIM_RESULT_CODEC_VERSION};

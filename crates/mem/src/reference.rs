@@ -9,17 +9,29 @@
 //! (linear probing, backward-shift deletion) that preceded the fingerprint
 //! lanes. The tests drive a reference and the real structure with the same
 //! random operation sequences and compare every return value.
+//!
+//! The whole engine has a reference too: [`FusedSimulator`] is the engine
+//! as it was before the hierarchy/lane split, one fused step per access
+//! that touches the caches, the stride table and the lane state in turn
+//! (with the writeback of a dirty L2 line displaced by an L1 victim, which
+//! the fused engine dropped). The engine tests compare its
+//! [`SimResult::encode`] with those of the live lane and the logged lane.
 
 use crate::cache::{CacheOutcome, CacheStats, Eviction, SetAssocCache};
-use crate::config::{CacheConfig, StrideConfig};
+use crate::config::{CacheConfig, StrideConfig, SystemConfig};
+use crate::dram::{DramModel, TrafficClass, TrafficStats};
+use crate::engine::{CmpSimulator, CoreState, SimOptions};
+use crate::hierarchy::HierarchyLog;
 use crate::lanes;
 use crate::mshr::MshrFile;
+use crate::prefetcher::{NullPrefetcher, Prefetcher, StreamChunk};
+use crate::result::SimResult;
 use crate::stream::{PrefetchBuffer, PrefetchedBlock};
 use crate::stride::{entry_key, StridePrefetcher, StrideStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
-use stms_types::{CoreId, Cycle, LineAddr};
+use stms_types::{AccessKind, CoreId, Cycle, LineAddr, MemAccess, Trace, TraceMeta};
 
 #[derive(Debug, Clone, Copy)]
 struct NaiveWay {
@@ -715,4 +727,568 @@ fn mshr_matches_reference() {
             }
         }
     }
+}
+
+/// The engine before the hierarchy/lane split: one fused step per access.
+#[derive(Debug)]
+pub(crate) struct FusedSimulator<'a> {
+    cfg: &'a SystemConfig,
+    opts: SimOptions,
+    l1: Vec<SetAssocCache>,
+    l2: SetAssocCache,
+    stride: StridePrefetcher,
+    dram: DramModel,
+    cores: Vec<CoreState>,
+    res: SimResult,
+    warmup_traffic: TrafficStats,
+}
+
+impl<'a> FusedSimulator<'a> {
+    pub(crate) fn new(cfg: &'a SystemConfig, opts: SimOptions) -> Self {
+        let cores = (0..cfg.cores).map(|_| CoreState::new(cfg, &opts)).collect();
+        FusedSimulator {
+            cfg,
+            opts,
+            l1: (0..cfg.cores).map(|_| SetAssocCache::new(cfg.l1)).collect(),
+            l2: SetAssocCache::new(cfg.l2),
+            stride: StridePrefetcher::new(cfg.stride),
+            dram: DramModel::new(cfg.dram),
+            cores,
+            res: SimResult::default(),
+            warmup_traffic: TrafficStats::default(),
+        }
+    }
+
+    pub(crate) fn run<P: Prefetcher + ?Sized>(
+        mut self,
+        trace: &Trace,
+        prefetcher: &mut P,
+    ) -> SimResult {
+        self.res.prefetcher = prefetcher.name().to_string();
+        self.res.workload = trace.meta().workload.clone();
+        let total = trace.len();
+        let warmup_end = ((total as f64) * self.opts.warmup_fraction.clamp(0.0, 0.95)) as usize;
+        for (idx, access) in trace.accesses().iter().enumerate() {
+            if idx == warmup_end {
+                self.end_warmup();
+            }
+            self.step(*access, prefetcher, idx >= warmup_end);
+        }
+        self.finish(total, prefetcher, warmup_end)
+    }
+
+    /// Marks the end of the warm-up period: statistics collected so far are
+    /// discarded.
+    fn end_warmup(&mut self) {
+        let traffic_snapshot = *self.dram.traffic();
+        self.warmup_traffic = traffic_snapshot;
+        for core in &mut self.cores {
+            core.warmup_clock = core.clock;
+            core.warmup_instructions = core.instructions;
+        }
+        let prefetcher = std::mem::take(&mut self.res.prefetcher);
+        let workload = std::mem::take(&mut self.res.workload);
+        self.res = SimResult {
+            prefetcher,
+            workload,
+            ..SimResult::default()
+        };
+    }
+
+    fn step<P: Prefetcher + ?Sized>(&mut self, a: MemAccess, prefetcher: &mut P, measure: bool) {
+        let core_idx = a.core.index();
+
+        // Advance the core clock over the compute gap (one instruction per cycle).
+        {
+            let st = &mut self.cores[core_idx];
+            st.clock += a.compute_gap as u64;
+            st.instructions += a.compute_gap as u64 + 1;
+            st.epoch_instr += a.compute_gap as u64 + 1;
+            let now = st.clock;
+            st.mshrs.retire_completed(now);
+        }
+        if measure {
+            self.res.accesses += 1;
+        }
+        let is_write = a.kind == AccessKind::Write;
+
+        // L1 lookup.
+        if self.l1[core_idx].access(a.line, is_write).is_hit() {
+            if measure {
+                self.res.l1_hits += 1;
+            }
+            // L1 hits are pipelined; no stall charged.
+            return;
+        }
+
+        // The baseline stride prefetcher observes every L1 miss; its fills go
+        // straight into the shared L2.
+        {
+            let now = self.cores[core_idx].clock;
+            for predicted in self.stride.train(a.core, a.line) {
+                if !self.l2.probe(predicted) {
+                    self.dram.access(
+                        TrafficClass::StridePrefetch,
+                        self.cfg.l2.line_bytes as u64,
+                        now,
+                    );
+                    self.l2_fill(predicted, false);
+                }
+            }
+        }
+
+        // Prefetch buffer lookup (reads only; stores retire via the store buffer).
+        if !is_write {
+            let taken = self.cores[core_idx].pfb.take(a.line);
+            if let Some(block) = taken {
+                let st = &mut self.cores[core_idx];
+                st.inflight_prefetches = st.inflight_prefetches.saturating_sub(1);
+                st.stream_hits += 1;
+                let fully_covered = block.available_at <= st.clock;
+                if fully_covered {
+                    // A fully-covered miss behaves like an L2 hit.
+                    st.clock += if a.dependent {
+                        self.cfg.l2.hit_latency
+                    } else {
+                        self.cfg.l2.hit_latency / 4
+                    };
+                } else {
+                    // Partially covered: the demand request arrives while the
+                    // prefetch is still in flight. The core waits for the
+                    // earlier of (a) the low-priority prefetch completing and
+                    // (b) a freshly-issued demand fetch (the request is
+                    // escalated / merged at demand priority), so a late
+                    // prefetch can never be slower than an ordinary miss.
+                    // Like ordinary misses, independent waits within one ROB
+                    // window overlap with the epoch leader instead of
+                    // serializing.
+                    let remaining = block.available_at - st.clock;
+                    let demand_equivalent = self.cfg.l2.hit_latency + self.cfg.dram.latency_cycles;
+                    let wait = remaining.min(demand_equivalent);
+                    let joins_epoch = st.epoch_open
+                        && !a.dependent
+                        && st.epoch_instr < self.cfg.core.rob_size
+                        && !st.mshrs.is_full();
+                    if !joins_epoch {
+                        st.clock += wait;
+                        st.epoch_open = true;
+                        st.epoch_instr = 0;
+                        st.epoch_misses = 0;
+                    }
+                }
+                if measure {
+                    if fully_covered {
+                        self.res.covered_full += 1;
+                    } else {
+                        self.res.covered_partial += 1;
+                    }
+                    self.res.prefetches_used += 1;
+                }
+                // Install the used block on chip.
+                self.fill_on_chip(core_idx, a.line, false);
+                let now = self.cores[core_idx].clock;
+                prefetcher.record(a.core, a.line, true, now, &mut self.dram);
+                self.pump_stream(core_idx, a.core, prefetcher);
+                return;
+            }
+        }
+
+        // L2 lookup.
+        if self.l2.access(a.line, false).is_hit() {
+            let st = &mut self.cores[core_idx];
+            // Dependent loads expose the full L2 latency; independent ones are
+            // largely hidden by out-of-order execution.
+            st.clock += if a.dependent {
+                self.cfg.l2.hit_latency
+            } else {
+                self.cfg.l2.hit_latency / 4
+            };
+            if measure {
+                self.res.l2_hits += 1;
+            }
+            self.l1_fill(core_idx, a.line, is_write);
+            return;
+        }
+
+        // ---- Off-chip miss. ----
+        let now = self.cores[core_idx].clock;
+
+        if is_write {
+            // Non-blocking store miss: fetch the line (read-for-ownership) but
+            // charge no stall.
+            if measure {
+                self.res.write_misses += 1;
+            }
+            self.dram
+                .access(TrafficClass::DemandFill, self.cfg.l2.line_bytes as u64, now);
+            self.fill_on_chip(core_idx, a.line, true);
+            return;
+        }
+
+        // Demand read miss.
+        let in_stream =
+            self.cores[core_idx].stream.is_active() && self.cores[core_idx].stream.contains(a.line);
+
+        if measure {
+            self.res.uncovered_misses += 1;
+            if in_stream {
+                self.res.stream_lost_misses += 1;
+            }
+        }
+
+        // Timing: epoch model of overlapping off-chip misses.
+        self.account_read_miss_timing(core_idx, &a, measure);
+
+        // Possibly trigger a new stream, then record the miss in predictor
+        // meta-data. The lookup must happen before the record so that it
+        // finds the *previous* occurrence of the miss address rather than the
+        // entry being written for the current miss.
+        let now = self.cores[core_idx].clock;
+        if in_stream {
+            // The stream fell behind the demand point (lookup latency or
+            // limited lookahead): skip past this address but keep streaming.
+            self.cores[core_idx].stream.drop_through(a.line);
+        } else {
+            // A genuinely new stream trigger: abandon the old stream. Blocks
+            // already prefetched for it stay in the prefetch buffer until
+            // they age out (and count as erroneous if never used).
+            self.cores[core_idx].stream.squash();
+            self.cores[core_idx].inflight_prefetches = 0;
+            self.cores[core_idx].stream_hits = 0;
+            if let Some(chunk) = prefetcher.on_trigger(a.core, a.line, now, &mut self.dram) {
+                let st = &mut self.cores[core_idx];
+                st.stream.start(chunk.addresses, chunk.ready_at);
+            }
+        }
+        prefetcher.record(a.core, a.line, false, now, &mut self.dram);
+        self.fill_on_chip(core_idx, a.line, false);
+        self.pump_stream(core_idx, a.core, prefetcher);
+    }
+
+    /// Applies the epoch timing model to an uncovered demand read miss.
+    fn account_read_miss_timing(&mut self, core_idx: usize, a: &MemAccess, measure: bool) {
+        let issue_at = self.cores[core_idx].clock + self.cfg.l2.hit_latency;
+        let completion = self.dram.access(
+            TrafficClass::DemandFill,
+            self.cfg.l2.line_bytes as u64,
+            issue_at,
+        );
+        let st = &mut self.cores[core_idx];
+        let joins_epoch = st.epoch_open
+            && !a.dependent
+            && st.epoch_instr < self.cfg.core.rob_size
+            && !st.mshrs.is_full();
+        st.mshrs.allocate(a.line, completion);
+        if joins_epoch {
+            st.epoch_misses += 1;
+        } else {
+            // Close the previous epoch (epochs opened by partially-covered
+            // prefetch waits contain no demand misses and are not counted in
+            // the MLP statistics).
+            if st.epoch_open && st.epoch_misses > 0 && measure {
+                self.res.miss_epochs += 1;
+                self.res.epoch_misses += st.epoch_misses;
+            }
+            // The core stalls for the full round trip of the epoch leader.
+            st.clock = completion;
+            st.epoch_open = true;
+            st.epoch_instr = 0;
+            st.epoch_misses = 1;
+        }
+    }
+
+    /// Issues prefetches for the core's active stream, keeping up to
+    /// `stream_lookahead` unconsumed prefetched blocks in flight.
+    fn pump_stream<P: Prefetcher + ?Sized>(
+        &mut self,
+        core_idx: usize,
+        core: stms_types::CoreId,
+        prefetcher: &mut P,
+    ) {
+        loop {
+            let st = &mut self.cores[core_idx];
+            if !st.stream.is_active() {
+                return;
+            }
+            // Confidence-ramped lookahead: a freshly-triggered stream runs
+            // only a few blocks ahead; each confirmed hit widens the
+            // window up to the configured maximum, so mispredicted streams
+            // waste little bandwidth while accurate ones reach full depth.
+            let effective_lookahead =
+                (4 + 2 * st.stream_hits as usize).min(self.opts.stream_lookahead);
+            if st.inflight_prefetches >= effective_lookahead {
+                return;
+            }
+            if st.stream.queued() < self.opts.refill_threshold && !st.stream.is_exhausted() {
+                let now = st.clock;
+                let chunk = prefetcher.next_chunk(core, now, &mut self.dram);
+                let ready = chunk.ready_at;
+                self.cores[core_idx].stream.extend(chunk.addresses, ready);
+            }
+            let st = &mut self.cores[core_idx];
+            let Some(line) = st.stream.pop() else {
+                if st.stream.is_exhausted() {
+                    st.stream.squash();
+                }
+                return;
+            };
+            // Skip lines that are already on chip or already prefetched.
+            if self.l1[core_idx].probe(line)
+                || self.l2.probe(line)
+                || self.cores[core_idx].pfb.contains(line)
+            {
+                continue;
+            }
+            let st = &mut self.cores[core_idx];
+            let issue_at = st.clock.max(st.stream.ready_at());
+            let completion = self.dram.access(
+                TrafficClass::PrefetchData,
+                self.cfg.l2.line_bytes as u64,
+                issue_at,
+            );
+            self.res.prefetches_issued += 1;
+            self.cores[core_idx].inflight_prefetches += 1;
+            if let Some(evicted) = self.cores[core_idx].pfb.insert(line, completion) {
+                self.res.prefetches_unused += 1;
+                prefetcher.on_unused(core, evicted.line);
+            }
+        }
+    }
+
+    fn l1_fill(&mut self, core_idx: usize, line: LineAddr, dirty: bool) {
+        if let Some(evicted) = self.l1[core_idx].fill(line, dirty) {
+            if evicted.dirty {
+                // Dirty L1 victim is absorbed by the L2, which may write a
+                // dirty line of its own back.
+                self.l2_fill(evicted.line, true);
+            }
+        }
+    }
+
+    fn l2_fill(&mut self, line: LineAddr, dirty: bool) {
+        if let Some(evicted) = self.l2.fill(line, dirty) {
+            if evicted.dirty {
+                let now = self.max_clock();
+                self.dram
+                    .access(TrafficClass::Writeback, self.cfg.l2.line_bytes as u64, now);
+            }
+        }
+    }
+
+    fn fill_on_chip(&mut self, core_idx: usize, line: LineAddr, dirty: bool) {
+        self.l2_fill(line, false);
+        self.l1_fill(core_idx, line, dirty);
+    }
+
+    fn max_clock(&self) -> Cycle {
+        self.cores
+            .iter()
+            .map(|c| c.clock)
+            .max()
+            .unwrap_or(Cycle::ZERO)
+    }
+
+    fn finish<P: Prefetcher + ?Sized>(
+        mut self,
+        replayed: usize,
+        prefetcher: &mut P,
+        warmup_end: usize,
+    ) -> SimResult {
+        // If the trace was so short that warm-up never ended, end it now so
+        // counters are at least well-defined.
+        if warmup_end >= replayed && replayed > 0 {
+            self.end_warmup();
+        }
+        let now = self.max_clock();
+        prefetcher.finish(now, &mut self.dram);
+
+        // Close open epochs.
+        for st in &mut self.cores {
+            if st.epoch_open && st.epoch_misses > 0 {
+                self.res.miss_epochs += 1;
+                self.res.epoch_misses += st.epoch_misses;
+            }
+            st.epoch_open = false;
+        }
+        // Remaining never-used prefetched blocks are erroneous.
+        for st in &mut self.cores {
+            let unused = st.pfb.clear() as u64;
+            self.res.prefetches_unused += unused;
+        }
+
+        self.res.instructions = self
+            .cores
+            .iter()
+            .map(|c| c.instructions - c.warmup_instructions)
+            .sum();
+        self.res.cycles = self
+            .cores
+            .iter()
+            .map(|c| c.clock.saturating_since(c.warmup_clock))
+            .max()
+            .unwrap_or(0);
+
+        // Traffic accumulated after warm-up only.
+        let total = *self.dram.traffic();
+        let mut measured = TrafficStats::default();
+        for class in TrafficClass::ALL {
+            measured.add(
+                class,
+                total
+                    .get(class)
+                    .saturating_sub(self.warmup_traffic.get(class)),
+            );
+        }
+        self.res.traffic = measured;
+        self.res
+    }
+}
+
+/// A toy prefetcher that always predicts the next `n` sequential lines
+/// with zero lookup latency.
+#[derive(Debug)]
+pub(crate) struct NextLines(pub(crate) usize);
+
+impl Prefetcher for NextLines {
+    fn name(&self) -> &'static str {
+        "next-lines"
+    }
+    fn on_trigger(
+        &mut self,
+        _core: CoreId,
+        line: LineAddr,
+        now: Cycle,
+        _dram: &mut DramModel,
+    ) -> Option<StreamChunk> {
+        let addresses = (1..=self.0 as u64)
+            .map(|k| LineAddr::new(line.raw().wrapping_add(k)))
+            .collect();
+        Some(StreamChunk {
+            addresses,
+            ready_at: now,
+        })
+    }
+    fn next_chunk(&mut self, _core: CoreId, now: Cycle, _dram: &mut DramModel) -> StreamChunk {
+        StreamChunk::empty(now)
+    }
+    fn record(
+        &mut self,
+        _core: CoreId,
+        _line: LineAddr,
+        _prefetched: bool,
+        _now: Cycle,
+        _dram: &mut DramModel,
+    ) {
+    }
+}
+
+/// A random multi-core trace with writes, dependent accesses, stride runs
+/// (some crossing zero), a hot pool and cold lines.
+fn random_trace(rng: &mut StdRng, cores: u16, len: usize) -> Trace {
+    let mut trace = Trace::new(TraceMeta {
+        workload: "random".into(),
+        cores: cores.into(),
+        ..Default::default()
+    });
+    let mut cursors: Vec<(u64, i64)> = (0..cores).map(|c| (u64::from(c) * 4096, 1)).collect();
+    for _ in 0..len {
+        let core = rng.gen_range(0..cores);
+        let cursor = &mut cursors[usize::from(core)];
+        let line = match rng.gen_range(0..10u32) {
+            0..=3 => {
+                if rng.gen_range(0..16u32) == 0 {
+                    *cursor = (
+                        rng.gen_range(0..64u64),
+                        [-2, -1, 1, 3][rng.gen_range(0..4usize)],
+                    );
+                }
+                cursor.0 = cursor.0.wrapping_add(cursor.1 as u64);
+                LineAddr::new(cursor.0)
+            }
+            4..=7 => pool_line(rng, 96),
+            _ => LineAddr::new(rng.gen_range(0..1u64 << 20)),
+        };
+        let access = if rng.gen_range(0..4u32) == 0 {
+            MemAccess::write(CoreId::new(core), line)
+        } else {
+            MemAccess::read(CoreId::new(core), line)
+        };
+        trace.push(
+            access
+                .with_gap(rng.gen_range(0..24))
+                .with_dependence(rng.gen_range(0..3u32) == 0),
+        );
+    }
+    trace
+}
+
+/// Geometries from one-set caches up to the test system.
+fn engine_systems() -> Vec<SystemConfig> {
+    let mut systems = Vec::new();
+    for (l1, l2) in [
+        (cache_config(2, 1), cache_config(1, 2)),
+        (cache_config(2, 2), cache_config(4, 4)),
+        (cache_config(8, 2), cache_config(16, 8)),
+    ] {
+        let mut cfg = SystemConfig::tiny_for_tests();
+        cfg.l1 = CacheConfig {
+            hit_latency: 2,
+            ..l1
+        };
+        cfg.l2 = CacheConfig {
+            hit_latency: 20,
+            ..l2
+        };
+        systems.push(cfg);
+    }
+    let mut deep = SystemConfig::tiny_for_tests();
+    deep.stride.degree = 5;
+    systems.push(deep);
+    systems
+}
+
+/// The fused reference, the live lane and the logged lane agree on every
+/// counter.
+fn assert_engines_agree<P: Prefetcher>(
+    cfg: &SystemConfig,
+    opts: SimOptions,
+    trace: &Trace,
+    log: &HierarchyLog,
+    mut prefetcher: impl FnMut() -> P,
+) {
+    let fused = FusedSimulator::new(cfg, opts).run(trace, &mut prefetcher());
+    let live = CmpSimulator::new(cfg, opts).run(trace, &mut prefetcher());
+    let logged = CmpSimulator::new(cfg, opts).run_logged(trace, log, &mut prefetcher());
+    assert_eq!(live.encode(), fused.encode(), "live lane, {cfg:?}");
+    assert_eq!(logged.encode(), fused.encode(), "logged lane, {cfg:?}");
+}
+
+#[test]
+fn engines_match_the_fused_reference() {
+    let mut rng = StdRng::seed_from_u64(0x57a5);
+    let mut writebacks = 0;
+    for cfg in engine_systems() {
+        for _ in 0..3 {
+            let trace = random_trace(&mut rng, 4, 3_000);
+            let log = HierarchyLog::record(&cfg, &trace).expect("small geometries log");
+            assert!(
+                log.size_bytes() <= 5 * trace.len(),
+                "{} bytes",
+                log.size_bytes()
+            );
+            for warmup_fraction in [0.0, 0.3] {
+                let opts = SimOptions {
+                    warmup_fraction,
+                    ..SimOptions::default()
+                };
+                assert_engines_agree(&cfg, opts, &trace, &log, NullPrefetcher::new);
+                assert_engines_agree(&cfg, opts, &trace, &log, || NextLines(6));
+                writebacks += CmpSimulator::new(&cfg, opts)
+                    .run(&trace, &mut NextLines(6))
+                    .traffic
+                    .writeback;
+            }
+        }
+    }
+    assert!(writebacks > 0, "the traces displace dirty L2 lines");
 }

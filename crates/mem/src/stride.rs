@@ -73,6 +73,13 @@ impl StridePredictions {
         next: 1,
         count: 0,
     };
+
+    /// The distance in lines from the training line to the first
+    /// prediction; the `k`-th prediction is `k` strides away. A stride
+    /// stays inside its 64-line region, so its magnitude is below 64.
+    pub fn stride(&self) -> i64 {
+        self.stride
+    }
 }
 
 impl Iterator for StridePredictions {

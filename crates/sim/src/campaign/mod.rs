@@ -66,14 +66,13 @@ pub use shard::{MergeError, MergedShards, ShardSpec};
 pub use trace_store::{DiskTierConfig, TraceStore, TraceStoreStats};
 
 use crate::experiments::FigureResult;
-use crate::runner::run_trace;
 use crate::system::ExperimentConfig;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use stms_mem::CmpSimulator;
+use stms_mem::{CmpSimulator, Prefetcher};
 use stms_prefetch::MissTraceCollector;
 use stms_types::{Fingerprint, Fingerprintable, ShardBalance, ShardJobTiming, ShardManifest};
 use stms_workloads::WorkloadSpec;
@@ -1665,12 +1664,23 @@ fn run_job_uncached(cfg: &ExperimentConfig, store: &TraceStore, job: &JobSpec) -
             }
         }
     } else {
-        let trace = store.get_or_generate(&job.workload, cfg.accesses);
+        // The trace's L1/L2/stride outcomes are recorded once and shared
+        // by every job on it; the job replays only its own lane.
+        let (trace, log) = store.get_or_generate_logged(&job.workload, cfg.accesses, &cfg.system);
+        let replay = |prefetcher: &mut dyn Prefetcher| {
+            let engine = CmpSimulator::new(&cfg.system, cfg.sim);
+            match &log {
+                Some(log) => engine.run_logged(&trace, log, prefetcher),
+                None => engine.run(&trace, prefetcher),
+            }
+        };
         match job.task {
-            JobTask::Replay(ref kind) => JobOutput::Sim(run_trace(cfg, &trace, kind)),
+            JobTask::Replay(ref kind) => {
+                JobOutput::Sim(replay(kind.build(cfg.system.cores).as_mut()))
+            }
             JobTask::CollectMisses => {
                 let mut collector = MissTraceCollector::new(cfg.system.cores);
-                let _ = CmpSimulator::new(&cfg.system, cfg.sim).run(&trace, &mut collector);
+                replay(&mut collector);
                 JobOutput::MissSequences(collector.all_cores())
             }
         }
@@ -1794,6 +1804,9 @@ mod tests {
                 shared: 3
             }
         );
+        let traces = campaign.store().stats();
+        assert_eq!(traces.logs_recorded, 2, "one hierarchy log per trace");
+        assert!(traces.log_bytes > 0);
     }
 
     #[test]

@@ -58,6 +58,7 @@ use std::io::{self, BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use stms_mem::{HierarchyLog, SystemConfig};
 use stms_types::stream::{
     collect_trace, AccessChunk, ChunkedTraceWriter, TraceCodec, TraceReader, TraceSource,
     TraceStreamError, DEFAULT_CHUNK_LEN,
@@ -113,6 +114,13 @@ pub struct TraceStoreStats {
     /// [`ACCESS_RECORD_BYTES`]). The ratio of the two is the effective
     /// compression of the on-disk codec.
     pub stream_decoded_bytes: u64,
+    /// Hierarchy logs recorded ([`TraceStore::get_or_generate_logged`]):
+    /// one per materialized trace and system model.
+    pub logs_recorded: u64,
+    /// Log requests served by a log already recorded (or being recorded).
+    pub log_hits: u64,
+    /// Total size of the recorded logs in bytes.
+    pub log_bytes: u64,
 }
 
 /// Configuration of the persistent tier of a [`TraceStore`].
@@ -204,7 +212,16 @@ pub struct TraceStore {
     stream_fallbacks: AtomicU64,
     stream_disk_bytes: AtomicU64,
     stream_decoded_bytes: AtomicU64,
+    /// Hierarchy logs by trace key and system-model fingerprint; the cell
+    /// holds `None` when the system's geometry does not fit a log.
+    logs: Mutex<HashMap<(WorkloadSpec, Fingerprint), LogCell>>,
+    logs_recorded: AtomicU64,
+    log_hits: AtomicU64,
+    log_bytes: AtomicU64,
 }
+
+/// One entry of [`TraceStore`]'s hierarchy-log map.
+type LogCell = Arc<OnceLock<Option<Arc<HierarchyLog>>>>;
 
 /// Saturating add on a stats counter. Every store counter goes through
 /// here: a counter that reaches `u64::MAX` pins there instead of wrapping
@@ -606,6 +623,48 @@ impl TraceStore {
         trace
     }
 
+    /// [`TraceStore::get_or_generate`], plus the trace's hierarchy log
+    /// under `system`: the L1, L2 and stride outcome of every access,
+    /// which is the same under every prefetcher. The first request for a
+    /// (trace, system) pair records the log; every later one shares it, so
+    /// each job on the trace replays only its prefetcher-dependent work
+    /// ([`CmpSimulator::run_logged`](stms_mem::CmpSimulator::run_logged)).
+    /// The log is `None` when [`HierarchyLog::supports`] rejects `system`.
+    pub fn get_or_generate_logged(
+        &self,
+        spec: &WorkloadSpec,
+        accesses: usize,
+        system: &SystemConfig,
+    ) -> (SharedTrace, Option<Arc<HierarchyLog>>) {
+        let trace = self.get_or_generate(spec, accesses);
+        let key = (spec.clone().with_accesses(accesses), system.fingerprint());
+        let cell = {
+            let mut logs = self.logs.lock().unwrap_or_else(PoisonError::into_inner);
+            if let Some(cell) = logs.get(&key) {
+                counter_add(&self.log_hits, 1);
+                Arc::clone(cell)
+            } else {
+                let cell = LogCell::default();
+                logs.insert(key, Arc::clone(&cell));
+                cell
+            }
+        };
+        let log = cell
+            .get_or_init(|| {
+                let started = obs_started();
+                let log = HierarchyLog::record(system, &trace)?;
+                record_elapsed("cache.hierarchy_log.record_ns", started);
+                let bytes = log.size_bytes() as u64;
+                counter_add(&self.logs_recorded, 1);
+                counter_add(&self.log_bytes, bytes);
+                stms_obs::counter("hierarchy_log.recorded").incr();
+                stms_obs::counter("hierarchy_log.bytes").add(bytes);
+                Some(Arc::new(log))
+            })
+            .clone();
+        (trace, log)
+    }
+
     /// Loads `key` from the disk tier or generates (and persists) it.
     fn resolve(&self, key: &WorkloadSpec) -> SharedTrace {
         let Some(disk) = &self.disk else {
@@ -739,6 +798,9 @@ impl TraceStore {
             stream_fallbacks: self.stream_fallbacks.load(Ordering::Relaxed),
             stream_disk_bytes: self.stream_disk_bytes.load(Ordering::Relaxed),
             stream_decoded_bytes: self.stream_decoded_bytes.load(Ordering::Relaxed),
+            logs_recorded: self.logs_recorded.load(Ordering::Relaxed),
+            log_hits: self.log_hits.load(Ordering::Relaxed),
+            log_bytes: self.log_bytes.load(Ordering::Relaxed),
         }
     }
 
@@ -759,6 +821,10 @@ impl TraceStore {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clear();
+        self.logs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
         for counter in [
             &self.hits,
             &self.misses,
@@ -774,6 +840,9 @@ impl TraceStore {
             &self.stream_fallbacks,
             &self.stream_disk_bytes,
             &self.stream_decoded_bytes,
+            &self.logs_recorded,
+            &self.log_hits,
+            &self.log_bytes,
         ] {
             counter.store(0, Ordering::Relaxed);
         }
