@@ -624,7 +624,8 @@ impl<'a> CmpSimulator<'a> {
     }
 
     /// Charges the stride prefetcher's fills into the L2, and the
-    /// writebacks of the dirty lines they displaced.
+    /// writebacks of the dirty lines they displaced. Out of line for the
+    /// same reason as the hierarchy's stride fills.
     #[inline(never)]
     fn stride_traffic(&mut self, core_idx: usize, hs: HierarchyStep) {
         let now = self.cores[core_idx].clock;
@@ -1035,5 +1036,20 @@ mod tests {
             &mut NullPrefetcher::new(),
         );
         assert_eq!(logged.encode(), res.encode());
+    }
+
+    #[test]
+    fn a_log_describes_caches_of_up_to_127_ways() {
+        let mut cfg = SystemConfig::tiny_for_tests();
+        let t = trace_of(&[1, 2, 3], 0);
+        for (ways, fits) in [(127, true), (128, false)] {
+            cfg.l2.associativity = ways;
+            cfg.l2.capacity_bytes = ways * 64;
+            assert_eq!(
+                HierarchyLog::record(&cfg, &t).is_some(),
+                fits,
+                "{ways} ways"
+            );
+        }
     }
 }

@@ -235,7 +235,10 @@ pub struct CampaignCacheStats {
 
 /// Appends one line per configured cache tier (plus the streamed-replay
 /// counters when that mode is on) to a stderr `run summary:`
-/// block. Shared by the `stms-experiments` and `stms-serve` binaries so
+/// block, and, once jobs ran, how many executed and how many shared
+/// another execution's output (`job flights`), and how many jobs replayed
+/// a recorded hierarchy log (`hierarchy logs`, with the logs' total
+/// size). Shared by the `stms-experiments` and `stms-serve` binaries so
 /// their accounting lines stay identical.
 pub fn push_cache_reports(summary: &mut stms_stats::RunSummary, campaign: &Campaign) {
     use stms_stats::{CacheReport, StreamReport};
@@ -271,6 +274,20 @@ pub fn push_cache_reports(summary: &mut stms_stats::RunSummary, campaign: &Campa
                 .with_detail("disk hits", result.disk_hits)
                 .with_detail("stores", result.stores)
                 .with_detail("corrupt", result.corrupt),
+        );
+    }
+    let flights = campaign.flight_stats();
+    if flights.executed + flights.shared > 0 {
+        summary.push(CacheReport::new(
+            "job flights",
+            flights.shared,
+            flights.executed,
+        ));
+    }
+    if trace.logs_recorded > 0 {
+        summary.push(
+            CacheReport::new("hierarchy logs", trace.log_hits, trace.logs_recorded)
+                .with_detail("bytes", trace.log_bytes),
         );
     }
 }

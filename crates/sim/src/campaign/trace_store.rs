@@ -629,7 +629,8 @@ impl TraceStore {
     /// (trace, system) pair records the log; every later one shares it, so
     /// each job on the trace replays only its prefetcher-dependent work
     /// ([`CmpSimulator::run_logged`](stms_mem::CmpSimulator::run_logged)).
-    /// The log is `None` when [`HierarchyLog::supports`] rejects `system`.
+    /// The log is `None` when [`HierarchyLog::record`] cannot describe
+    /// `system`; jobs then simulate the caches live.
     pub fn get_or_generate_logged(
         &self,
         spec: &WorkloadSpec,

@@ -13,7 +13,12 @@ Two modes:
       required counters (value > 0), histograms (count > 0) and gauges
       (present; a gauge may legitimately read zero — e.g. a perfect
       calibration error — so only presence is gated) named on the command
-      line — the "nonzero phase timers" gate in CI.
+      line — the "nonzero phase timers" gate in CI. Cross-metric
+      invariants are checked too: the hierarchy-log counters
+      (`hierarchy_log.recorded`, `hierarchy_log.bytes`) appear together,
+      every recorded log is at least one byte, and the
+      `cache.hierarchy_log.record_ns` histogram timed exactly the logs
+      recorded.
 
   check_metrics.py --monotone SNAPSHOT SNAPSHOT...
       Asserts a sequence of snapshots taken from ONE process (e.g.
@@ -71,7 +76,24 @@ def load(path):
             fail(f"{path}: histograms/{name} is empty but has sum/max")
         if hist["count"] > 0 and hist["max"] > hist["sum"]:
             fail(f"{path}: histograms/{name} max {hist['max']} exceeds sum {hist['sum']}")
+    check_invariants(path, doc)
     return doc
+
+
+def check_invariants(path, doc):
+    counters = doc["counters"]
+    recorded = counters.get("hierarchy_log.recorded")
+    size = counters.get("hierarchy_log.bytes")
+    if (recorded is None) != (size is None):
+        fail(f"{path}: hierarchy_log.recorded and hierarchy_log.bytes must appear together")
+    if recorded is not None and size < recorded:
+        fail(f"{path}: {recorded} hierarchy logs cannot take only {size} bytes")
+    timed = doc["histograms"].get("cache.hierarchy_log.record_ns")
+    if timed is not None and timed["count"] != (recorded or 0):
+        fail(
+            f"{path}: cache.hierarchy_log.record_ns timed {timed['count']} logs, "
+            f"hierarchy_log.recorded says {recorded or 0}"
+        )
 
 
 def check_required(path, doc, counters, histograms, gauges):
