@@ -1,11 +1,11 @@
 //! Benchmarks of the campaign orchestration layer: trace-store hit path vs
-//! regeneration, the persistent tiers cold vs warm, and job-pool scheduling
+//! regeneration, the result cache cold vs warm, and job-pool scheduling
 //! overhead.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::path::PathBuf;
 use stms_bench::bench_workload;
-use stms_sim::campaign::{Campaign, CampaignCaches, DiskTierConfig, JobPool, TraceStore};
+use stms_sim::campaign::{Campaign, CampaignCaches, JobPool, TraceStore};
 use stms_sim::ExperimentConfig;
 use stms_workloads::generate;
 
@@ -33,38 +33,6 @@ fn bench_trace_store(c: &mut Criterion) {
     group.bench_function("warm_fetch", |b| {
         b.iter(|| black_box(store.get_or_generate(&bench_workload(), ACCESSES).len()))
     });
-    group.finish();
-}
-
-fn bench_disk_tier(c: &mut Criterion) {
-    let mut group = c.benchmark_group("trace_store_disk");
-    group.sample_size(10);
-
-    // Cold: a fresh store on an empty directory generates and persists.
-    group.bench_function("cold_generate_and_persist", |b| {
-        b.iter(|| {
-            let dir = bench_dir("disk-cold");
-            let store = TraceStore::with_disk_tier(DiskTierConfig::new(&dir)).unwrap();
-            let len = store.get_or_generate(&bench_workload(), ACCESSES).len();
-            let _ = std::fs::remove_dir_all(&dir);
-            black_box(len)
-        })
-    });
-
-    // Warm: a fresh store (simulating a new process) decodes the persisted
-    // blob instead of regenerating. The delta to `cold_generate_and_persist`
-    // is what `--trace-cache` buys every later campaign process.
-    let dir = bench_dir("disk-warm");
-    TraceStore::with_disk_tier(DiskTierConfig::new(&dir))
-        .unwrap()
-        .get_or_generate(&bench_workload(), ACCESSES);
-    group.bench_function("warm_load_from_disk", |b| {
-        b.iter(|| {
-            let store = TraceStore::with_disk_tier(DiskTierConfig::new(&dir)).unwrap();
-            black_box(store.get_or_generate(&bench_workload(), ACCESSES).len())
-        })
-    });
-    let _ = std::fs::remove_dir_all(&dir);
     group.finish();
 }
 
@@ -203,7 +171,6 @@ fn bench_job_pool(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_trace_store,
-    bench_disk_tier,
     bench_campaign_cold_vs_warm,
     bench_sharding,
     bench_job_pool

@@ -34,7 +34,7 @@ use crate::result::SimResult;
 use crate::stream::{PrefetchBuffer, StreamState};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use stms_types::stream::{TraceSource, TraceStreamError, DEFAULT_CHUNK_LEN};
+use stms_types::stream::{TraceSource, DEFAULT_CHUNK_LEN};
 use stms_types::{AccessKind, Cycle, MemAccess, Trace};
 
 /// Tunables of the simulation engine that are not part of the system model.
@@ -248,38 +248,27 @@ impl<'a> CmpSimulator<'a> {
     /// The first `warmup_fraction` of the trace trains caches and predictor
     /// meta-data but is excluded from all reported counters.
     ///
-    /// This is the materialized special case of [`CmpSimulator::run_stream`]
-    /// (an in-memory trace source cannot fail), and produces bit-identical
-    /// results to streaming the same access sequence.
+    /// This is the materialized special case of [`CmpSimulator::run_stream`],
+    /// and produces bit-identical results to streaming the same access
+    /// sequence.
     pub fn run<P: Prefetcher + ?Sized>(self, trace: &Trace, prefetcher: &mut P) -> SimResult {
         let mut source = trace.chunks(DEFAULT_CHUNK_LEN);
         self.run_stream(&mut source, prefetcher)
-            .expect("in-memory trace sources cannot fail")
     }
 
     /// Replays any [`TraceSource`] with `prefetcher`, chunk by chunk.
     ///
     /// The engine's resident state is independent of trace length: it holds
-    /// one chunk at a time, so a trace far larger than memory (a disk-backed
-    /// [`stms_types::stream::TraceReader`], or a generator streaming on the
-    /// fly) replays in bounded space. Source dispatch happens once per
-    /// chunk; the per-access hot path is unchanged from [`CmpSimulator::run`],
-    /// and the metrics are bit-identical for the same access sequence,
-    /// whatever the chunking or its alignment with the warm-up boundary.
+    /// one chunk at a time, so a trace far larger than memory (a generator
+    /// streaming on the fly) replays in bounded space. Source dispatch
+    /// happens once per chunk; the per-access hot path is unchanged from
+    /// [`CmpSimulator::run`], and the metrics are bit-identical for the same
+    /// access sequence, whatever the chunking or its alignment with the
+    /// warm-up boundary.
     ///
     /// The warm-up boundary is computed from
     /// [`TraceSource::total_accesses`], which every source knows up front.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the source's first [`TraceStreamError`] (a corrupt or
-    /// truncated disk stream). The partially-run simulation is discarded —
-    /// callers fall back to regenerating the trace.
-    pub fn run_stream<P, S>(
-        self,
-        source: &mut S,
-        prefetcher: &mut P,
-    ) -> Result<SimResult, TraceStreamError>
+    pub fn run_stream<P, S>(self, source: &mut S, prefetcher: &mut P) -> SimResult
     where
         P: Prefetcher + ?Sized,
         S: TraceSource + ?Sized,
@@ -309,17 +298,11 @@ impl<'a> CmpSimulator<'a> {
         );
         let mut source = trace.chunks(DEFAULT_CHUNK_LEN);
         self.replay(&mut source, &mut log.replay(), prefetcher)
-            .expect("in-memory trace sources cannot fail")
     }
 
     /// The replay loop shared by every entry point: one hierarchy step and
     /// one lane step per access.
-    fn replay<P, S, H>(
-        mut self,
-        source: &mut S,
-        hierarchy: &mut H,
-        prefetcher: &mut P,
-    ) -> Result<SimResult, TraceStreamError>
+    fn replay<P, S, H>(mut self, source: &mut S, hierarchy: &mut H, prefetcher: &mut P) -> SimResult
     where
         P: Prefetcher + ?Sized,
         S: TraceSource + ?Sized,
@@ -331,7 +314,7 @@ impl<'a> CmpSimulator<'a> {
         let warmup_end = ((total as f64) * self.opts.warmup_fraction.clamp(0.0, 0.95)) as usize;
 
         let mut idx = 0usize;
-        while let Some(chunk) = source.next_chunk()? {
+        while let Some(chunk) = source.next_chunk() {
             debug_assert_eq!(chunk.first_index as usize, idx, "chunks arrive in order");
             check_cores(chunk.accesses, self.cores.len());
             for access in chunk.accesses {
@@ -343,7 +326,7 @@ impl<'a> CmpSimulator<'a> {
                 idx += 1;
             }
         }
-        Ok(self.finish(idx, prefetcher, warmup_end))
+        self.finish(idx, prefetcher, warmup_end)
     }
 
     /// Marks the end of the warm-up period: statistics collected so far are
@@ -978,9 +961,8 @@ mod tests {
             let reference = CmpSimulator::new(&cfg, opts).run(&t, &mut NextLines(8));
             for chunk_len in [1usize, 97, 600, 10_000] {
                 let mut source = t.chunks(chunk_len);
-                let streamed = CmpSimulator::new(&cfg, opts)
-                    .run_stream(&mut source, &mut NextLines(8))
-                    .expect("in-memory source cannot fail");
+                let streamed =
+                    CmpSimulator::new(&cfg, opts).run_stream(&mut source, &mut NextLines(8));
                 assert_eq!(
                     streamed.encode(),
                     reference.encode(),
@@ -997,8 +979,7 @@ mod tests {
         let mut source = t.chunks(2);
         let dyn_source: &mut dyn TraceSource = &mut source;
         let res = CmpSimulator::new(&cfg, opts_no_warmup())
-            .run_stream(dyn_source, &mut NullPrefetcher::new())
-            .expect("in-memory source cannot fail");
+            .run_stream(dyn_source, &mut NullPrefetcher::new());
         assert_eq!(res.accesses, 4);
     }
 

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! stms-serve --socket PATH [--quick] [--accesses N] [--threads N]
-//!            [--trace-cache DIR] [--result-cache DIR] [--cache-verify]
-//!            [--stream-traces] [--trace-codec v2|v3] [--metrics-out FILE]
+//!            [--result-cache DIR] [--cache-verify]
+//!            [--stream-traces] [--metrics-out FILE]
 //!            [--calibrate-from DIR]
 //!            [--max-active N] [--max-queue N] [--read-timeout-ms MS]
 //! ```
@@ -59,8 +59,8 @@ fn install_signal_handlers() {
 
 fn usage() -> &'static str {
     "usage: stms-serve --socket PATH [--quick] [--accesses N] [--threads N]\n\
-     \x20                 [--trace-cache DIR] [--result-cache DIR] [--cache-verify]\n\
-     \x20                 [--stream-traces] [--trace-codec v2|v3] [--metrics-out FILE]\n\
+     \x20                 [--result-cache DIR] [--cache-verify]\n\
+     \x20                 [--stream-traces] [--metrics-out FILE]\n\
      \x20                 [--calibrate-from DIR]\n\
      \x20                 [--max-active N] [--max-queue N] [--read-timeout-ms MS]"
 }
@@ -102,22 +102,11 @@ fn parse_args(args: &[String]) -> Result<(ServeConfig, Option<PathBuf>, Option<P
                     return Err("--threads must be non-zero".into());
                 }
             }
-            "--trace-cache" => {
-                config.caches.trace_dir = Some(value_of(&mut i, "--trace-cache")?.into());
-            }
             "--result-cache" => {
                 config.caches.result_dir = Some(value_of(&mut i, "--result-cache")?.into());
             }
             "--cache-verify" => config.caches.verify = true,
             "--stream-traces" => config.caches.stream_traces = true,
-            "--trace-codec" => {
-                let v = value_of(&mut i, "--trace-codec")?;
-                config.caches.trace_codec = match v.as_str() {
-                    "v2" => stms_types::TraceCodec::V2,
-                    "v3" => stms_types::TraceCodec::V3,
-                    other => return Err(format!("--trace-codec must be v2 or v3, got `{other}`")),
-                };
-            }
             "--metrics-out" => {
                 metrics_out = Some(value_of(&mut i, "--metrics-out")?.into());
             }

@@ -344,7 +344,6 @@ fn main() -> ExitCode {
                     ("jobs_cached", counters.jobs_cached),
                     ("traces_generated", counters.traces_generated),
                     ("stream_replays", counters.stream_replays),
-                    ("stream_fallbacks", counters.stream_fallbacks),
                     ("active_requests", counters.active_requests),
                     ("queued_requests", counters.queued_requests),
                 ] {

@@ -317,7 +317,6 @@ impl Shared {
             jobs_cached: caches.result.map_or(0, |r| r.total_hits()),
             traces_generated: caches.trace.generated,
             stream_replays: caches.trace.stream_replays,
-            stream_fallbacks: caches.trace.stream_fallbacks,
             active_requests: active as u64,
             queued_requests: queued as u64,
         }

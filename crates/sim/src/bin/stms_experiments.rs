@@ -1,12 +1,12 @@
 //! Command-line driver that regenerates every table and figure of the paper
-//! through one shared campaign (cached traces, bounded job pool), either in
+//! through one shared campaign (shared traces, bounded job pool), either in
 //! one process or sharded across many.
 //!
 //! ```text
 //! stms-experiments [--quick] [--accesses N] [--threads N] [--warmup F]
 //!                  [--figures ID[,ID...]] [--format text|json] [--csv DIR]
-//!                  [--trace-cache DIR] [--result-cache DIR] [--cache-verify]
-//!                  [--stream-traces] [--trace-codec v2|v3] [--metrics-out FILE]
+//!                  [--result-cache DIR] [--cache-verify]
+//!                  [--stream-traces] [--metrics-out FILE]
 //!                  [--calibrate-from DIR]
 //!                  [--shard I/N --shard-out DIR [--shard-balance count|cost]
 //!                   | --merge-shards DIR[,DIR...] | --retry-failed MANIFEST]
@@ -23,24 +23,22 @@
 //! jobs complete (in selection order), so the first table appears long
 //! before a many-figure run finishes.
 //!
-//! `--trace-cache DIR` persists generated traces and `--result-cache DIR`
-//! memoizes finished job outputs across runs (the same directory works for
-//! both); `--cache-verify` cross-checks every loaded entry against its
-//! requesting spec and regenerates on mismatch. A warm run renders
-//! byte-identical stdout while skipping all trace generation and replay;
-//! the cache counters are reported in a `run summary:` block on stderr.
+//! Each distinct trace is generated once per run and shared by every job
+//! that replays it; traces are never written to disk. `--result-cache DIR`
+//! memoizes finished job outputs across runs; `--cache-verify`
+//! cross-checks every loaded output against its requesting job and
+//! replays on mismatch. A warm run renders byte-identical stdout while
+//! skipping all trace generation and replay; the cache counters are
+//! reported in a `run summary:` block on stderr.
 //!
 //! # Out-of-core replay
 //!
 //! `--stream-traces` replays every trace as a chunked stream instead of a
 //! materialized in-memory vector, so peak memory is independent of trace
-//! length (`--accesses` can exceed available RAM). Pair it with
-//! `--trace-cache DIR`: each trace is generated straight into a sealed
-//! chunk-framed file once and streamed from disk by every job; without a
-//! cache each job streams its own generator. Stdout is byte-identical to
-//! the materialized path either way, and a `streamed replay:` line joins
-//! the stderr run summary. Each streamed replay is one serial loop on its
-//! job thread: read a frame, verify its checksum, decode it, simulate it.
+//! length (`--accesses` can exceed available RAM): each job streams its
+//! own generator, one chunk at a time, on its job thread. Stdout is
+//! byte-identical to the materialized path, and a `streamed replay:` line
+//! joins the stderr run summary.
 //!
 //! # Cost-model scheduling
 //!
@@ -54,14 +52,6 @@
 //! `DIR`. A `scheduling:` line in the stderr run summary reports the
 //! predicted total, the calibration fit (when one ran) and the
 //! predicted-vs-actual error of the finished run.
-//!
-//! `--trace-codec v2|v3` selects the payload codec of newly written trace
-//! files. The default, `v3`, compresses each chunk column by column
-//! (roughly 2–6x smaller on disk); `v2` keeps the fixed-width row layout.
-//! Reading is version-dispatched, so caches written under either codec
-//! replay unchanged — and byte-identically — whatever the flag says. With
-//! `--stream-traces` the effective ratio is reported on an indented
-//! `compression:` line under the streamed-replay summary.
 //!
 //! # Telemetry
 //!
@@ -157,8 +147,8 @@ fn usage() -> String {
     format!(
         "usage: stms-experiments [--quick] [--accesses N] [--threads N] [--warmup F]\n\
          \x20                       [--figures ID[,ID...]] [--format text|json] [--csv DIR]\n\
-         \x20                       [--trace-cache DIR] [--result-cache DIR] [--cache-verify]\n\
-         \x20                       [--stream-traces] [--trace-codec v2|v3] [--metrics-out FILE]\n\
+         \x20                       [--result-cache DIR] [--cache-verify]\n\
+         \x20                       [--stream-traces] [--metrics-out FILE]\n\
          \x20                       [--calibrate-from DIR]\n\
          \x20                       [--shard I/N --shard-out DIR [--shard-balance count|cost]\n\
          \x20                        | --merge-shards DIR[,DIR...] | --retry-failed MANIFEST]\n\
@@ -239,22 +229,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 };
             }
             "--csv" => csv_dir = Some(value_of(&mut i, "--csv")?),
-            "--trace-cache" => {
-                caches.trace_dir = Some(value_of(&mut i, "--trace-cache")?.into());
-            }
             "--result-cache" => {
                 caches.result_dir = Some(value_of(&mut i, "--result-cache")?.into());
             }
             "--cache-verify" => caches.verify = true,
             "--stream-traces" => caches.stream_traces = true,
-            "--trace-codec" => {
-                let v = value_of(&mut i, "--trace-codec")?;
-                caches.trace_codec = match v.as_str() {
-                    "v2" => stms_types::TraceCodec::V2,
-                    "v3" => stms_types::TraceCodec::V3,
-                    other => return Err(format!("--trace-codec must be v2 or v3, got `{other}`")),
-                };
-            }
             "--metrics-out" => {
                 metrics_out = Some(value_of(&mut i, "--metrics-out")?.into());
             }

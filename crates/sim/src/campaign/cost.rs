@@ -245,8 +245,8 @@ pub struct Partition {
 
 /// Partitions the distinct job grid across `count` shards.
 ///
-/// * [`ShardBalance::Count`] reproduces the historical modulo partition
-///   (`fingerprint % count`), byte-compatible with every v2 fleet.
+/// * [`ShardBalance::Count`] is the modulo partition
+///   (`fingerprint % count`), which splits job *count* evenly.
 /// * [`ShardBalance::Cost`] runs greedy longest-processing-time
 ///   bin-packing: jobs sorted by (predicted cost desc, fingerprint asc)
 ///   are assigned one by one to the currently lightest shard (ties to the

@@ -17,19 +17,16 @@
 //!    *every* requested figure up front, so independent cells from
 //!    different figures interleave on the same pool.
 //!
-//! On top of the per-campaign sharing, two *persistent* tiers (enabled with
-//! [`Campaign::with_caches`]) extend the sharing across campaign processes,
-//! mirroring how the paper's own meta-data earns its keep by living
-//! off-chip and persisting across program runs:
-//!
-//! * the [`TraceStore`]'s disk tier persists generated traces keyed by a
-//!   stable content fingerprint of the generating [`WorkloadSpec`], and
-//! * the [`ResultStore`] memoizes every finished [`JobOutput`] keyed by the
-//!   fingerprint of `(spec, trace length, task, system, engine options)`,
-//!   so a warm re-run (say, after a render-stage tweak) replays nothing.
-//!
-//! Both tiers treat every unreadable, stale or corrupt file as a miss —
-//! evict and regenerate — so a cache directory can never poison a result.
+//! On top of the per-campaign sharing, a *persistent* result cache
+//! (enabled with [`Campaign::with_caches`]) extends the sharing across
+//! campaign processes, mirroring how the paper's own meta-data earns its
+//! keep by living off-chip and persisting across program runs: the
+//! [`ResultStore`] memoizes every finished [`JobOutput`] keyed by the
+//! fingerprint of `(spec, trace length, task, system, engine options)`, so
+//! a warm re-run (say, after a render-stage tweak) replays nothing. It
+//! treats every unreadable, stale or corrupt file as a miss — evict and
+//! replay — so a cache directory can never poison a result. Traces are
+//! not persisted: regenerating one is cheaper than reading it back.
 //!
 //! # Example
 //!
@@ -63,7 +60,7 @@ pub use result_store::{
     ResultStore, ResultStoreStats, DEFAULT_MEMO_BUDGET_BYTES, JOB_OUTPUT_CODEC_VERSION,
 };
 pub use shard::{MergeError, MergedShards, ShardSpec};
-pub use trace_store::{DiskTierConfig, TraceStore, TraceStoreStats};
+pub use trace_store::{TraceStore, TraceStoreStats};
 
 use crate::experiments::FigureResult;
 use crate::system::ExperimentConfig;
@@ -171,38 +168,24 @@ impl std::error::Error for CampaignError {}
 
 /// Persistent-cache configuration of a [`Campaign`].
 ///
-/// The default has no persistence: every campaign regenerates and replays
-/// from scratch, exactly as before. Point `trace_dir`/`result_dir` at
-/// directories (the same directory is fine — the tiers use disjoint file
-/// prefixes) to share work across campaign processes.
+/// The default has no persistence: every campaign replays from scratch.
+/// Point `result_dir` at a directory to share job outputs across campaign
+/// processes. Traces are never persisted; each campaign regenerates the
+/// ones its executing jobs need.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignCaches {
-    /// Directory of the [`TraceStore`] disk tier (`--trace-cache`).
-    pub trace_dir: Option<std::path::PathBuf>,
     /// Directory of the [`ResultStore`] (`--result-cache`).
     pub result_dir: Option<std::path::PathBuf>,
-    /// Deep verification of decoded entries (`--cache-verify`): cross-check
-    /// each loaded artifact against the spec/job that requested it and
-    /// regenerate on mismatch, instead of trusting the sealed envelope.
+    /// Deep verification of decoded results (`--cache-verify`): cross-check
+    /// each loaded output against the job that requested it and replay on
+    /// mismatch, instead of trusting the sealed envelope.
     pub verify: bool,
-    /// Byte budget of the trace tier; oldest entries are evicted after each
-    /// write when set.
-    pub trace_max_bytes: Option<u64>,
     /// Out-of-core replay (`--stream-traces`): jobs replay traces chunk by
     /// chunk through [`TraceStore::replay_streaming`] instead of holding a
     /// materialized [`stms_types::SharedTrace`], so peak memory is
-    /// independent of trace length. Pair with `trace_dir` so the trace is
-    /// generated once into a chunk-framed file and streamed by every job;
-    /// without a disk tier each job streams its own generator. Rendered
-    /// output is byte-identical either way.
+    /// independent of trace length. Each job streams its own generator.
+    /// Rendered output is byte-identical either way.
     pub stream_traces: bool,
-    /// Payload codec for newly written trace files (`--trace-codec`). The
-    /// default, [`stms_types::TraceCodec::V3`], writes columnar compressed
-    /// chunks; [`stms_types::TraceCodec::V2`] keeps the fixed-width row
-    /// layout. Reading is
-    /// version-dispatched, so existing caches of either codec replay
-    /// unchanged whatever this is set to.
-    pub trace_codec: stms_types::TraceCodec,
     /// Memoize job outputs in memory even when `result_dir` is `None`
     /// (see [`ResultStore::in_memory`]). A long-lived server sets this so
     /// repeated requests for the same cell never replay, and so in-flight
@@ -213,12 +196,10 @@ pub struct CampaignCaches {
 }
 
 impl CampaignCaches {
-    /// Both tiers on one shared directory.
+    /// A result cache on `dir`.
     pub fn in_dir(dir: impl Into<std::path::PathBuf>) -> Self {
-        let dir = dir.into();
         CampaignCaches {
-            trace_dir: Some(dir.clone()),
-            result_dir: Some(dir),
+            result_dir: Some(dir.into()),
             ..Self::default()
         }
     }
@@ -233,8 +214,8 @@ pub struct CampaignCacheStats {
     pub result: Option<ResultStoreStats>,
 }
 
-/// Appends one line per configured cache tier (plus the streamed-replay
-/// counters when that mode is on) to a stderr `run summary:`
+/// Appends the result-cache line (plus the streamed-replay counters when
+/// that mode is on) to a stderr `run summary:`
 /// block, and, once jobs ran, how many executed and how many shared
 /// another execution's output (`job flights`), and how many jobs replayed
 /// a recorded hierarchy log (`hierarchy logs`, with the logs' total
@@ -248,24 +229,7 @@ pub fn push_cache_reports(summary: &mut stms_stats::RunSummary, campaign: &Campa
         summary.push_stream(StreamReport {
             replays: trace.stream_replays,
             chunks: trace.stream_chunks,
-            fallbacks: trace.stream_fallbacks,
-            disk_bytes: trace.stream_disk_bytes,
-            decoded_bytes: trace.stream_decoded_bytes,
         });
-    }
-    if campaign.store().disk_dir().is_some() {
-        summary.push(
-            CacheReport::new(
-                "trace cache",
-                trace.hits + trace.disk_hits,
-                trace.disk_misses,
-            )
-            .with_detail("generated", trace.generated)
-            .with_detail("disk hits", trace.disk_hits)
-            .with_detail("writes", trace.disk_writes)
-            .with_detail("evictions", trace.disk_evictions)
-            .with_detail("resident bytes", trace.disk_bytes),
-        );
     }
     if let Some(result) = stats.result {
         summary.push(
@@ -506,7 +470,7 @@ impl Campaign {
     /// std::fs::remove_dir_all(&dir).ok(); // start cold
     /// let cfg = ExperimentConfig::quick().with_accesses(2_000);
     ///
-    /// // Cold campaign: generates and replays, then persists.
+    /// // Cold campaign: generates and replays, then persists the outputs.
     /// let cold = Campaign::with_caches(cfg.clone(), 2, CampaignCaches::in_dir(&dir)).unwrap();
     /// cold.run_matched(&presets::web_apache(), &[PrefetcherKind::Baseline]).unwrap();
     /// assert_eq!(cold.store().stats().generated, 1);
@@ -521,22 +485,13 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Returns the error from creating a cache directory.
+    /// Returns the error from creating the result-cache directory.
     pub fn with_caches(
         cfg: ExperimentConfig,
         threads: usize,
         caches: CampaignCaches,
     ) -> std::io::Result<Self> {
-        let store = match &caches.trace_dir {
-            Some(dir) => {
-                let mut tier = DiskTierConfig::new(dir).with_verify(caches.verify);
-                tier.max_bytes = caches.trace_max_bytes;
-                TraceStore::with_disk_tier(tier)?
-            }
-            None => TraceStore::new(),
-        }
-        .with_streaming(caches.stream_traces)
-        .with_codec(caches.trace_codec);
+        let store = TraceStore::new().with_streaming(caches.stream_traces);
         let results = match &caches.result_dir {
             Some(dir) => Some(Arc::new(ResultStore::open(dir)?.with_verify(caches.verify))),
             None if caches.result_memory => Some(Arc::new(ResultStore::in_memory())),
@@ -1663,20 +1618,20 @@ fn execute_job(
 /// The actual generate/replay work of one job, no caching layers involved.
 fn run_job_uncached(cfg: &ExperimentConfig, store: &TraceStore, job: &JobSpec) -> JobOutput {
     if store.is_streaming() {
-        // Out-of-core path: the job drives a chunked TraceSource (a
-        // disk-tier reader, or the generator itself) and never holds the
-        // trace; output is bit-identical to the materialized path.
+        // Out-of-core path: the job drives the generator as a chunked
+        // TraceSource and never holds the trace; output is bit-identical
+        // to the materialized path.
         match job.task {
             JobTask::Replay(ref kind) => {
                 store.replay_streaming(&job.workload, cfg.accesses, |source| {
-                    crate::runner::run_source(cfg, source, kind).map(JobOutput::Sim)
+                    JobOutput::Sim(crate::runner::run_source(cfg, source, kind))
                 })
             }
             JobTask::CollectMisses => {
                 store.replay_streaming(&job.workload, cfg.accesses, |source| {
                     let mut collector = MissTraceCollector::new(cfg.system.cores);
-                    CmpSimulator::new(&cfg.system, cfg.sim).run_stream(source, &mut collector)?;
-                    Ok(JobOutput::MissSequences(collector.all_cores()))
+                    CmpSimulator::new(&cfg.system, cfg.sim).run_stream(source, &mut collector);
+                    JobOutput::MissSequences(collector.all_cores())
                 })
             }
         }
@@ -2016,35 +1971,6 @@ mod tests {
         assert!(stats.stream_replays > 0, "{stats:?}");
         assert!(stats.stream_chunks >= stats.stream_replays);
         assert_eq!(stats.hits, 0, "nothing was materialized");
-
-        // Streaming over a shared trace cache: one generation, files
-        // streamed by every job, still byte-identical.
-        let dir =
-            std::env::temp_dir().join(format!("stms-campaign-stream-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cached = Campaign::with_caches(
-            cfg.clone(),
-            2,
-            CampaignCaches {
-                trace_dir: Some(dir.clone()),
-                stream_traces: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let from_disk: Vec<String> = cached
-            .run_figures(plans(&cfg))
-            .into_iter()
-            .map(|figure| figure.expect("no job fails").render())
-            .collect();
-        assert_eq!(from_disk, direct);
-        let stats = cached.store().stats();
-        assert_eq!(
-            stats.generated, 8,
-            "each distinct workload generated exactly once"
-        );
-        assert!(stats.disk_hits > stats.generated, "jobs streamed the files");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

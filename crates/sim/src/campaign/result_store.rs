@@ -12,9 +12,9 @@
 //! then replays nothing at all: every job output is served from
 //! `result-<fingerprint>.stms` files.
 //!
-//! Entries are sealed in the same versioned [`stms_types::blob`] envelope as
-//! persisted traces; any stale, truncated or corrupt file fails the checks,
-//! is evicted, and the job simply runs again.
+//! Entries are sealed in the versioned [`stms_types::blob`] envelope; any
+//! stale, truncated or corrupt file fails the checks, is evicted, and the
+//! job simply runs again.
 //!
 //! # Example
 //!
@@ -46,7 +46,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
-use stms_types::Fingerprint;
+use stms_types::{blob, Fingerprint};
 
 /// Version of the [`JobOutput`] *container* layout (variant tags, the
 /// miss-sequence encoding). Bump this when the container itself changes.
@@ -61,6 +61,61 @@ pub const JOB_OUTPUT_CODEC_VERSION: u16 =
 
 /// File-name prefix of persisted job outputs.
 const RESULT_FILE_PREFIX: &str = "result-";
+
+/// Shared extension of every persisted cache file.
+const CACHE_FILE_EXT: &str = "stms";
+
+/// A temp-file name unique across processes (pid) *and* across stores and
+/// threads within one process (counter), so concurrent writers of the same
+/// key can never interleave on one temp file; the final `rename` is atomic
+/// and last-writer-wins with identical content.
+pub(crate) fn unique_tmp_name(key: Fingerprint) -> String {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    format!(
+        ".tmp-{}-{}-{}.{CACHE_FILE_EXT}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed),
+        key.to_hex()
+    )
+}
+
+/// Reads and unseals one cache file.
+///
+/// * `Ok(None)` — no file: a plain cold miss, nothing to evict;
+/// * `Err(())` — the file exists but fails the envelope checks: the caller
+///   counts it corrupt and evicts it;
+/// * `Ok(Some(payload))` — the verified payload bytes.
+fn read_sealed(path: &Path, codec_version: u16, key: Fingerprint) -> Result<Option<Vec<u8>>, ()> {
+    let Ok(bytes) = fs::read(path) else {
+        return Ok(None);
+    };
+    match blob::open(&bytes, codec_version, key) {
+        Ok(payload) => Ok(Some(payload.to_vec())),
+        Err(_) => Err(()),
+    }
+}
+
+/// Seals `payload` and atomically publishes it at `path` (unique temp file
+/// in `dir`, then `rename`). Returns whether the file was published;
+/// failures leave no temp litter and are swallowed by callers — the cache
+/// is an optimization, never a correctness dependency.
+fn write_sealed(
+    dir: &Path,
+    path: &Path,
+    codec_version: u16,
+    key: Fingerprint,
+    payload: &[u8],
+) -> bool {
+    let sealed = blob::seal(codec_version, key, payload);
+    let tmp = dir.join(unique_tmp_name(key));
+    match fs::write(&tmp, &sealed).and_then(|()| fs::rename(&tmp, path)) {
+        Ok(()) => true,
+        Err(_) => {
+            let _ = fs::remove_file(&tmp);
+            false
+        }
+    }
+}
 
 /// Default byte budget of the in-memory memo tier (encoded-output bytes).
 /// Generous enough that a one-shot campaign never evicts — job outputs are
@@ -185,8 +240,7 @@ pub struct ResultStore {
 
 impl ResultStore {
     /// Opens (creating if needed) a result cache directory. The directory
-    /// may be shared with a [`super::TraceStore`] disk tier and across
-    /// concurrent processes.
+    /// may be shared across concurrent processes.
     ///
     /// # Errors
     ///
@@ -297,7 +351,7 @@ impl ResultStore {
         self.memo_insert(key, output.clone(), encoded.len() as u64);
         let Some(dir) = &self.dir else { return };
         let path = result_path_in(dir, key);
-        if super::trace_store::write_sealed(dir, &path, JOB_OUTPUT_CODEC_VERSION, key, &encoded) {
+        if write_sealed(dir, &path, JOB_OUTPUT_CODEC_VERSION, key, &encoded) {
             self.stores.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -347,7 +401,7 @@ impl ResultStore {
         job: &JobSpec,
     ) -> Option<(JobOutput, u64)> {
         let path = self.result_path(key)?;
-        let payload = match super::trace_store::read_sealed(&path, JOB_OUTPUT_CODEC_VERSION, key) {
+        let payload = match read_sealed(&path, JOB_OUTPUT_CODEC_VERSION, key) {
             Ok(Some(payload)) => payload,
             Ok(None) => return None, // plain cold miss
             Err(()) => {
@@ -370,6 +424,13 @@ impl ResultStore {
     }
 }
 
+fn result_path_in(dir: &Path, key: Fingerprint) -> PathBuf {
+    dir.join(format!(
+        "{RESULT_FILE_PREFIX}{}.{CACHE_FILE_EXT}",
+        key.to_hex()
+    ))
+}
+
 /// Deep verification: the decoded output plausibly belongs to `job` — the
 /// variant matches the task and the workload identity carried inside the
 /// result matches the requesting spec. Miss sequences carry one entry per
@@ -378,14 +439,6 @@ impl ResultStore {
 /// engine's *family* name, not the design-point label, so it cannot
 /// distinguish sweep points and is deliberately not checked; sweep points
 /// are separated by the key fingerprint itself.
-fn result_path_in(dir: &Path, key: Fingerprint) -> PathBuf {
-    dir.join(format!(
-        "{RESULT_FILE_PREFIX}{}.{}",
-        key.to_hex(),
-        super::trace_store::CACHE_FILE_EXT
-    ))
-}
-
 fn output_matches_job(output: &JobOutput, cfg: &ExperimentConfig, job: &JobSpec) -> bool {
     match (output, &job.task) {
         (JobOutput::Sim(result), super::job::JobTask::Replay(_)) => {

@@ -145,14 +145,14 @@ pub fn distinct_with(
 /// # Errors
 ///
 /// Returns the I/O error from creating the directory or publishing the
-/// file. Unlike the cache tiers, manifest persistence is a *correctness*
+/// file. Unlike the result cache, manifest persistence is a *correctness*
 /// dependency — a shard whose manifest cannot be written has produced
 /// nothing — so failures surface instead of being swallowed.
 pub fn write_manifest(dir: &Path, manifest: &ShardManifest) -> io::Result<(PathBuf, u64)> {
     fs::create_dir_all(dir)?;
     let sealed = manifest.seal();
     let path = dir.join(manifest.file_name());
-    let tmp = dir.join(super::trace_store::unique_tmp_name(
+    let tmp = dir.join(super::result_store::unique_tmp_name(
         ShardManifest::seal_key(manifest.config, manifest.index, manifest.count),
     ));
     fs::write(&tmp, &sealed)

@@ -46,9 +46,8 @@ pub use ablation::{
 };
 pub use campaign::{
     job_fingerprint, Campaign, CampaignCacheStats, CampaignCaches, CampaignError, CancelToken,
-    DiskTierConfig, FigurePlan, FlightStats, JobError, JobOutput, JobPool, JobSpec, JobTask,
-    MergeError, MergedShards, ResultStore, ResultStoreStats, ShardRun, ShardSpec, TraceStore,
-    TraceStoreStats,
+    FigurePlan, FlightStats, JobError, JobOutput, JobPool, JobSpec, JobTask, MergeError,
+    MergedShards, ResultStore, ResultStoreStats, ShardRun, ShardSpec, TraceStore, TraceStoreStats,
 };
 pub use experiments::FigureResult;
 pub use runner::{

@@ -7,7 +7,7 @@ use stms_prefetch::{
     FixedDepthConfig, FixedDepthPrefetcher, IdealTms, IdealTmsConfig, MarkovConfig,
     MarkovPrefetcher, MissTraceCollector,
 };
-use stms_types::stream::{TraceSource, TraceStreamError};
+use stms_types::stream::TraceSource;
 use stms_types::{LineAddr, Trace};
 use stms_workloads::{generate, WorkloadSpec};
 
@@ -152,16 +152,11 @@ pub fn run_trace(cfg: &ExperimentConfig, trace: &Trace, kind: &PrefetcherKind) -
 /// Runs a chunked trace stream with one prefetcher configuration — the
 /// out-of-core counterpart of [`run_trace`], producing bit-identical
 /// results for the same access sequence.
-///
-/// # Errors
-///
-/// Propagates the source's [`TraceStreamError`] (a corrupt or truncated
-/// disk stream); callers fall back to regeneration.
 pub fn run_source(
     cfg: &ExperimentConfig,
     source: &mut dyn TraceSource,
     kind: &PrefetcherKind,
-) -> Result<SimResult, TraceStreamError> {
+) -> SimResult {
     let mut prefetcher = kind.build(cfg.system.cores);
     CmpSimulator::new(&cfg.system, cfg.sim).run_stream(source, prefetcher.as_mut())
 }

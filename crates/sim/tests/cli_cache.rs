@@ -1,7 +1,8 @@
 //! Drives the real `stms-experiments` binary twice against one cache
-//! directory and checks the acceptance contract of the persistent cache:
-//! the warm run's stdout is byte-identical to the cold run's, all trace
-//! generation and replay is skipped, and the stderr run summary says so.
+//! directory and checks the acceptance contract of the persistent result
+//! cache: the warm run's stdout is byte-identical to the cold run's, all
+//! replay (and so all trace generation) is skipped, and the stderr run
+//! summary says so.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -31,8 +32,6 @@ fn warm_full_run_is_byte_identical_and_skips_all_work() {
         "2",
         "--figures",
         "all",
-        "--trace-cache",
-        dir_str,
         "--result-cache",
         dir_str,
         "--cache-verify",
@@ -50,8 +49,8 @@ fn warm_full_run_is_byte_identical_and_skips_all_work() {
         "stderr must report cache usage: {cold_summary}"
     );
     assert!(
-        !cold_summary.contains("generated 0,"),
-        "the cold run generates traces: {cold_summary}"
+        !cold_summary.contains("replayed 0,"),
+        "the cold run replays: {cold_summary}"
     );
 
     let warm = run_cli(&args);
@@ -62,10 +61,8 @@ fn warm_full_run_is_byte_identical_and_skips_all_work() {
         "warm stdout must be byte-identical to cold stdout"
     );
     let warm_summary = String::from_utf8_lossy(&warm.stderr);
-    assert!(
-        warm_summary.contains("generated 0,"),
-        "warm run must skip all trace generation: {warm_summary}"
-    );
+    // Only executing jobs request traces, so no replay means no trace
+    // generation either.
     assert!(
         warm_summary.contains("replayed 0,"),
         "warm run must skip all replay: {warm_summary}"
@@ -80,9 +77,9 @@ fn warm_full_run_is_byte_identical_and_skips_all_work() {
 #[test]
 fn cache_flags_validate_their_arguments() {
     // A missing value is a usage error, not a panic.
-    let out = run_cli(&["--trace-cache"]);
+    let out = run_cli(&["--result-cache"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--trace-cache requires a value"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--result-cache requires a value"));
 
     // An unopenable directory is a clean error.
     let out = run_cli(&[

@@ -59,7 +59,12 @@ fn unknown_figure_and_invalid_options_exit_with_usage_error() {
     assert_eq!(out.status.code(), Some(2));
 
     // Removed flags fail loudly instead of being ignored.
-    for removed in [["--replay-pipeline", "4"], ["--decode-threads", "2"]] {
+    for removed in [
+        ["--replay-pipeline", "4"],
+        ["--decode-threads", "2"],
+        ["--trace-cache", "DIR"],
+        ["--trace-codec", "v3"],
+    ] {
         let out = run_cli(&removed);
         assert_eq!(out.status.code(), Some(2), "{removed:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -1,7 +1,7 @@
 //! Run summaries: compact cache-hit reporting for campaign drivers.
 //!
-//! The campaign layer's two persistent tiers (trace files and memoized job
-//! outputs) each expose raw counters; this module renders them as the short
+//! The campaign layer's caches (memoized job outputs, shared job flights,
+//! hierarchy logs) each expose raw counters; this module renders them as the short
 //! per-run block the `stms-experiments` binary prints to stderr, so a user
 //! can see at a glance whether a run was served from cache ("warm") or had
 //! to simulate ("cold") — and CI can assert on the same lines.
@@ -13,13 +13,13 @@
 //!
 //! let mut summary = RunSummary::new();
 //! summary.push(
-//!     CacheReport::new("traces", 13, 0)
-//!         .with_detail("generated", 0)
+//!     CacheReport::new("result cache", 13, 0)
+//!         .with_detail("replayed", 0)
 //!         .with_detail("disk hits", 8),
 //! );
 //! let text = summary.render();
 //! assert!(text.starts_with("run summary:"));
-//! assert!(text.contains("traces: 13 hits, 0 misses (100.0% hit rate, generated 0, disk hits 8)"));
+//! assert!(text.contains("result cache: 13 hits, 0 misses (100.0% hit rate, replayed 0, disk hits 8)"));
 //! ```
 
 use std::fmt::Write as _;
@@ -212,47 +212,23 @@ impl SchedReport {
 }
 
 /// Counters of the out-of-core replay path (`--stream-traces`): how many
-/// replays were served as chunked streams, how many chunks flowed through
-/// them, and how many attempts had to fall back to regeneration because a
-/// backing file failed mid-stream.
+/// replays were served as chunked streams and how many chunks flowed
+/// through them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamReport {
     /// Replays served chunk by chunk, without a materialized trace.
     pub replays: u64,
     /// Chunks delivered to those replays.
     pub chunks: u64,
-    /// Streamed attempts abandoned mid-stream (evicted and retried).
-    pub fallbacks: u64,
-    /// Bytes read from disk by the replays that completed (compressed
-    /// bytes under trace codec v3).
-    pub disk_bytes: u64,
-    /// Decoded bytes those same replays delivered to the simulator.
-    pub decoded_bytes: u64,
 }
 
 impl StreamReport {
-    /// One summary line, e.g.
-    /// `streamed replay: 16 replays, 128 chunks, 0 fallbacks`.
+    /// One summary line, e.g. `streamed replay: 16 replays, 128 chunks`.
     pub fn render_line(&self) -> String {
         format!(
-            "streamed replay: {} replays, {} chunks, {} fallbacks",
-            self.replays, self.chunks, self.fallbacks
+            "streamed replay: {} replays, {} chunks",
+            self.replays, self.chunks
         )
-    }
-
-    /// The on-disk codec's effective compression, e.g.
-    /// `compression: 1234567 bytes on disk, 7200000 decoded (5.83x)`.
-    /// `None` when no replay touched the disk tier (generator-only
-    /// streaming has no on-disk bytes to compare).
-    pub fn compression_line(&self) -> Option<String> {
-        if self.disk_bytes == 0 {
-            return None;
-        }
-        let ratio = self.decoded_bytes as f64 / self.disk_bytes as f64;
-        Some(format!(
-            "compression: {} bytes on disk, {} decoded ({ratio:.2}x)",
-            self.disk_bytes, self.decoded_bytes
-        ))
     }
 }
 
@@ -421,11 +397,6 @@ impl RunSummary {
             out.push_str("  ");
             out.push_str(&stream.render_line());
             out.push('\n');
-            if let Some(line) = stream.compression_line() {
-                out.push_str("    ");
-                out.push_str(&line);
-                out.push('\n');
-            }
         }
         for report in &self.reports {
             out.push_str("  ");
@@ -532,13 +503,10 @@ mod tests {
         let report = StreamReport {
             replays: 16,
             chunks: 128,
-            fallbacks: 1,
-            disk_bytes: 0,
-            decoded_bytes: 0,
         };
         assert_eq!(
             report.render_line(),
-            "streamed replay: 16 replays, 128 chunks, 1 fallbacks"
+            "streamed replay: 16 replays, 128 chunks"
         );
         let mut summary = RunSummary::new();
         summary.push(CacheReport::new("traces", 1, 0));
@@ -561,40 +529,6 @@ mod tests {
         assert!(only_stream.is_empty());
         only_stream.push_stream(StreamReport::default());
         assert!(!only_stream.is_empty());
-    }
-
-    #[test]
-    fn compression_line_renders_only_for_disk_backed_streams() {
-        // Generator-only streaming has no on-disk bytes: no line at all.
-        let memory_only = StreamReport {
-            replays: 4,
-            chunks: 32,
-            fallbacks: 0,
-            disk_bytes: 0,
-            decoded_bytes: 480_000,
-        };
-        assert_eq!(memory_only.compression_line(), None);
-
-        let warm = StreamReport {
-            disk_bytes: 1_000,
-            decoded_bytes: 2_500,
-            ..memory_only
-        };
-        assert_eq!(
-            warm.compression_line().as_deref(),
-            Some("compression: 1000 bytes on disk, 2500 decoded (2.50x)")
-        );
-
-        // In the rendered block the ratio hangs under its stream line,
-        // indented one level deeper.
-        let mut summary = RunSummary::new();
-        summary.push_stream(warm);
-        let lines: Vec<String> = summary.render().lines().map(str::to_string).collect();
-        assert!(lines[1].starts_with("  streamed replay:"), "{}", lines[1]);
-        assert_eq!(
-            lines[2],
-            "    compression: 1000 bytes on disk, 2500 decoded (2.50x)"
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A versioned, self-checking envelope for on-disk cache files.
 //!
-//! Both persistent cache tiers of the campaign layer (trace blobs and
-//! memoized job outputs) store *payload codecs that will evolve* in files
+//! The campaign layer's persistent result cache (memoized job outputs)
+//! and its shard manifests store *payload codecs that will evolve* in files
 //! *named after cache keys that must never alias*. This module provides the
 //! shared wrapper that makes that safe:
 //!
@@ -46,18 +46,12 @@ const BLOB_MAGIC: [u8; 4] = *b"STMB";
 const ENVELOPE_VERSION: u16 = 1;
 
 /// Fixed header size: magic + envelope version + codec version + key +
-/// payload length. Public so streaming readers/writers ([`crate::stream`])
-/// can frame their I/O without materializing a whole file.
+/// payload length. Public so streaming readers (shard-manifest scans) can
+/// frame their I/O without materializing a whole file.
 pub const HEADER_LEN: usize = 4 + 2 + 2 + 16 + 8;
 
 /// Trailing checksum size of a sealed blob.
 pub const CHECKSUM_LEN: usize = 8;
-
-/// Byte offset of the little-endian `payload_len` field inside the fixed
-/// header (after magic, envelope version, codec version and key). Streaming
-/// writers whose payload length is unknown up front (the columnar chunk
-/// codec) seek back here to patch the real length at finish time.
-pub(crate) const PAYLOAD_LEN_OFFSET: usize = 4 + 2 + 2 + 16;
 
 /// Why a sealed blob could not be opened.
 ///
@@ -116,9 +110,9 @@ impl fmt::Display for BlobError {
 impl std::error::Error for BlobError {}
 
 /// Folds an incremental payload hash into the 64-bit checksum recorded at
-/// the end of a sealed blob. Streaming writers/readers feed payload bytes
-/// through a [`Fingerprinter`] as they go and finish with this, so their
-/// checksum is bit-identical to [`seal`]/[`open`] over the same bytes.
+/// the end of a sealed blob. Streaming readers feed payload bytes through a
+/// [`Fingerprinter`] as they go and finish with this, so their checksum is
+/// bit-identical to [`seal`]/[`open`] over the same bytes.
 pub(crate) fn checksum_finish(fp: &Fingerprinter) -> u64 {
     fp.finish().raw() as u64
 }
@@ -140,15 +134,14 @@ pub struct BlobHeader {
     pub payload_len: u64,
 }
 
-/// Encodes the fixed-size header of a sealed blob (shared by [`seal`] and
-/// the streaming writer in [`crate::stream`]).
-pub fn encode_header(codec_version: u16, key: Fingerprint, payload_len: u64) -> [u8; HEADER_LEN] {
+/// Encodes the fixed-size header of a sealed blob.
+fn encode_header(codec_version: u16, key: Fingerprint, payload_len: u64) -> [u8; HEADER_LEN] {
     let mut out = [0u8; HEADER_LEN];
     out[0..4].copy_from_slice(&BLOB_MAGIC);
     out[4..6].copy_from_slice(&ENVELOPE_VERSION.to_le_bytes());
     out[6..8].copy_from_slice(&codec_version.to_le_bytes());
     out[8..24].copy_from_slice(&key.raw().to_le_bytes());
-    out[PAYLOAD_LEN_OFFSET..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+    out[24..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
     out
 }
 

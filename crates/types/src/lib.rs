@@ -38,11 +38,8 @@ pub use fingerprint::{Fingerprint, Fingerprintable, Fingerprinter};
 pub use ids::CoreId;
 pub use manifest::{
     ManifestEntry, ManifestError, ManifestScan, ShardBalance, ShardJobTiming, ShardManifest,
-    MANIFEST_CODEC_V2, MANIFEST_CODEC_VERSION,
+    MANIFEST_CODEC_VERSION,
 };
-pub use stream::{
-    AccessChunk, ChunkedTraceWriter, TraceChunks, TraceCodec, TraceReader, TraceSource,
-    TraceStreamError, DEFAULT_CHUNK_LEN, TRACE_CHUNKED_CODEC_VERSION, TRACE_COLUMNAR_CODEC_VERSION,
-};
+pub use stream::{AccessChunk, TraceChunks, TraceSource, DEFAULT_CHUNK_LEN};
 pub use time::Cycle;
-pub use trace::{SharedTrace, Trace, TraceMeta, ACCESS_RECORD_BYTES, TRACE_CODEC_VERSION};
+pub use trace::{SharedTrace, Trace, TraceMeta};

@@ -18,25 +18,19 @@
 //! cross-checks the recorded key against the header it decoded — a renamed
 //! or spliced file fails closed.
 //!
-//! # Versions
+//! # Layout
 //!
-//! The body layout is versioned through the blob codec field, mirroring the
-//! trace chunk codec: [`ShardManifest::open`] and [`ShardManifest::scan`]
-//! dispatch on the recorded version, so every historical manifest stays
-//! readable with no flags.
+//! The body layout is versioned through the blob codec field. Only the
+//! current version, [`MANIFEST_CODEC_VERSION`] (v3), is read: manifests
+//! are regenerable by re-running their shard, so older layouts get no
+//! compatibility reader and fail closed with a codec-version mismatch.
 //!
-//! * **v2** (legacy): a flat run of entries followed by the timing section.
-//!   Readable, no longer written (except by [`ShardManifest::seal_v2`],
-//!   which exists for cross-version tests). Carries no balance mode; v2
-//!   fleets always partitioned by `fingerprint % count`, so readers report
-//!   [`ShardBalance::Count`].
-//! * **v3** (current): entries are packed into *chunks*, each framed by its
-//!   own length and checksum — the same per-chunk framing the columnar
-//!   trace codec uses. [`ShardManifest::scan`] exploits the framing to
-//!   validate a manifest of any size in bounded memory (one chunk resident
-//!   at a time) while handing each entry's absolute payload offset to the
-//!   caller, so a merge can index payloads and read them back on demand
-//!   instead of materializing every output at once.
+//! Entries are packed into *chunks*, each framed by its own length and
+//! checksum. [`ShardManifest::scan`] exploits the framing to validate a
+//! manifest of any size in bounded memory (one chunk resident at a time)
+//! while handing each entry's absolute payload offset to the caller, so a
+//! merge can index payloads and read them back on demand instead of
+//! materializing every output at once.
 //!
 //! # Example
 //!
@@ -62,14 +56,12 @@ use crate::fingerprint::{Fingerprint, Fingerprinter};
 use std::fmt;
 use std::io::Read;
 
-/// Version of the manifest body layout written by [`ShardManifest::seal`].
-/// Bump when the encoding changes and teach the readers to dispatch; v2
-/// appended the per-job timing section, v3 added the balance-mode header
-/// byte and chunk-framed entries for bounded-memory streaming reads.
+/// Version of the manifest body layout written and read by
+/// [`ShardManifest::seal`] / [`ShardManifest::scan`]. Bump when the
+/// encoding changes; v2 appended the per-job timing section, v3 added the
+/// balance-mode header byte and chunk-framed entries for bounded-memory
+/// streaming reads.
 pub const MANIFEST_CODEC_VERSION: u16 = 3;
-
-/// The legacy flat body layout (readable, no longer written).
-pub const MANIFEST_CODEC_V2: u16 = 2;
 
 /// Target encoded size of one entry chunk in a v3 manifest. Chunks are
 /// packed greedily: an entry larger than the target gets a chunk of its
@@ -195,8 +187,7 @@ pub struct ManifestScan {
     pub index: u32,
     /// Total number of shards in the partition.
     pub count: u32,
-    /// Partition function the fleet ran under ([`ShardBalance::Count`] for
-    /// v2 manifests, which predate the field).
+    /// Partition function the fleet ran under.
     pub balance: ShardBalance,
     /// Number of entries the scan surfaced.
     pub entry_count: u64,
@@ -273,32 +264,8 @@ impl ShardManifest {
         )
     }
 
-    /// Encodes the manifest in the legacy v2 flat layout. Kept so
-    /// cross-version tests (and tools that must interoperate with v2-era
-    /// fleets) can produce historical files; v2 has no balance field, so
-    /// reopening always reports [`ShardBalance::Count`].
-    pub fn seal_v2(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.extend_from_slice(&self.config.raw().to_le_bytes());
-        body.extend_from_slice(&self.index.to_le_bytes());
-        body.extend_from_slice(&self.count.to_le_bytes());
-        body.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
-        for (fingerprint, payload) in &self.entries {
-            body.extend_from_slice(&fingerprint.raw().to_le_bytes());
-            body.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            body.extend_from_slice(payload);
-        }
-        encode_timings(&mut body, &self.timings);
-        blob::seal(
-            MANIFEST_CODEC_V2,
-            Self::seal_key(self.config, self.index, self.count),
-            &body,
-        )
-    }
-
     /// Unseals and decodes a manifest previously produced by
-    /// [`ShardManifest::seal`] (or a legacy v2 writer — the recorded codec
-    /// version picks the decoder).
+    /// [`ShardManifest::seal`].
     ///
     /// # Errors
     ///
@@ -322,12 +289,10 @@ impl ShardManifest {
     }
 
     /// Streams a sealed manifest from `reader`, invoking `on_entry` once per
-    /// entry and returning the header and timing section. Version-dispatched
-    /// like [`ShardManifest::open`], with one memory guarantee the eager
-    /// path cannot give: for v3 files only one chunk buffer is resident at a
+    /// entry and returning the header and timing section. Unlike the eager
+    /// [`ShardManifest::open`], only one chunk buffer is resident at a
     /// time, so a merge over million-job manifests can validate everything
-    /// and index payload offsets without materializing any payload set. (A
-    /// v2 file has no chunk framing and is transiently buffered whole.)
+    /// and index payload offsets without materializing any payload set.
     ///
     /// Every validation `open` performs happens here too — envelope, key,
     /// shard coordinates, per-chunk checksums, the whole-payload checksum
@@ -360,7 +325,6 @@ impl ShardManifest {
         // so truncated prefixes read exactly as they always have.
         let header = blob::parse_header(&header_bytes[..got])?;
         match header.codec_version {
-            MANIFEST_CODEC_V2 => scan_v2(&header_bytes, reader, &mut on_entry),
             MANIFEST_CODEC_VERSION => scan_v3(header, reader, &mut on_entry),
             found => Err(ManifestError::Blob(BlobError::CodecVersionMismatch {
                 found,
@@ -395,114 +359,7 @@ fn read_exact<R: Read>(
     })
 }
 
-/// Decodes the legacy flat layout. The file was already partially consumed
-/// (its blob header); the rest is buffered whole — v2 predates chunk
-/// framing, so its single trailing checksum can only be verified against
-/// the complete payload.
-fn scan_v2<R: Read>(
-    header_bytes: &[u8; blob::HEADER_LEN],
-    mut reader: R,
-    on_entry: &mut impl FnMut(ManifestEntry<'_>),
-) -> Result<ManifestScan, ManifestError> {
-    let mut data = header_bytes.to_vec();
-    reader
-        .read_to_end(&mut data)
-        .map_err(|err| ManifestError::Io {
-            error: err.to_string(),
-        })?;
-    let (recorded_key, body) = blob::open_any(&data, MANIFEST_CODEC_V2)?;
-    let mut cursor = Cursor { body, at: 0 };
-    let config = Fingerprint::from_raw(u128::from_le_bytes(
-        cursor
-            .take(16, "config fingerprint")?
-            .try_into()
-            .expect("16 bytes"),
-    ));
-    let index = u32::from_le_bytes(cursor.take(4, "shard index")?.try_into().expect("4 bytes"));
-    let count = u32::from_le_bytes(cursor.take(4, "shard count")?.try_into().expect("4 bytes"));
-    if count == 0 || index == 0 || index > count {
-        return Err(ManifestError::BadShard { index, count });
-    }
-    if recorded_key != ShardManifest::seal_key(config, index, count) {
-        return Err(ManifestError::KeyMismatch);
-    }
-    let entry_count =
-        u64::from_le_bytes(cursor.take(8, "entry count")?.try_into().expect("8 bytes")) as usize;
-    let mut seen = std::collections::HashSet::with_capacity(entry_count.min(1 << 16));
-    for _ in 0..entry_count {
-        let fingerprint = Fingerprint::from_raw(u128::from_le_bytes(
-            cursor
-                .take(16, "entry fingerprint")?
-                .try_into()
-                .expect("16 bytes"),
-        ));
-        let len = u64::from_le_bytes(cursor.take(8, "entry length")?.try_into().expect("8 bytes"))
-            as usize;
-        let payload_offset = (blob::HEADER_LEN + cursor.at) as u64;
-        let payload = cursor.take(len, "entry payload")?;
-        if !seen.insert(fingerprint) {
-            return Err(ManifestError::DuplicateEntry { fingerprint });
-        }
-        on_entry(ManifestEntry {
-            fingerprint,
-            offset: payload_offset,
-            payload,
-        });
-    }
-    let timing_count =
-        u64::from_le_bytes(cursor.take(8, "timing count")?.try_into().expect("8 bytes")) as usize;
-    let mut timings = Vec::with_capacity(timing_count.min(1 << 16));
-    for _ in 0..timing_count {
-        let fingerprint = Fingerprint::from_raw(u128::from_le_bytes(
-            cursor
-                .take(16, "timing fingerprint")?
-                .try_into()
-                .expect("16 bytes"),
-        ));
-        let queue_ns =
-            u64::from_le_bytes(cursor.take(8, "timing queue")?.try_into().expect("8 bytes"));
-        let run_ns = u64::from_le_bytes(cursor.take(8, "timing run")?.try_into().expect("8 bytes"));
-        timings.push(ShardJobTiming {
-            fingerprint,
-            queue_ns,
-            run_ns,
-        });
-    }
-    if cursor.at != cursor.body.len() {
-        return Err(ManifestError::TrailingData);
-    }
-    Ok(ManifestScan {
-        config,
-        index,
-        count,
-        balance: ShardBalance::Count,
-        entry_count: entry_count as u64,
-        timings,
-    })
-}
-
-/// A bounds-checked cursor over an in-memory manifest body (the v2 path).
-struct Cursor<'a> {
-    body: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], ManifestError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .ok_or(ManifestError::Truncated { what })?;
-        let slice = self
-            .body
-            .get(self.at..end)
-            .ok_or(ManifestError::Truncated { what })?;
-        self.at = end;
-        Ok(slice)
-    }
-}
-
-/// Streaming body reader for the v3 path: every read is bounds-checked
+/// Streaming body reader: every read is bounds-checked
 /// against the declared payload length, folded into the incremental
 /// whole-payload checksum, and tracked so absolute offsets can be
 /// reported.
@@ -777,6 +634,19 @@ mod tests {
         }
     }
 
+    /// A manifest body with the given header, no entries and no timings.
+    fn empty_body(config: Fingerprint, index: u32, count: u32) -> Vec<u8> {
+        let mut body = Vec::new();
+        body.extend_from_slice(&config.raw().to_le_bytes());
+        body.extend_from_slice(&index.to_le_bytes());
+        body.extend_from_slice(&count.to_le_bytes());
+        body.push(ShardBalance::Count.code());
+        body.extend_from_slice(&0u64.to_le_bytes()); // entries
+        body.extend_from_slice(&0u64.to_le_bytes()); // chunks
+        body.extend_from_slice(&0u64.to_le_bytes()); // timings
+        body
+    }
+
     #[test]
     fn seal_open_round_trips() {
         let manifest = sample();
@@ -802,30 +672,20 @@ mod tests {
     }
 
     #[test]
-    fn v2_files_stay_readable_and_report_count_balance() {
-        // Cross-version: a legacy flat-layout file opens with no flags and
-        // decodes identically (v2 predates the balance field, so it reads
-        // back as the modulo partition every v2 fleet used).
-        let manifest = sample();
-        let legacy = manifest.seal_v2();
-        let back = ShardManifest::open(&legacy).unwrap();
-        assert_eq!(back, manifest);
-        assert_eq!(back.balance, ShardBalance::Count);
-        // And the two encodings genuinely differ on disk.
-        assert_ne!(legacy, manifest.seal());
-    }
-
-    #[test]
     fn unknown_codec_versions_are_rejected() {
+        // The legacy flat layout (v2) gets no reader: it fails closed like
+        // any version from the future.
         let body = [0u8; 4];
-        let sealed = blob::seal(9, Fingerprint::from_raw(1), &body);
-        assert!(matches!(
-            ShardManifest::open(&sealed),
-            Err(ManifestError::Blob(BlobError::CodecVersionMismatch {
-                found: 9,
-                expected: MANIFEST_CODEC_VERSION,
-            }))
-        ));
+        for found in [2, 9] {
+            let sealed = blob::seal(found, Fingerprint::from_raw(1), &body);
+            assert_eq!(
+                ShardManifest::open(&sealed),
+                Err(ManifestError::Blob(BlobError::CodecVersionMismatch {
+                    found,
+                    expected: MANIFEST_CODEC_VERSION,
+                }))
+            );
+        }
     }
 
     #[test]
@@ -839,33 +699,31 @@ mod tests {
                 .collect(),
             ..sample()
         };
-        for sealed in [manifest.seal(), manifest.seal_v2()] {
-            let mut seen = Vec::new();
-            let scan = ShardManifest::scan(&sealed[..], |entry| {
-                let at = entry.offset as usize;
-                assert_eq!(&sealed[at..at + entry.payload.len()], entry.payload);
-                seen.push((entry.fingerprint, entry.payload.to_vec()));
-            })
-            .unwrap();
-            assert_eq!(seen, manifest.entries);
-            assert_eq!(scan.entry_count, 30);
-            assert_eq!(scan.timings, manifest.timings);
-            assert_eq!(
-                (scan.config, scan.index, scan.count),
-                (manifest.config, 2, 3)
-            );
-        }
+        let sealed = manifest.seal();
+        let mut seen = Vec::new();
+        let scan = ShardManifest::scan(&sealed[..], |entry| {
+            let at = entry.offset as usize;
+            assert_eq!(&sealed[at..at + entry.payload.len()], entry.payload);
+            seen.push((entry.fingerprint, entry.payload.to_vec()));
+        })
+        .unwrap();
+        assert_eq!(seen, manifest.entries);
+        assert_eq!(scan.entry_count, 30);
+        assert_eq!(scan.timings, manifest.timings);
+        assert_eq!(
+            (scan.config, scan.index, scan.count),
+            (manifest.config, 2, 3)
+        );
     }
 
     #[test]
     fn corruption_and_truncation_fail_closed() {
-        for sealed in [sample().seal(), sample().seal_v2()] {
-            let mut bad = sealed.clone();
-            let mid = bad.len() / 2;
-            bad[mid] ^= 0xff;
-            assert!(ShardManifest::open(&bad).is_err());
-            assert!(ShardManifest::open(&sealed[..sealed.len() / 2]).is_err());
-        }
+        let sealed = sample().seal();
+        let mut bad = sealed.clone();
+        let mid = bad.len() / 2;
+        bad[mid] ^= 0xff;
+        assert!(ShardManifest::open(&bad).is_err());
+        assert!(ShardManifest::open(&sealed[..sealed.len() / 2]).is_err());
         assert!(matches!(
             ShardManifest::open(b"not a manifest"),
             Err(ManifestError::Blob(_))
@@ -917,16 +775,11 @@ mod tests {
     #[test]
     fn inconsistent_headers_are_rejected() {
         // index 0, index > count, count 0: all invalid. Build them by
-        // sealing a legacy body by hand so the blob layer is satisfied.
+        // sealing a body by hand so the blob layer is satisfied.
         for (index, count) in [(0u32, 2u32), (3, 2), (0, 0)] {
-            let mut body = Vec::new();
-            body.extend_from_slice(&7u128.to_le_bytes());
-            body.extend_from_slice(&index.to_le_bytes());
-            body.extend_from_slice(&count.to_le_bytes());
-            body.extend_from_slice(&0u64.to_le_bytes()); // entries
-            body.extend_from_slice(&0u64.to_le_bytes()); // timings
+            let body = empty_body(Fingerprint::from_raw(7), index, count);
             let sealed = blob::seal(
-                MANIFEST_CODEC_V2,
+                MANIFEST_CODEC_VERSION,
                 ShardManifest::seal_key(Fingerprint::from_raw(7), index, count),
                 &body,
             );
@@ -942,14 +795,9 @@ mod tests {
         // Seal a valid manifest under the WRONG key (as if a shard-1 file
         // body were copied into a shard-2 file's envelope).
         let manifest = sample();
-        let mut body = Vec::new();
-        body.extend_from_slice(&manifest.config.raw().to_le_bytes());
-        body.extend_from_slice(&manifest.index.to_le_bytes());
-        body.extend_from_slice(&manifest.count.to_le_bytes());
-        body.extend_from_slice(&0u64.to_le_bytes()); // entries
-        body.extend_from_slice(&0u64.to_le_bytes()); // timings
+        let body = empty_body(manifest.config, manifest.index, manifest.count);
         let wrong_key = ShardManifest::seal_key(manifest.config, manifest.index + 1, 9);
-        let sealed = blob::seal(MANIFEST_CODEC_V2, wrong_key, &body);
+        let sealed = blob::seal(MANIFEST_CODEC_VERSION, wrong_key, &body);
         assert_eq!(
             ShardManifest::open(&sealed),
             Err(ManifestError::KeyMismatch)
@@ -965,14 +813,12 @@ mod tests {
             ],
             ..sample()
         };
-        for sealed in [manifest.seal(), manifest.seal_v2()] {
-            assert_eq!(
-                ShardManifest::open(&sealed),
-                Err(ManifestError::DuplicateEntry {
-                    fingerprint: Fingerprint::from_raw(5)
-                })
-            );
-        }
+        assert_eq!(
+            ShardManifest::open(&manifest.seal()),
+            Err(ManifestError::DuplicateEntry {
+                fingerprint: Fingerprint::from_raw(5)
+            })
+        );
     }
 
     #[test]

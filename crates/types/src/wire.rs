@@ -7,7 +7,7 @@
 //! ```
 //!
 //! The sealed blob reuses the exact envelope discipline of the on-disk
-//! tiers — magic, codec version ([`WIRE_CODEC_VERSION`]), a 128-bit key,
+//! result cache — magic, codec version ([`WIRE_CODEC_VERSION`]), a 128-bit key,
 //! payload length and a trailing checksum — so a frame is rejected for the
 //! same reasons a cache blob would be: wrong magic, wrong version, length
 //! mismatch, checksum mismatch. The key is the fingerprint of the payload
@@ -41,8 +41,9 @@ use std::io::{self, Read, Write};
 use crate::blob::{self, BlobError};
 use crate::fingerprint::{Fingerprint, Fingerprinter};
 
-/// Envelope codec version stamped on every serve frame.
-pub const WIRE_CODEC_VERSION: u16 = 1;
+/// Envelope codec version stamped on every serve frame. Version 2 dropped
+/// the `stream_fallbacks` field from [`ServeCounters`].
+pub const WIRE_CODEC_VERSION: u16 = 2;
 
 /// Upper bound on the sealed length of a single frame.
 ///
@@ -403,7 +404,7 @@ impl Request {
 /// Serving counters returned by [`Response::Stats`].
 ///
 /// The first block counts requests as the gate saw them; the second block
-/// is the campaign's own view (in-flight dedup, memoization, trace tiers),
+/// is the campaign's own view (in-flight dedup, memoization, trace store),
 /// so a test can prove exactly-once replay from the outside.
 ///
 /// Every field is **cumulative since daemon start and never reset**,
@@ -433,8 +434,6 @@ pub struct ServeCounters {
     pub traces_generated: u64,
     /// Streamed trace replays.
     pub stream_replays: u64,
-    /// Streamed replays that fell back to the generator.
-    pub stream_fallbacks: u64,
     /// Run requests currently holding a gate slot.
     pub active_requests: u64,
     /// Run requests currently queued at the gate.
@@ -442,7 +441,7 @@ pub struct ServeCounters {
 }
 
 impl ServeCounters {
-    const FIELDS: usize = 13;
+    const FIELDS: usize = 12;
 
     fn encode_into(&self, out: &mut Vec<u8>) {
         for value in [
@@ -456,7 +455,6 @@ impl ServeCounters {
             self.jobs_cached,
             self.traces_generated,
             self.stream_replays,
-            self.stream_fallbacks,
             self.active_requests,
             self.queued_requests,
         ] {
@@ -469,7 +467,7 @@ impl ServeCounters {
         for field in &mut fields {
             *field = r.take_u64("serve counter")?;
         }
-        let [requests, accepted, rejected, cancelled, figures_streamed, jobs_executed, jobs_shared, jobs_cached, traces_generated, stream_replays, stream_fallbacks, active_requests, queued_requests] =
+        let [requests, accepted, rejected, cancelled, figures_streamed, jobs_executed, jobs_shared, jobs_cached, traces_generated, stream_replays, active_requests, queued_requests] =
             fields;
         Ok(ServeCounters {
             requests,
@@ -482,7 +480,6 @@ impl ServeCounters {
             jobs_cached,
             traces_generated,
             stream_replays,
-            stream_fallbacks,
             active_requests,
             queued_requests,
         })
@@ -729,9 +726,8 @@ mod tests {
             jobs_cached: 8,
             traces_generated: 9,
             stream_replays: 10,
-            stream_fallbacks: 11,
-            active_requests: 12,
-            queued_requests: 13,
+            active_requests: 11,
+            queued_requests: 12,
         }));
         roundtrip_response(&Response::Metrics {
             json: "{\n  \"schema\": \"stms-metrics/v1\"\n}\n".into(),

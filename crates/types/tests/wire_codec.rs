@@ -56,9 +56,8 @@ fn counters_from(v: &[u64]) -> ServeCounters {
         jobs_cached: v[7],
         traces_generated: v[8],
         stream_replays: v[9],
-        stream_fallbacks: v[10],
-        active_requests: v[11],
-        queued_requests: v[12],
+        active_requests: v[10],
+        queued_requests: v[11],
     }
 }
 
@@ -69,7 +68,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
         any::<u32>(),
         arb_text(),
         arb_text(),
-        proptest::collection::vec(any::<u64>(), 13),
+        proptest::collection::vec(any::<u64>(), 12),
     )
         .prop_map(|(variant, a, b, id, body, counters)| match variant {
             0 => Response::Pong,

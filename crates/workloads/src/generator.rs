@@ -11,7 +11,7 @@ use crate::pool::{SharedStream, StreamPool};
 use crate::spec::WorkloadSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stms_types::stream::{AccessChunk, TraceSource, TraceStreamError, DEFAULT_CHUNK_LEN};
+use stms_types::stream::{AccessChunk, TraceSource, DEFAULT_CHUNK_LEN};
 use stms_types::{AccessKind, CoreId, LineAddr, MemAccess, Trace, TraceMeta};
 
 /// Base of the region from which unique (never-reused) stream/noise lines are
@@ -385,14 +385,12 @@ impl TraceSource for TraceGenerator {
         self.spec.accesses as u64
     }
 
-    fn next_chunk(&mut self) -> Result<Option<AccessChunk<'_>>, TraceStreamError> {
+    fn next_chunk(&mut self) -> Option<AccessChunk<'_>> {
         let first_index = self.emitted;
-        Ok(
-            TraceGenerator::next_chunk(self).map(|accesses| AccessChunk {
-                accesses,
-                first_index,
-            }),
-        )
+        TraceGenerator::next_chunk(self).map(|accesses| AccessChunk {
+            accesses,
+            first_index,
+        })
     }
 }
 
@@ -597,14 +595,13 @@ mod tests {
         assert_eq!(TraceSource::meta(&gen).workload, "gen-test");
         assert_eq!(TraceSource::meta(&gen).cores, 4);
         let mut next_index = 0u64;
-        while let Some(chunk) = TraceSource::next_chunk(&mut gen).unwrap() {
+        while let Some(chunk) = TraceSource::next_chunk(&mut gen) {
             assert_eq!(chunk.first_index, next_index);
             next_index += chunk.accesses.len() as u64;
         }
         assert_eq!(next_index, 5_000);
         let collected =
-            stms_types::stream::collect_trace(&mut TraceGenerator::new(&spec).with_chunk_len(777))
-                .expect("generator sources cannot fail");
+            stms_types::stream::collect_trace(&mut TraceGenerator::new(&spec).with_chunk_len(777));
         assert_eq!(collected, generate(&spec));
     }
 }

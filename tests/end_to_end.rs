@@ -221,43 +221,6 @@ fn streamed_campaigns_render_byte_identically() {
 }
 
 #[test]
-fn v2_written_trace_cache_replays_identically_under_a_v3_campaign() {
-    use stms::sim::campaign::CampaignCaches;
-    use stms::types::TraceCodec;
-    let dir = std::env::temp_dir().join(format!("stms-e2e-codec-dispatch-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let ids = ["fig4"];
-
-    // Cold campaign seals its trace files under the legacy row codec.
-    let v2 = CampaignCaches {
-        trace_dir: Some(dir.clone()),
-        stream_traces: true,
-        trace_codec: TraceCodec::V2,
-        ..CampaignCaches::default()
-    };
-    let (cold, campaign) = render_with_caches(&ids, v2);
-    assert!(
-        campaign.store().stats().disk_writes > 0,
-        "cold run persists"
-    );
-
-    // A v3-configured campaign on the same directory must read the v2
-    // files via version dispatch: no regeneration, identical bytes.
-    let v3 = CampaignCaches {
-        trace_dir: Some(dir.clone()),
-        stream_traces: true,
-        trace_codec: TraceCodec::V3,
-        ..CampaignCaches::default()
-    };
-    let (warm, campaign) = render_with_caches(&ids, v3);
-    assert_eq!(warm, cold, "codec dispatch changed the rendering");
-    let stats = campaign.store().stats();
-    assert_eq!(stats.generated, 0, "warm run must not regenerate");
-    assert!(stats.stream_replays > 0, "warm run streams from disk");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn direct_library_use_without_the_driver() {
     // The same flow as examples/quickstart.rs, exercising the public API of
     // the individual crates without going through stms-sim.

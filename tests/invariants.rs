@@ -128,77 +128,25 @@ proptest! {
         prop_assert_eq!(ra, rb);
     }
 
-    /// The binary trace codec round-trips arbitrary generated traces.
-    #[test]
-    fn trace_codec_round_trips_generated_traces(spec in arb_spec()) {
-        let trace = generate(&spec);
-        let decoded = stms::types::Trace::decode(&trace.encode()).expect("decode");
-        prop_assert_eq!(decoded, trace);
-    }
-
-    /// Both chunk-framed codecs round-trip arbitrary traces under arbitrary
-    /// chunk lengths, and the columnar compression never changes content.
-    #[test]
-    fn chunked_codecs_round_trip_for_arbitrary_chunk_lengths(
-        spec in arb_spec(),
-        chunk_len in 1usize..700,
-    ) {
-        use stms::types::stream::{decode_chunked, encode_chunked_with};
-        use stms::types::{Fingerprint, TraceCodec};
-        let trace = generate(&spec);
-        let key = Fingerprint::from_raw(0xfeed);
-        for codec in [TraceCodec::V2, TraceCodec::V3] {
-            let sealed = encode_chunked_with(&trace, key, chunk_len, codec);
-            let decoded = decode_chunked(&sealed, key).expect("chunked decode");
-            prop_assert_eq!(&decoded, &trace, "codec {} diverged", codec);
-        }
-    }
-
     /// Streamed chunk-by-chunk replay is bit-identical to the materialized
-    /// replay for arbitrary workloads, chunkings, and both disk codecs.
+    /// replay for arbitrary workloads and chunkings, whether the chunks
+    /// come from a materialized trace or straight from the generator.
     #[test]
     fn streamed_replay_matches_materialized_for_arbitrary_workloads(
         spec in arb_spec(),
         chunk_len in 16usize..500,
     ) {
-        use stms::types::stream::{encode_chunked_with, TraceReader};
-        use stms::types::{Fingerprint, TraceCodec};
+        use stms::workloads::TraceGenerator;
         let trace = generate(&spec);
         let sys = system();
         let materialized =
             CmpSimulator::new(&sys, options()).run(&trace, &mut NullPrefetcher::new());
-        let key = Fingerprint::from_raw(0xbeef);
-        for codec in [TraceCodec::V2, TraceCodec::V3] {
-            let sealed = encode_chunked_with(&trace, key, chunk_len, codec);
-            let mut reader = TraceReader::new(std::io::Cursor::new(sealed), key)
-                .expect("open sealed stream");
-            let streamed = CmpSimulator::new(&sys, options())
-                .run_stream(&mut reader, &mut NullPrefetcher::new())
-                .expect("clean stream replays");
-            prop_assert_eq!(&streamed, &materialized, "codec {} diverged", codec);
-        }
-    }
-
-    /// A single corrupted byte anywhere in a sealed chunk stream must fail
-    /// closed at open or replay time — never decode to different accesses.
-    #[test]
-    fn corrupt_chunk_streams_fail_closed(
-        spec in arb_spec(),
-        offset_seed in any::<u64>(),
-    ) {
-        use stms::types::stream::{decode_chunked, encode_chunked_with};
-        use stms::types::{Fingerprint, TraceCodec};
-        let trace = generate(&spec);
-        let key = Fingerprint::from_raw(0xdead);
-        let sealed = encode_chunked_with(&trace, key, 128, TraceCodec::V3);
-        let mut garbled = sealed;
-        let offset = (offset_seed as usize) % garbled.len();
-        garbled[offset] ^= 0x01;
-        match decode_chunked(&garbled, key) {
-            Err(_) => {}
-            // The flip may land in dead padding only if decode reproduces
-            // the original exactly; anything else is silent corruption.
-            Ok(decoded) => prop_assert_eq!(&decoded, &trace),
-        }
+        let chunked = CmpSimulator::new(&sys, options())
+            .run_stream(&mut trace.chunks(chunk_len), &mut NullPrefetcher::new());
+        prop_assert_eq!(&chunked, &materialized, "materialized chunks diverged");
+        let mut generator = TraceGenerator::new(&spec).with_chunk_len(chunk_len);
+        let generated = CmpSimulator::new(&sys, options())
+            .run_stream(&mut generator, &mut NullPrefetcher::new());
+        prop_assert_eq!(&generated, &materialized, "generator stream diverged");
     }
 }
