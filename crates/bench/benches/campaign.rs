@@ -74,80 +74,6 @@ fn bench_campaign_cold_vs_warm(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sharding(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sharding");
-    group.sample_size(10);
-    let cfg = ExperimentConfig::quick();
-
-    // Partitioning the full `--figures all` grid is pure fingerprint
-    // arithmetic; it must stay negligible next to a single replay.
-    group.bench_function("partition_full_grid_2_way", |b| {
-        b.iter(|| {
-            let jobs: Vec<_> = stms_sim::experiments::all_plans(&cfg)
-                .iter()
-                .flat_map(|plan| plan.jobs().to_vec())
-                .collect();
-            let distinct = stms_sim::campaign::shard::distinct_jobs(&cfg, &jobs);
-            let shard = stms_sim::ShardSpec::new(1, 2).unwrap();
-            black_box(distinct.iter().filter(|(fp, _)| shard.owns(*fp)).count())
-        })
-    });
-
-    // The cost-balanced variant adds a sort and a greedy min-scan on top
-    // of the cost predictions; still pure arithmetic, still negligible.
-    group.bench_function("cost_partition_full_grid_2_way", |b| {
-        b.iter(|| {
-            let jobs: Vec<_> = stms_sim::experiments::all_plans(&cfg)
-                .iter()
-                .flat_map(|plan| plan.jobs().to_vec())
-                .collect();
-            let distinct = stms_sim::campaign::shard::distinct_jobs(&cfg, &jobs);
-            let model = stms_sim::campaign::JobCostModel::analytic();
-            let partition = stms_sim::campaign::cost::partition(
-                &model,
-                &cfg,
-                &distinct,
-                2,
-                stms_types::ShardBalance::Cost,
-            );
-            black_box(partition.shard_cost_ns.iter().max().copied())
-        })
-    });
-
-    // Seal + open of a realistic manifest (the merge stage's I/O unit),
-    // including the per-job phase-timing section every executed job adds.
-    let entries: Vec<_> = (0..128u128)
-        .map(|i| (stms_types::Fingerprint::from_raw(i), vec![0u8; 256]))
-        .collect();
-    let timings: Vec<_> = (0..128u128)
-        .map(|i| stms_types::ShardJobTiming {
-            fingerprint: stms_types::Fingerprint::from_raw(i),
-            queue_ns: 1_000,
-            run_ns: 2_000,
-        })
-        .collect();
-    let manifest = stms_types::ShardManifest {
-        config: stms_types::Fingerprint::from_raw(7),
-        index: 1,
-        count: 2,
-        balance: stms_types::ShardBalance::Count,
-        entries,
-        timings,
-    };
-    group.bench_function("manifest_seal_and_open_128_entries", |b| {
-        b.iter(|| {
-            let sealed = manifest.seal();
-            black_box(
-                stms_types::ShardManifest::open(&sealed)
-                    .unwrap()
-                    .entries
-                    .len(),
-            )
-        })
-    });
-    group.finish();
-}
-
 fn bench_job_pool(c: &mut Criterion) {
     let mut group = c.benchmark_group("job_pool");
     group.sample_size(10);
@@ -172,7 +98,6 @@ criterion_group!(
     benches,
     bench_trace_store,
     bench_campaign_cold_vs_warm,
-    bench_sharding,
     bench_job_pool
 );
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! Process-wide telemetry for the STMS reproduction.
 //!
 //! Every layer of a campaign — the job pool, streamed replay, the cache
-//! tiers, the serving daemon — records into one lock-cheap [`Registry`] of
+//! tiers — records into one lock-cheap [`Registry`] of
 //! named metrics:
 //!
 //! * [`Counter`] — monotone, saturating `u64` event counts;
@@ -18,14 +18,13 @@
 //! ([`set_enabled`]) which turns every record — including the
 //! `Instant::now()` calls inside spans — into a branch on one relaxed
 //! atomic load. Telemetry must never perturb figure output: it writes to
-//! stderr, files, or the wire, and its overhead is benchmarked (see the
+//! stderr or files, and its overhead is benchmarked (see the
 //! `telemetry_overhead` bench group).
 //!
 //! A [`Snapshot`] is a deterministic point-in-time copy of every metric,
 //! serializable to the versioned `stms-metrics/v1` JSON document written by
-//! `--metrics-out` and answered over the wire by the serve daemon's
-//! `Request::Metrics`. Snapshots [`Snapshot::merge`] associatively, so
-//! per-shard snapshots aggregate fleet-wide.
+//! `--metrics-out`. Snapshots [`Snapshot::merge`] associatively, so the
+//! snapshots of separate runs aggregate in any order.
 //!
 //! # Example
 //!
@@ -362,7 +361,7 @@ impl Registry {
 
 /// The process-wide registry every campaign layer records into. Created
 /// enabled on first use and never reset, so snapshots taken over a process
-/// lifetime (a serve daemon answering `--metrics`) are monotone.
+/// lifetime are monotone.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
@@ -449,7 +448,7 @@ impl HistogramSnapshot {
 
     /// Folds `other` into `self`: totals add saturating, max takes the
     /// larger, bucket counts add pointwise. Associative and commutative,
-    /// so shard snapshots can merge in any order.
+    /// so snapshots can merge in any order.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
@@ -477,9 +476,8 @@ fn bucket_upper_bound(index: u32) -> u64 {
 /// A deterministic, serializable copy of a whole registry at one instant.
 ///
 /// The JSON form ([`Snapshot::to_json_string`] / [`Snapshot::parse`]) is the
-/// `stms-metrics/v1` document written by `--metrics-out`, answered over the
-/// wire by `Request::Metrics`, and validated by CI — all integers, flat
-/// name→value maps, same value conventions as `BENCH_streaming.json`.
+/// `stms-metrics/v1` document written by `--metrics-out` and validated by
+/// CI — all integers, flat name→value maps.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Snapshot {
     /// `(name, value)` counters, sorted by name.
@@ -513,8 +511,8 @@ impl Snapshot {
 
     /// Folds `other` into `self`: counters and histogram totals add
     /// saturating, gauges keep the larger value (they are levels, not
-    /// events — the merged document reports the fleet-wide high-water
-    /// mark). Associative and commutative.
+    /// events — the merged document reports the overall high-water mark).
+    /// Associative and commutative.
     pub fn merge(&mut self, other: &Snapshot) {
         let mut counters: BTreeMap<String, u64> = self.counters.drain(..).collect();
         for (name, value) in &other.counters {

@@ -1,5 +1,5 @@
 //! Property tests for the telemetry primitives: snapshot merge must be
-//! associative and commutative (shard aggregation can fold in any order),
+//! associative and commutative (snapshots can fold in any order),
 //! counters and histograms must saturate rather than wrap near `u64::MAX`,
 //! and concurrent recording must lose no samples.
 

@@ -77,8 +77,8 @@ impl JobSpec {
 /// fingerprint of `(spec at the campaign trace length, system model, engine
 /// options, task)`. Two jobs produce bit-identical outputs exactly when
 /// their fingerprints agree, which is what lets the same value key the
-/// persistent [`super::ResultStore`], partition the grid across shards
-/// ([`super::shard`]), and address outputs inside sealed shard manifests.
+/// persistent [`super::ResultStore`] and dedup repeated jobs within one
+/// campaign batch.
 pub fn job_fingerprint(cfg: &ExperimentConfig, job: &JobSpec) -> Fingerprint {
     let mut fp = Fingerprinter::new();
     fp.write_str("stms-job-output/v1");
@@ -251,8 +251,8 @@ pub struct JobError {
     pub job: String,
     /// Stable [`job_fingerprint`] of the failed job, when the caller had a
     /// configuration to derive it from. Rendered in the `Display` output
-    /// so a partial-shard failure in a CI log names the exact cache/manifest
-    /// entry to look for.
+    /// so a failure in a CI log names the exact result-cache entry to look
+    /// for.
     pub fingerprint: Option<Fingerprint>,
     /// The captured panic message.
     pub message: String,

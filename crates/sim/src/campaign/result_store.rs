@@ -119,8 +119,8 @@ fn write_sealed(
 
 /// Default byte budget of the in-memory memo tier (encoded-output bytes).
 /// Generous enough that a one-shot campaign never evicts — job outputs are
-/// kilobytes each — while bounding a long-lived daemon that replays an
-/// unbounded stream of distinct cells.
+/// kilobytes each — while bounding the tier on an unbounded stream of
+/// distinct cells.
 pub const DEFAULT_MEMO_BUDGET_BYTES: u64 = 64 << 20;
 
 /// Counters describing how a [`ResultStore`] was used.
@@ -138,7 +138,7 @@ pub struct ResultStoreStats {
     /// Result files written by this store.
     pub stores: u64,
     /// Memory-tier entries evicted to respect the memo byte budget (the
-    /// disk tier, when present, still holds them).
+    /// disk tier still holds them).
     pub memo_evictions: u64,
     /// Encoded bytes currently resident in the memory tier.
     pub memo_bytes: u64,
@@ -227,7 +227,7 @@ impl MemoTier {
 /// fingerprints (see the module-level docs above).
 #[derive(Debug)]
 pub struct ResultStore {
-    dir: Option<PathBuf>,
+    dir: PathBuf,
     verify: bool,
     memory: Mutex<MemoTier>,
     hits: AtomicU64,
@@ -248,19 +248,7 @@ impl ResultStore {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(Self::with_dir(Some(dir)))
-    }
-
-    /// A memory-only store: the same memoization and the same counters, but
-    /// nothing ever touches disk. This is the dedup tier of a long-lived
-    /// server process — concurrent requests for the same job share one
-    /// execution even when no cache directory is configured.
-    pub fn in_memory() -> Self {
-        Self::with_dir(None)
-    }
-
-    fn with_dir(dir: Option<PathBuf>) -> Self {
-        ResultStore {
+        Ok(ResultStore {
             dir,
             verify: false,
             memory: Mutex::new(MemoTier::new(DEFAULT_MEMO_BUDGET_BYTES)),
@@ -270,7 +258,7 @@ impl ResultStore {
             corrupt: AtomicU64::new(0),
             stores: AtomicU64::new(0),
             memo_evictions: AtomicU64::new(0),
-        }
+        })
     }
 
     /// Returns a copy with deep verification enabled: a decoded output is
@@ -284,8 +272,8 @@ impl ResultStore {
 
     /// Returns a copy with the memory tier bounded to `bytes` of encoded
     /// output (default [`DEFAULT_MEMO_BUDGET_BYTES`]). Least-recently-used
-    /// entries are evicted when an insert pushes the tier over budget; with
-    /// a disk tier configured they remain loadable from disk.
+    /// entries are evicted when an insert pushes the tier over budget; they
+    /// remain loadable from disk.
     pub fn with_memory_budget(self, bytes: u64) -> Self {
         self.memory
             .lock()
@@ -294,16 +282,10 @@ impl ResultStore {
         self
     }
 
-    /// The cache directory, or `None` for a [`ResultStore::in_memory`]
-    /// store.
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
-    }
-
     /// The stable cache key of one job under one campaign configuration
-    /// (see [`super::job::job_fingerprint`] — shard partitioning and shard
-    /// manifests key on the same value). Two campaigns share an entry
-    /// exactly when a replay would be bit-identical.
+    /// (see [`super::job::job_fingerprint`] — batch dedup keys on the same
+    /// value). Two campaigns share an entry exactly when a replay would be
+    /// bit-identical.
     pub fn job_key(&self, cfg: &ExperimentConfig, job: &JobSpec) -> Fingerprint {
         super::job::job_fingerprint(cfg, job)
     }
@@ -349,9 +331,8 @@ impl ResultStore {
     pub fn put(&self, key: Fingerprint, output: &JobOutput) {
         let encoded = output.encode();
         self.memo_insert(key, output.clone(), encoded.len() as u64);
-        let Some(dir) = &self.dir else { return };
-        let path = result_path_in(dir, key);
-        if write_sealed(dir, &path, JOB_OUTPUT_CODEC_VERSION, key, &encoded) {
+        let path = self.result_path(key);
+        if write_sealed(&self.dir, &path, JOB_OUTPUT_CODEC_VERSION, key, &encoded) {
             self.stores.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -388,8 +369,11 @@ impl ResultStore {
         }
     }
 
-    fn result_path(&self, key: Fingerprint) -> Option<PathBuf> {
-        self.dir.as_ref().map(|dir| result_path_in(dir, key))
+    fn result_path(&self, key: Fingerprint) -> PathBuf {
+        self.dir.join(format!(
+            "{RESULT_FILE_PREFIX}{}.{CACHE_FILE_EXT}",
+            key.to_hex()
+        ))
     }
 
     /// Loads one output from the disk tier, returning it with its encoded
@@ -400,7 +384,7 @@ impl ResultStore {
         cfg: &ExperimentConfig,
         job: &JobSpec,
     ) -> Option<(JobOutput, u64)> {
-        let path = self.result_path(key)?;
+        let path = self.result_path(key);
         let payload = match read_sealed(&path, JOB_OUTPUT_CODEC_VERSION, key) {
             Ok(Some(payload)) => payload,
             Ok(None) => return None, // plain cold miss
@@ -422,13 +406,6 @@ impl ResultStore {
         self.corrupt.fetch_add(1, Ordering::Relaxed);
         let _ = fs::remove_file(path);
     }
-}
-
-fn result_path_in(dir: &Path, key: Fingerprint) -> PathBuf {
-    dir.join(format!(
-        "{RESULT_FILE_PREFIX}{}.{CACHE_FILE_EXT}",
-        key.to_hex()
-    ))
 }
 
 /// Deep verification: the decoded output plausibly belongs to `job` — the
@@ -599,7 +576,7 @@ mod tests {
         let key = store.job_key(&cfg, &job);
         store.put(key, &sample_output(&job));
 
-        let path = store.result_path(key).expect("disk-backed store");
+        let path = store.result_path(key);
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
@@ -615,23 +592,29 @@ mod tests {
 
     #[test]
     fn in_memory_store_memoizes_without_touching_disk() {
+        let dir = temp_dir("memo-only");
         let cfg = ExperimentConfig::quick();
         let job = JobSpec::replay(presets::web_apache(), PrefetcherKind::Baseline);
-        let store = ResultStore::in_memory();
-        assert!(store.dir().is_none());
+        let store = ResultStore::open(&dir).unwrap();
         let key = store.job_key(&cfg, &job);
         assert!(store.get(key, &cfg, &job).is_none());
         store.put(key, &sample_output(&job));
+        // With the directory gone, the hit can only come from memory.
+        fs::remove_dir_all(&dir).unwrap();
         let hit = store.get(key, &cfg, &job).expect("memoized");
         assert_eq!(hit.into_sim().cycles, 1234);
         let stats = store.stats();
-        assert_eq!((stats.hits, stats.misses, stats.stores), (1, 1, 0));
-        // A second in-memory store shares nothing: no hidden global state.
-        assert!(ResultStore::in_memory().get(key, &cfg, &job).is_none());
+        assert_eq!((stats.hits, stats.misses, stats.disk_hits), (1, 1, 0));
+        // A second store shares no memory tier: no hidden global state.
+        let other_dir = temp_dir("memo-only-other");
+        let other = ResultStore::open(&other_dir).unwrap();
+        assert!(other.get(key, &cfg, &job).is_none());
+        let _ = fs::remove_dir_all(&other_dir);
     }
 
     #[test]
     fn memory_tier_evicts_least_recently_used_past_its_byte_budget() {
+        let dir = temp_dir("memo-lru");
         let cfg = ExperimentConfig::quick();
         let jobs: Vec<JobSpec> = [
             presets::web_apache(),
@@ -644,7 +627,9 @@ mod tests {
         let outputs: Vec<JobOutput> = jobs.iter().map(sample_output).collect();
         let one_entry = outputs[0].encode().len() as u64;
         // Budget fits two entries but not three.
-        let store = ResultStore::in_memory().with_memory_budget(one_entry * 5 / 2);
+        let store = ResultStore::open(&dir)
+            .unwrap()
+            .with_memory_budget(one_entry * 5 / 2);
         let keys: Vec<Fingerprint> = jobs.iter().map(|job| store.job_key(&cfg, job)).collect();
 
         store.put(keys[0], &outputs[0]);
@@ -659,16 +644,21 @@ mod tests {
         assert!(stats.memo_bytes <= one_entry * 5 / 2);
         assert!(store.get(keys[0], &cfg, &jobs[0]).is_some());
         assert!(store.get(keys[2], &cfg, &jobs[2]).is_some());
-        assert!(
-            store.get(keys[1], &cfg, &jobs[1]).is_none(),
-            "evicted entry misses in a memory-only store"
+        assert_eq!(store.stats().disk_hits, 0, "survivors hit in memory");
+        assert!(store.get(keys[1], &cfg, &jobs[1]).is_some());
+        assert_eq!(
+            store.stats().disk_hits,
+            1,
+            "the evicted entry comes from disk"
         );
 
         // An entry larger than the whole budget still memoizes (the tier
         // never evicts the entry it just inserted).
-        let tiny = ResultStore::in_memory().with_memory_budget(1);
+        let tiny = ResultStore::open(&dir).unwrap().with_memory_budget(1);
         tiny.put(keys[0], &outputs[0]);
         assert!(tiny.get(keys[0], &cfg, &jobs[0]).is_some());
+        assert_eq!(tiny.stats().hits, 1, "served from memory");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -170,9 +170,7 @@ impl FigureResult {
 
 /// The JSON item `--format json` emits for one figure outcome: the
 /// [`FigureResult::to_json`] object on success, `{"id", "error"}` on
-/// failure. The CLI sink and the serve daemon both build their documents
-/// from this helper, which is what keeps a served JSON response
-/// byte-identical to the one-shot CLI's stdout by construction.
+/// failure.
 pub fn figure_json_item(
     figure: &Result<FigureResult, crate::campaign::CampaignError>,
 ) -> serde_json::Value {

@@ -9,17 +9,15 @@
 //! * [`ExperimentConfig`] — the scaled system model and trace lengths;
 //! * [`campaign`] — the orchestration layer: a [`campaign::TraceStore`]
 //!   generating each workload trace exactly once, a bounded
-//!   [`campaign::JobPool`] with panic-safe per-job errors, and declarative
-//!   [`campaign::FigurePlan`]s whose cells interleave on one pool;
+//!   [`campaign::JobPool`] with panic-safe per-job errors, declarative
+//!   [`campaign::FigurePlan`]s whose cells go to one pool in plan order,
+//!   and an optional persistent [`campaign::ResultStore`];
 //! * [`runner`] — (workload × prefetcher) convenience runners on top of the
 //!   campaign layer;
 //! * [`experiments`] — one plan per table/figure of the paper (§5);
-//! * [`campaign::shard`] — distributed campaigns: deterministic
-//!   fingerprint-based job partitioning, sealed shard manifests, and a
-//!   merge stage that renders byte-identical output from shard slices;
 //! * the `stms-experiments` binary — command-line front end
-//!   (`--figures`, `--threads`, `--format text|json`, `--shard I/N`,
-//!   `--merge-shards DIR`).
+//!   (`--figures`, `--threads`, `--format text|json`, `--result-cache DIR`,
+//!   `--stream-traces`).
 //!
 //! # Example
 //!
@@ -45,9 +43,9 @@ pub use ablation::{
     index_organization_ablation, index_organization_ablation_from, IndexAblation, IndexAblationRow,
 };
 pub use campaign::{
-    job_fingerprint, Campaign, CampaignCacheStats, CampaignCaches, CampaignError, CancelToken,
-    FigurePlan, FlightStats, JobError, JobOutput, JobPool, JobSpec, JobTask, MergeError,
-    MergedShards, ResultStore, ResultStoreStats, ShardRun, ShardSpec, TraceStore, TraceStoreStats,
+    job_fingerprint, Campaign, CampaignCacheStats, CampaignCaches, CampaignError, FigurePlan,
+    FlightStats, JobError, JobOutput, JobPool, JobSpec, JobTask, ResultStore, ResultStoreStats,
+    TraceStore, TraceStoreStats,
 };
 pub use experiments::FigureResult;
 pub use runner::{

@@ -53,13 +53,12 @@ fn warm_campaign_is_byte_identical_and_replays_nothing() {
     assert!(cold_stats.trace.generated > 0, "cold run must generate");
     let cold_results = cold_stats.result.expect("result cache configured");
     // table2's baseline cells recur inside fig4, so some jobs are served
-    // without executing: from the memo, or — when the duplicate lands while
-    // its twin is still running — from the in-flight dedup table. Every
-    // *distinct* cell executes exactly once, and each execution is memoized
-    // exactly once.
+    // without executing: batch dedup hands a recurring cell its first
+    // occurrence's output. Every *distinct* cell executes exactly once, and
+    // each execution is memoized exactly once.
     assert!(cold_results.misses > 0, "cold run must simulate");
     let cold_flights = cold.flight_stats();
-    assert!(cold_flights.executed > 0, "cold run executes leaders");
+    assert!(cold_flights.executed > 0, "cold run executes jobs");
     assert_eq!(
         cold_results.stores, cold_flights.executed,
         "each executed job is persisted exactly once"
@@ -67,7 +66,7 @@ fn warm_campaign_is_byte_identical_and_replays_nothing() {
     assert_eq!(
         cold_results.total_hits() + cold_flights.shared + cold_flights.executed,
         jobs as u64,
-        "every job is a memo hit, a shared flight, or an execution"
+        "every job is a memo hit, a shared duplicate, or an execution"
     );
 
     // A fresh campaign on the same directory models the next process.

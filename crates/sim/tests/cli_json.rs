@@ -58,12 +58,25 @@ fn unknown_figure_and_invalid_options_exit_with_usage_error() {
     let out = run_cli(&["--format", "yaml"]);
     assert_eq!(out.status.code(), Some(2));
 
+    // Verification without a cache to verify is refused, not ignored.
+    let out = run_cli(&["--quick", "--figures", "table1", "--cache-verify"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--cache-verify"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+
     // Removed flags fail loudly instead of being ignored.
     for removed in [
         ["--replay-pipeline", "4"],
         ["--decode-threads", "2"],
         ["--trace-cache", "DIR"],
         ["--trace-codec", "v3"],
+        ["--shard", "1/2"],
+        ["--shard-out", "d"],
+        ["--shard-balance", "cost"],
+        ["--merge-shards", "d"],
+        ["--retry-failed", "m.stms"],
+        ["--calibrate-from", "d"],
     ] {
         let out = run_cli(&removed);
         assert_eq!(out.status.code(), Some(2), "{removed:?}");

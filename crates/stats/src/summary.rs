@@ -82,135 +82,6 @@ impl CacheReport {
     }
 }
 
-/// Counters of one shard execution of a distributed campaign
-/// (`--shard I/N`), rendered alongside the cache tiers in the stderr
-/// `run summary:` block so CI logs show at a glance which slice of the grid
-/// a process ran and whether it completed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardReport {
-    /// 1-based shard index.
-    pub index: u32,
-    /// Total number of shards in the partition.
-    pub count: u32,
-    /// Distinct jobs of the whole campaign grid.
-    pub jobs_total: u64,
-    /// Distinct jobs this shard owns.
-    pub jobs_owned: u64,
-    /// Owned jobs that finished and were sealed into the manifest.
-    pub jobs_sealed: u64,
-    /// Owned jobs that failed (the difference is diagnosable from the
-    /// accompanying error lines).
-    pub jobs_failed: u64,
-    /// Bytes of the sealed manifest written to the shard directory.
-    pub manifest_bytes: u64,
-}
-
-impl ShardReport {
-    /// Whether every owned job was sealed.
-    pub fn is_complete(&self) -> bool {
-        self.jobs_failed == 0 && self.jobs_sealed == self.jobs_owned
-    }
-
-    /// One summary line, e.g.
-    /// `shard 1/2: 56 of 113 jobs owned, 56 sealed, 0 failed (manifest 12345 bytes)`.
-    pub fn render_line(&self) -> String {
-        format!(
-            "shard {}/{}: {} of {} jobs owned, {} sealed, {} failed (manifest {} bytes)",
-            self.index,
-            self.count,
-            self.jobs_owned,
-            self.jobs_total,
-            self.jobs_sealed,
-            self.jobs_failed,
-            self.manifest_bytes
-        )
-    }
-}
-
-/// What the cost-model scheduler predicted for one run — the `scheduling:`
-/// summary line. Covers both the in-process LPT submission (predicted
-/// total, calibration quality, predicted-vs-actual error) and a shard run's
-/// fleet picture (per-shard predicted cost and spread). Optional fields
-/// render only when present, so one type serves every run mode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SchedReport {
-    /// Jobs the prediction covered (submitted jobs in-process, owned jobs
-    /// for a shard run).
-    pub jobs: u64,
-    /// Predicted cost of those jobs, in model nanoseconds.
-    pub predicted_total_ns: u128,
-    /// Submission order of the in-process pool (`"lpt"` or `"plan"`);
-    /// `None` for shard runs.
-    pub order: Option<String>,
-    /// Timing records a `--calibrate-from` fit matched, when one ran.
-    pub calibration_samples: Option<u64>,
-    /// In-sample mean absolute error of that fit, in per-mille of observed
-    /// time (123 renders as `12.3%`).
-    pub calibration_error_milli: Option<u64>,
-    /// Executed jobs whose measured run time was matched against a
-    /// prediction.
-    pub actual_jobs: u64,
-    /// Mean absolute prediction error against those measurements, in
-    /// per-mille of observed time.
-    pub actual_error_milli: Option<u64>,
-    /// Shard balance mode (`"cost"` or `"count"`); `None` in-process.
-    pub balance: Option<String>,
-    /// Predicted cost of this shard's slice.
-    pub this_shard_ns: Option<u128>,
-    /// Predicted cost of the heaviest shard (the fleet makespan estimate).
-    pub max_shard_ns: Option<u128>,
-    /// Mean predicted cost per shard.
-    pub mean_shard_ns: Option<u128>,
-}
-
-/// Renders a per-mille value as a percentage with one decimal,
-/// e.g. `123` → `12.3%`.
-fn milli_percent(milli: u64) -> String {
-    format!("{}.{}%", milli / 10, milli % 10)
-}
-
-impl SchedReport {
-    /// One summary line, e.g.
-    /// `scheduling: 24 jobs, predicted 1234 ns, lpt order, calibrated on 24 timings (4.2% error), actual error 12.3% (24 jobs)`
-    /// or, for a shard run,
-    /// `scheduling: 5 jobs, predicted 1234 ns, balance cost: this shard 1234 ns, max shard 2000 ns, spread 1.200x`.
-    pub fn render_line(&self) -> String {
-        let mut line = format!(
-            "scheduling: {} jobs, predicted {} ns",
-            self.jobs, self.predicted_total_ns
-        );
-        if let Some(order) = &self.order {
-            let _ = write!(line, ", {order} order");
-        }
-        if let Some(samples) = self.calibration_samples {
-            let error = milli_percent(self.calibration_error_milli.unwrap_or(0));
-            let _ = write!(line, ", calibrated on {samples} timings ({error} error)");
-        }
-        if let Some(error) = self.actual_error_milli {
-            let _ = write!(
-                line,
-                ", actual error {} ({} jobs)",
-                milli_percent(error),
-                self.actual_jobs
-            );
-        }
-        if let Some(balance) = &self.balance {
-            let this = self.this_shard_ns.unwrap_or(0);
-            let max = self.max_shard_ns.unwrap_or(0);
-            let mean = self.mean_shard_ns.unwrap_or(0);
-            let spread_milli = (max * 1000).checked_div(mean).unwrap_or(0);
-            let _ = write!(
-                line,
-                ", balance {balance}: this shard {this} ns, max shard {max} ns, \
-                 spread {}.{:03}x",
-                spread_milli / 1000,
-                spread_milli % 1000
-            );
-        }
-        line
-    }
-}
-
 /// Counters of the out-of-core replay path (`--stream-traces`): how many
 /// replays were served as chunked streams and how many chunks flowed
 /// through them.
@@ -228,48 +99,6 @@ impl StreamReport {
         format!(
             "streamed replay: {} replays, {} chunks",
             self.replays, self.chunks
-        )
-    }
-}
-
-/// Lifetime counters of one `stms-serve` daemon: how requests fared at the
-/// admission gate and how much replay work in-flight dedup and the result
-/// memo absorbed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeReport {
-    /// Requests received (all kinds, including pings and stats probes).
-    pub requests: u64,
-    /// Run requests admitted past the gate.
-    pub accepted: u64,
-    /// Run requests refused because the queue was full (or malformed).
-    pub rejected: u64,
-    /// Run requests abandoned mid-flight by their client.
-    pub cancelled: u64,
-    /// Figure frames streamed back to clients.
-    pub figures_streamed: u64,
-    /// Jobs actually executed (singleflight leaders).
-    pub jobs_executed: u64,
-    /// Jobs that joined another request's in-flight execution.
-    pub jobs_shared: u64,
-    /// Jobs served from the result memo without executing.
-    pub jobs_cached: u64,
-}
-
-impl ServeReport {
-    /// One summary line, e.g.
-    /// `serve: 12 requests (9 accepted, 2 rejected, 1 cancelled), 31 figures streamed, jobs: 24 executed, 40 shared in-flight, 16 memoized`.
-    pub fn render_line(&self) -> String {
-        format!(
-            "serve: {} requests ({} accepted, {} rejected, {} cancelled), \
-             {} figures streamed, jobs: {} executed, {} shared in-flight, {} memoized",
-            self.requests,
-            self.accepted,
-            self.rejected,
-            self.cancelled,
-            self.figures_streamed,
-            self.jobs_executed,
-            self.jobs_shared,
-            self.jobs_cached
         )
     }
 }
@@ -306,14 +135,10 @@ impl TelemetryReport {
     }
 }
 
-/// An ordered collection of [`ServeReport`]s, [`ShardReport`]s,
-/// [`StreamReport`]s, [`CacheReport`]s and an optional [`TelemetryReport`]
-/// rendered as one block.
+/// An ordered collection of [`StreamReport`]s, [`CacheReport`]s and an
+/// optional [`TelemetryReport`] rendered as one block.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunSummary {
-    serves: Vec<ServeReport>,
-    shards: Vec<ShardReport>,
-    scheds: Vec<SchedReport>,
     streams: Vec<StreamReport>,
     reports: Vec<CacheReport>,
     telemetry: Option<TelemetryReport>,
@@ -330,25 +155,8 @@ impl RunSummary {
         self.reports.push(report);
     }
 
-    /// Appends one daemon's serving report (rendered first: it frames the
-    /// shard/stream/cache lines below it).
-    pub fn push_serve(&mut self, report: ServeReport) {
-        self.serves.push(report);
-    }
-
-    /// Appends one shard's report (rendered before the cache tiers).
-    pub fn push_shard(&mut self, report: ShardReport) {
-        self.shards.push(report);
-    }
-
-    /// Appends the cost-model scheduling report (rendered after the shard
-    /// lines, before the stream lines).
-    pub fn push_sched(&mut self, report: SchedReport) {
-        self.scheds.push(report);
-    }
-
-    /// Appends the streamed-replay report (rendered between the shard and
-    /// cache lines).
+    /// Appends the streamed-replay report (rendered before the cache
+    /// lines).
     pub fn push_stream(&mut self, report: StreamReport) {
         self.streams.push(report);
     }
@@ -363,36 +171,18 @@ impl RunSummary {
     /// Whether any report was added.
     pub fn is_empty(&self) -> bool {
         self.reports.is_empty()
-            && self.serves.is_empty()
-            && self.shards.is_empty()
-            && self.scheds.is_empty()
             && self.streams.is_empty()
             && self.telemetry.as_ref().is_none_or(|t| t.lines.is_empty())
     }
 
     /// The rendered block: a `run summary:` header plus one indented line
-    /// per shard, stream and tier. Empty summaries render as an empty
+    /// per stream report and tier. Empty summaries render as an empty
     /// string.
     pub fn render(&self) -> String {
         if self.is_empty() {
             return String::new();
         }
         let mut out = String::from("run summary:\n");
-        for serve in &self.serves {
-            out.push_str("  ");
-            out.push_str(&serve.render_line());
-            out.push('\n');
-        }
-        for shard in &self.shards {
-            out.push_str("  ");
-            out.push_str(&shard.render_line());
-            out.push('\n');
-        }
-        for sched in &self.scheds {
-            out.push_str("  ");
-            out.push_str(&sched.render_line());
-            out.push('\n');
-        }
         for stream in &self.streams {
             out.push_str("  ");
             out.push_str(&stream.render_line());
@@ -434,50 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_report_renders_all_counters() {
-        let report = ShardReport {
-            index: 1,
-            count: 2,
-            jobs_total: 113,
-            jobs_owned: 56,
-            jobs_sealed: 55,
-            jobs_failed: 1,
-            manifest_bytes: 9876,
-        };
-        assert!(!report.is_complete());
-        assert_eq!(
-            report.render_line(),
-            "shard 1/2: 56 of 113 jobs owned, 55 sealed, 1 failed (manifest 9876 bytes)"
-        );
-        let complete = ShardReport {
-            jobs_sealed: 56,
-            jobs_failed: 0,
-            ..report
-        };
-        assert!(complete.is_complete());
-    }
-
-    #[test]
-    fn shard_reports_render_before_cache_tiers() {
-        let mut summary = RunSummary::new();
-        summary.push(CacheReport::new("traces", 1, 0));
-        summary.push_shard(ShardReport {
-            index: 2,
-            count: 2,
-            jobs_total: 10,
-            jobs_owned: 5,
-            jobs_sealed: 5,
-            jobs_failed: 0,
-            manifest_bytes: 1,
-        });
-        assert!(!summary.is_empty());
-        let lines: Vec<String> = summary.render().lines().map(str::to_string).collect();
-        assert_eq!(lines[0], "run summary:");
-        assert!(lines[1].starts_with("  shard 2/2:"), "{}", lines[1]);
-        assert!(lines[2].starts_with("  traces:"), "{}", lines[2]);
-    }
-
-    #[test]
     fn telemetry_block_renders_last_and_empty_report_stays_empty() {
         let mut summary = RunSummary::new();
         summary.push_telemetry(TelemetryReport::default());
@@ -499,7 +245,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_report_renders_between_shards_and_caches() {
+    fn stream_report_renders_before_caches() {
         let report = StreamReport {
             replays: 16,
             chunks: 128,
@@ -511,134 +257,14 @@ mod tests {
         let mut summary = RunSummary::new();
         summary.push(CacheReport::new("traces", 1, 0));
         summary.push_stream(report);
-        summary.push_shard(ShardReport {
-            index: 1,
-            count: 1,
-            jobs_total: 2,
-            jobs_owned: 2,
-            jobs_sealed: 2,
-            jobs_failed: 0,
-            manifest_bytes: 9,
-        });
         let lines: Vec<String> = summary.render().lines().map(str::to_string).collect();
-        assert!(lines[1].starts_with("  shard"), "{}", lines[1]);
-        assert!(lines[2].starts_with("  streamed replay:"), "{}", lines[2]);
-        assert!(lines[3].starts_with("  traces:"), "{}", lines[3]);
+        assert!(lines[1].starts_with("  streamed replay:"), "{}", lines[1]);
+        assert!(lines[2].starts_with("  traces:"), "{}", lines[2]);
 
         let mut only_stream = RunSummary::new();
         assert!(only_stream.is_empty());
         only_stream.push_stream(StreamReport::default());
         assert!(!only_stream.is_empty());
-    }
-
-    #[test]
-    fn sched_report_renders_in_process_and_shard_forms() {
-        let in_process = SchedReport {
-            jobs: 24,
-            predicted_total_ns: 1234,
-            order: Some("lpt".to_string()),
-            calibration_samples: Some(24),
-            calibration_error_milli: Some(42),
-            actual_jobs: 24,
-            actual_error_milli: Some(123),
-            balance: None,
-            this_shard_ns: None,
-            max_shard_ns: None,
-            mean_shard_ns: None,
-        };
-        assert_eq!(
-            in_process.render_line(),
-            "scheduling: 24 jobs, predicted 1234 ns, lpt order, \
-             calibrated on 24 timings (4.2% error), actual error 12.3% (24 jobs)"
-        );
-
-        let shard = SchedReport {
-            jobs: 5,
-            predicted_total_ns: 1234,
-            order: None,
-            calibration_samples: None,
-            calibration_error_milli: None,
-            actual_jobs: 0,
-            actual_error_milli: None,
-            balance: Some("cost".to_string()),
-            this_shard_ns: Some(1234),
-            max_shard_ns: Some(2000),
-            mean_shard_ns: Some(1600),
-        };
-        assert_eq!(
-            shard.render_line(),
-            "scheduling: 5 jobs, predicted 1234 ns, balance cost: \
-             this shard 1234 ns, max shard 2000 ns, spread 1.250x"
-        );
-
-        // The minimal form: no calibration, no actuals, no shards.
-        let bare = SchedReport {
-            jobs: 2,
-            predicted_total_ns: 10,
-            order: Some("plan".to_string()),
-            calibration_samples: None,
-            calibration_error_milli: None,
-            actual_jobs: 0,
-            actual_error_milli: None,
-            balance: None,
-            this_shard_ns: None,
-            max_shard_ns: None,
-            mean_shard_ns: None,
-        };
-        assert_eq!(
-            bare.render_line(),
-            "scheduling: 2 jobs, predicted 10 ns, plan order"
-        );
-    }
-
-    #[test]
-    fn sched_reports_render_between_shards_and_streams() {
-        let mut summary = RunSummary::new();
-        assert!(summary.is_empty());
-        summary.push(CacheReport::new("traces", 1, 0));
-        summary.push_stream(StreamReport::default());
-        summary.push_sched(SchedReport {
-            jobs: 3,
-            predicted_total_ns: 9,
-            order: Some("lpt".to_string()),
-            calibration_samples: None,
-            calibration_error_milli: None,
-            actual_jobs: 0,
-            actual_error_milli: None,
-            balance: None,
-            this_shard_ns: None,
-            max_shard_ns: None,
-            mean_shard_ns: None,
-        });
-        summary.push_shard(ShardReport {
-            index: 1,
-            count: 1,
-            jobs_total: 3,
-            jobs_owned: 3,
-            jobs_sealed: 3,
-            jobs_failed: 0,
-            manifest_bytes: 1,
-        });
-        let lines: Vec<String> = summary.render().lines().map(str::to_string).collect();
-        assert!(lines[1].starts_with("  shard"), "{}", lines[1]);
-        assert!(lines[2].starts_with("  scheduling:"), "{}", lines[2]);
-        assert!(lines[3].starts_with("  streamed replay:"), "{}", lines[3]);
-
-        let mut only_sched = RunSummary::new();
-        only_sched.push_sched(SchedReport {
-            jobs: 1,
-            predicted_total_ns: 1,
-            order: None,
-            calibration_samples: None,
-            calibration_error_milli: None,
-            actual_jobs: 0,
-            actual_error_milli: None,
-            balance: None,
-            this_shard_ns: None,
-            max_shard_ns: None,
-            mean_shard_ns: None,
-        });
-        assert!(!only_sched.is_empty());
     }
 
     #[test]
@@ -653,30 +279,5 @@ mod tests {
         assert_eq!(lines[0], "run summary:");
         assert!(lines[1].starts_with("  a:"));
         assert!(lines[2].starts_with("  b:"));
-    }
-
-    #[test]
-    fn serve_report_renders_first() {
-        let mut summary = RunSummary::new();
-        summary.push(CacheReport::new("traces", 1, 0));
-        summary.push_serve(ServeReport {
-            requests: 12,
-            accepted: 9,
-            rejected: 2,
-            cancelled: 1,
-            figures_streamed: 31,
-            jobs_executed: 24,
-            jobs_shared: 40,
-            jobs_cached: 16,
-        });
-        assert!(!summary.is_empty());
-        let text = summary.render();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(
-            lines[1],
-            "  serve: 12 requests (9 accepted, 2 rejected, 1 cancelled), \
-             31 figures streamed, jobs: 24 executed, 40 shared in-flight, 16 memoized"
-        );
-        assert!(lines[2].starts_with("  traces:"));
     }
 }

@@ -1,31 +1,18 @@
 #!/usr/bin/env python3
-"""Validate `stms-metrics/v1` snapshots (the files `--metrics-out` writes
-and the documents `stms-serve-client --metrics` prints).
+"""Validate `stms-metrics/v1` snapshots (the files `--metrics-out` writes).
 
-Two modes:
-
-  check_metrics.py SNAPSHOT [--require-counter NAME]...
-                            [--require-histogram NAME]...
-                            [--require-gauge NAME]...
-      Structural validation of one snapshot: schema tag, section layout,
+  check_metrics.py SNAPSHOT... [--require-counter NAME]...
+                               [--require-histogram NAME]...
+      Structural validation of each snapshot: schema tag, section layout,
       histogram internal consistency (bucket tallies sum to `count`,
       `max` <= `sum`, zero-count histograms are all-zero), plus any
-      required counters (value > 0), histograms (count > 0) and gauges
-      (present; a gauge may legitimately read zero — e.g. a perfect
-      calibration error — so only presence is gated) named on the command
-      line — the "nonzero phase timers" gate in CI. Cross-metric
-      invariants are checked too: the hierarchy-log counters
+      required counters (value > 0) and histograms (count > 0) named on
+      the command line — the "nonzero phase timers" gate in CI.
+      Cross-metric invariants are checked too: the hierarchy-log counters
       (`hierarchy_log.recorded`, `hierarchy_log.bytes`) appear together,
       every recorded log is at least one byte, and the
       `cache.hierarchy_log.record_ns` histogram timed exactly the logs
       recorded.
-
-  check_metrics.py --monotone SNAPSHOT SNAPSHOT...
-      Asserts a sequence of snapshots taken from ONE process (e.g.
-      `--metrics` probes of a live daemon) is monotone: no counter,
-      histogram count, or histogram sum ever decreases, and no metric
-      vanishes. The registry is cumulative-since-start, so any decrease
-      is a bug.
 
 Exits nonzero with a message naming the first violated invariant.
 """
@@ -96,7 +83,7 @@ def check_invariants(path, doc):
         )
 
 
-def check_required(path, doc, counters, histograms, gauges):
+def check_required(path, doc, counters, histograms):
     for name in counters:
         if doc["counters"].get(name, 0) <= 0:
             fail(f"{path}: required counter {name!r} is missing or zero")
@@ -104,37 +91,11 @@ def check_required(path, doc, counters, histograms, gauges):
         hist = doc["histograms"].get(name)
         if hist is None or hist["count"] <= 0:
             fail(f"{path}: required histogram {name!r} is missing or empty")
-    for name in gauges:
-        if name not in doc["gauges"]:
-            fail(f"{path}: required gauge {name!r} is missing")
-
-
-def check_monotone(paths, docs):
-    for (before_path, before), (after_path, after) in zip(
-        zip(paths, docs), zip(paths[1:], docs[1:])
-    ):
-        where = f"{before_path} -> {after_path}"
-        for name, value in before["counters"].items():
-            later = after["counters"].get(name)
-            if later is None:
-                fail(f"{where}: counter {name!r} vanished")
-            if later < value:
-                fail(f"{where}: counter {name!r} decreased {value} -> {later}")
-        for name, hist in before["histograms"].items():
-            later = after["histograms"].get(name)
-            if later is None:
-                fail(f"{where}: histogram {name!r} vanished")
-            for field in ("count", "sum"):
-                if later[field] < hist[field]:
-                    fail(
-                        f"{where}: histogram {name!r} {field} decreased "
-                        f"{hist[field]} -> {later[field]}"
-                    )
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("snapshots", nargs="+", help="snapshot JSON files, in order")
+    parser.add_argument("snapshots", nargs="+", help="snapshot JSON files")
     parser.add_argument(
         "--require-counter",
         action="append",
@@ -149,29 +110,11 @@ def main():
         metavar="NAME",
         help="histogram that must be present with a nonzero count",
     )
-    parser.add_argument(
-        "--require-gauge",
-        action="append",
-        default=[],
-        metavar="NAME",
-        help="gauge that must be present (any value, including zero)",
-    )
-    parser.add_argument(
-        "--monotone",
-        action="store_true",
-        help="assert counters and histograms never decrease across the sequence",
-    )
     args = parser.parse_args()
 
     docs = [load(path) for path in args.snapshots]
     for path, doc in zip(args.snapshots, docs):
-        check_required(
-            path, doc, args.require_counter, args.require_histogram, args.require_gauge
-        )
-    if args.monotone:
-        if len(docs) < 2:
-            fail("--monotone needs at least two snapshots")
-        check_monotone(args.snapshots, docs)
+        check_required(path, doc, args.require_counter, args.require_histogram)
     print(f"check_metrics: {len(docs)} snapshot(s) ok")
 
 
