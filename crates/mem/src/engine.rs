@@ -34,7 +34,6 @@ use crate::result::SimResult;
 use crate::stream::{PrefetchBuffer, StreamState};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use stms_types::stream::{TraceSource, DEFAULT_CHUNK_LEN};
 use stms_types::{AccessKind, Cycle, MemAccess, Trace};
 
 /// Tunables of the simulation engine that are not part of the system model.
@@ -200,9 +199,9 @@ impl CoreState {
 /// The engine is the *lane* of a run: core clocks, epochs and MSHRs, the
 /// DRAM channel, the prefetch buffers, the stream engine and the
 /// prefetcher callbacks. It takes the L1/L2/stride outcome of every access
-/// from the live caches for [`CmpSimulator::run`] and
-/// [`CmpSimulator::run_stream`], or from a recorded [`HierarchyLog`] for
-/// [`CmpSimulator::run_logged`] (see [`crate::hierarchy`]).
+/// from the live caches for [`CmpSimulator::run`], or from a recorded
+/// [`HierarchyLog`] for [`CmpSimulator::run_logged`] (see
+/// [`crate::hierarchy`]).
 ///
 /// # Example
 ///
@@ -247,34 +246,9 @@ impl<'a> CmpSimulator<'a> {
     ///
     /// The first `warmup_fraction` of the trace trains caches and predictor
     /// meta-data but is excluded from all reported counters.
-    ///
-    /// This is the materialized special case of [`CmpSimulator::run_stream`],
-    /// and produces bit-identical results to streaming the same access
-    /// sequence.
     pub fn run<P: Prefetcher + ?Sized>(self, trace: &Trace, prefetcher: &mut P) -> SimResult {
-        let mut source = trace.chunks(DEFAULT_CHUNK_LEN);
-        self.run_stream(&mut source, prefetcher)
-    }
-
-    /// Replays any [`TraceSource`] with `prefetcher`, chunk by chunk.
-    ///
-    /// The engine's resident state is independent of trace length: it holds
-    /// one chunk at a time, so a trace far larger than memory (a generator
-    /// streaming on the fly) replays in bounded space. Source dispatch
-    /// happens once per chunk; the per-access hot path is unchanged from
-    /// [`CmpSimulator::run`], and the metrics are bit-identical for the same
-    /// access sequence, whatever the chunking or its alignment with the
-    /// warm-up boundary.
-    ///
-    /// The warm-up boundary is computed from
-    /// [`TraceSource::total_accesses`], which every source knows up front.
-    pub fn run_stream<P, S>(self, source: &mut S, prefetcher: &mut P) -> SimResult
-    where
-        P: Prefetcher + ?Sized,
-        S: TraceSource + ?Sized,
-    {
         let mut hierarchy = Hierarchy::new(self.cfg);
-        self.replay(source, &mut hierarchy, prefetcher)
+        self.replay(trace, &mut hierarchy, prefetcher)
     }
 
     /// Replays `trace` with `prefetcher`, taking every L1, L2 and stride
@@ -296,37 +270,31 @@ impl<'a> CmpSimulator<'a> {
             log.system() == self.cfg && log.accesses() == trace.len(),
             "hierarchy log recorded for another system or trace"
         );
-        let mut source = trace.chunks(DEFAULT_CHUNK_LEN);
-        self.replay(&mut source, &mut log.replay(), prefetcher)
+        self.replay(trace, &mut log.replay(), prefetcher)
     }
 
-    /// The replay loop shared by every entry point: one hierarchy step and
+    /// The replay loop shared by both entry points: one hierarchy step and
     /// one lane step per access.
-    fn replay<P, S, H>(mut self, source: &mut S, hierarchy: &mut H, prefetcher: &mut P) -> SimResult
+    fn replay<P, H>(mut self, trace: &Trace, hierarchy: &mut H, prefetcher: &mut P) -> SimResult
     where
         P: Prefetcher + ?Sized,
-        S: TraceSource + ?Sized,
         H: HierarchyBackend,
     {
         self.res.prefetcher = prefetcher.name().to_string();
-        self.res.workload = source.meta().workload.clone();
-        let total = source.total_accesses() as usize;
-        let warmup_end = ((total as f64) * self.opts.warmup_fraction.clamp(0.0, 0.95)) as usize;
+        self.res.workload = trace.meta().workload.clone();
+        let accesses = trace.accesses();
+        check_cores(accesses, self.cores.len());
+        let warmup_end =
+            ((accesses.len() as f64) * self.opts.warmup_fraction.clamp(0.0, 0.95)) as usize;
 
-        let mut idx = 0usize;
-        while let Some(chunk) = source.next_chunk() {
-            debug_assert_eq!(chunk.first_index as usize, idx, "chunks arrive in order");
-            check_cores(chunk.accesses, self.cores.len());
-            for access in chunk.accesses {
-                if idx == warmup_end {
-                    self.end_warmup();
-                }
-                let step = hierarchy.step(access);
-                self.step(*access, step, hierarchy, prefetcher, idx >= warmup_end);
-                idx += 1;
+        for (idx, access) in accesses.iter().enumerate() {
+            if idx == warmup_end {
+                self.end_warmup();
             }
+            let step = hierarchy.step(access);
+            self.step(*access, step, hierarchy, prefetcher, idx >= warmup_end);
         }
-        self.finish(idx, prefetcher, warmup_end)
+        self.finish(accesses.len(), prefetcher, warmup_end)
     }
 
     /// Marks the end of the warm-up period: statistics collected so far are
@@ -944,43 +912,6 @@ mod tests {
         let cfg = SystemConfig::tiny_for_tests();
         let t = trace_of(&[1, 2, 3], 7);
         let _ = CmpSimulator::new(&cfg, opts_no_warmup()).run(&t, &mut NullPrefetcher::new());
-    }
-
-    #[test]
-    fn streamed_replay_is_bit_identical_to_materialized_replay() {
-        let cfg = SystemConfig::tiny_for_tests();
-        let lines: Vec<u64> = (0..2000).map(|i: u64| (i * 7919 + 13) % 500_000).collect();
-        let t = trace_of(&lines, 0);
-        // Warm-up mid-trace and a warmup-free run, across chunkings that do
-        // and do not align with the warm-up boundary.
-        for warmup in [0.0, 0.3] {
-            let opts = SimOptions {
-                warmup_fraction: warmup,
-                ..Default::default()
-            };
-            let reference = CmpSimulator::new(&cfg, opts).run(&t, &mut NextLines(8));
-            for chunk_len in [1usize, 97, 600, 10_000] {
-                let mut source = t.chunks(chunk_len);
-                let streamed =
-                    CmpSimulator::new(&cfg, opts).run_stream(&mut source, &mut NextLines(8));
-                assert_eq!(
-                    streamed.encode(),
-                    reference.encode(),
-                    "warmup {warmup}, chunk_len {chunk_len}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn run_stream_works_through_a_dyn_source() {
-        let cfg = SystemConfig::tiny_for_tests();
-        let t = trace_of(&[10, 20, 30, 40], 0);
-        let mut source = t.chunks(2);
-        let dyn_source: &mut dyn TraceSource = &mut source;
-        let res = CmpSimulator::new(&cfg, opts_no_warmup())
-            .run_stream(dyn_source, &mut NullPrefetcher::new());
-        assert_eq!(res.accesses, 4);
     }
 
     #[test]

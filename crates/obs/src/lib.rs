@@ -1,8 +1,8 @@
 //! Process-wide telemetry for the STMS reproduction.
 //!
-//! Every layer of a campaign — the job pool, streamed replay, the cache
-//! tiers — records into one lock-cheap [`Registry`] of
-//! named metrics:
+//! Every layer of a campaign — the job pool, trace generation and
+//! hierarchy-log recording, the cache tiers — records into one lock-cheap
+//! [`Registry`] of named metrics:
 //!
 //! * [`Counter`] — monotone, saturating `u64` event counts;
 //! * [`Gauge`] — last-value / high-water `u64` levels (queue depths,

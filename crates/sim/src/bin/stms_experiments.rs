@@ -4,8 +4,7 @@
 //! ```text
 //! stms-experiments [--quick] [--accesses N] [--threads N] [--warmup F]
 //!                  [--figures ID[,ID...]] [--format text|json] [--csv DIR]
-//!                  [--result-cache DIR] [--cache-verify]
-//!                  [--stream-traces] [--metrics-out FILE]
+//!                  [--result-cache DIR] [--cache-verify] [--metrics-out FILE]
 //!                  [EXPERIMENT ...]
 //! ```
 //!
@@ -20,8 +19,10 @@
 //! own jobs complete (in selection order), so the first table appears long
 //! before a many-figure run finishes.
 //!
-//! Each distinct trace is generated once per run and shared by every job
-//! that replays it; traces are never written to disk. `--result-cache DIR`
+//! Each distinct trace is generated once per run, held in memory and
+//! shared by every job that replays it, together with one recorded
+//! hierarchy log (its L1, L2 and stride outcomes) per trace; traces are
+//! never written to disk. `--result-cache DIR`
 //! memoizes finished job outputs across runs (processes sharing the
 //! directory reuse each other's outputs); `--cache-verify` cross-checks
 //! every loaded output against its requesting job and replays on mismatch.
@@ -29,21 +30,12 @@
 //! generation and replay; the cache counters are reported in a
 //! `run summary:` block on stderr.
 //!
-//! # Out-of-core replay
-//!
-//! `--stream-traces` replays every trace as a chunked stream instead of a
-//! materialized in-memory vector, so peak memory is independent of trace
-//! length (`--accesses` can exceed available RAM): each job streams its
-//! own generator, one chunk at a time, on its job thread. Stdout is
-//! byte-identical to the materialized path, and a `streamed replay:` line
-//! joins the stderr run summary.
-//!
 //! # Telemetry
 //!
 //! Every run records into the process-wide `stms_obs` metrics registry:
 //! per-job queue/run/total phase histograms (also keyed per figure),
-//! per-chunk simulate time of streamed replays (`stream.simulate_ns`),
-//! cache tier hit/miss/evict latencies, and batch dedup counters. The
+//! trace generation and hierarchy-log recording times, cache tier
+//! hit/miss/evict latencies, and batch dedup counters. The
 //! snapshot is rendered as a `telemetry:` block at the end of the stderr
 //! run summary, and `--metrics-out FILE` additionally writes it as a
 //! versioned JSON document (`"stms-metrics/v1"`). Telemetry never writes
@@ -91,8 +83,7 @@ fn usage() -> String {
     format!(
         "usage: stms-experiments [--quick] [--accesses N] [--threads N] [--warmup F]\n\
          \x20                       [--figures ID[,ID...]] [--format text|json] [--csv DIR]\n\
-         \x20                       [--result-cache DIR] [--cache-verify]\n\
-         \x20                       [--stream-traces] [--metrics-out FILE]\n\
+         \x20                       [--result-cache DIR] [--cache-verify] [--metrics-out FILE]\n\
          \x20                       [EXPERIMENT ...]\n\
          experiments: {} (or `all`)",
         ALL_IDS.join(", ")
@@ -168,7 +159,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 caches.result_dir = Some(value_of(&mut i, "--result-cache")?.into());
             }
             "--cache-verify" => caches.verify = true,
-            "--stream-traces" => caches.stream_traces = true,
             "--metrics-out" => {
                 metrics_out = Some(value_of(&mut i, "--metrics-out")?.into());
             }

@@ -170,12 +170,6 @@ pub struct CampaignCaches {
     /// each loaded output against the job that requested it and replay on
     /// mismatch, instead of trusting the sealed envelope.
     pub verify: bool,
-    /// Out-of-core replay (`--stream-traces`): jobs replay traces chunk by
-    /// chunk through [`TraceStore::replay_streaming`] instead of holding a
-    /// materialized [`stms_types::SharedTrace`], so peak memory is
-    /// independent of trace length. Each job streams its own generator.
-    /// Rendered output is byte-identical either way.
-    pub stream_traces: bool,
 }
 
 impl CampaignCaches {
@@ -197,21 +191,14 @@ pub struct CampaignCacheStats {
     pub result: Option<ResultStoreStats>,
 }
 
-/// Appends the result-cache line (plus the streamed-replay counters when
-/// that mode is on) to a stderr `run summary:` block, and, once jobs ran,
-/// how many executed and how many shared a duplicate's output
-/// (`job flights`), and how many jobs replayed a recorded hierarchy log
-/// (`hierarchy logs`, with the logs' total size).
+/// Appends the result-cache line to a stderr `run summary:` block, and,
+/// once jobs ran, how many executed and how many shared a duplicate's
+/// output (`job flights`), and how many jobs replayed a recorded hierarchy
+/// log (`hierarchy logs`, with the logs' total size).
 pub fn push_cache_reports(summary: &mut stms_stats::RunSummary, campaign: &Campaign) {
-    use stms_stats::{CacheReport, StreamReport};
+    use stms_stats::CacheReport;
     let stats = campaign.cache_stats();
     let trace = stats.trace;
-    if campaign.store().is_streaming() {
-        summary.push_stream(StreamReport {
-            replays: trace.stream_replays,
-            chunks: trace.stream_chunks,
-        });
-    }
     if let Some(result) = stats.result {
         summary.push(
             CacheReport::new("result cache", result.total_hits(), result.misses)
@@ -309,7 +296,7 @@ impl Campaign {
         threads: usize,
         caches: CampaignCaches,
     ) -> std::io::Result<Self> {
-        let store = TraceStore::new().with_streaming(caches.stream_traces);
+        let store = TraceStore::new();
         let results = match &caches.result_dir {
             Some(dir) => Some(Arc::new(ResultStore::open(dir)?.with_verify(caches.verify))),
             None => None,
@@ -744,44 +731,22 @@ fn execute_job(
 
 /// The actual generate/replay work of one job, no caching layers involved.
 fn run_job_uncached(cfg: &ExperimentConfig, store: &TraceStore, job: &JobSpec) -> JobOutput {
-    if store.is_streaming() {
-        // Out-of-core path: the job drives the generator as a chunked
-        // TraceSource and never holds the trace; output is bit-identical
-        // to the materialized path.
-        match job.task {
-            JobTask::Replay(ref kind) => {
-                store.replay_streaming(&job.workload, cfg.accesses, |source| {
-                    JobOutput::Sim(crate::runner::run_source(cfg, source, kind))
-                })
-            }
-            JobTask::CollectMisses => {
-                store.replay_streaming(&job.workload, cfg.accesses, |source| {
-                    let mut collector = MissTraceCollector::new(cfg.system.cores);
-                    CmpSimulator::new(&cfg.system, cfg.sim).run_stream(source, &mut collector);
-                    JobOutput::MissSequences(collector.all_cores())
-                })
-            }
+    // The trace's L1/L2/stride outcomes are recorded once and shared by
+    // every job on it; the job replays only its own lane.
+    let (trace, log) = store.get_or_generate_logged(&job.workload, cfg.accesses, &cfg.system);
+    let replay = |prefetcher: &mut dyn Prefetcher| {
+        let engine = CmpSimulator::new(&cfg.system, cfg.sim);
+        match &log {
+            Some(log) => engine.run_logged(&trace, log, prefetcher),
+            None => engine.run(&trace, prefetcher),
         }
-    } else {
-        // The trace's L1/L2/stride outcomes are recorded once and shared
-        // by every job on it; the job replays only its own lane.
-        let (trace, log) = store.get_or_generate_logged(&job.workload, cfg.accesses, &cfg.system);
-        let replay = |prefetcher: &mut dyn Prefetcher| {
-            let engine = CmpSimulator::new(&cfg.system, cfg.sim);
-            match &log {
-                Some(log) => engine.run_logged(&trace, log, prefetcher),
-                None => engine.run(&trace, prefetcher),
-            }
-        };
-        match job.task {
-            JobTask::Replay(ref kind) => {
-                JobOutput::Sim(replay(kind.build(cfg.system.cores).as_mut()))
-            }
-            JobTask::CollectMisses => {
-                let mut collector = MissTraceCollector::new(cfg.system.cores);
-                replay(&mut collector);
-                JobOutput::MissSequences(collector.all_cores())
-            }
+    };
+    match job.task {
+        JobTask::Replay(ref kind) => JobOutput::Sim(replay(kind.build(cfg.system.cores).as_mut())),
+        JobTask::CollectMisses => {
+            let mut collector = MissTraceCollector::new(cfg.system.cores);
+            replay(&mut collector);
+            JobOutput::MissSequences(collector.all_cores())
         }
     }
 }
@@ -935,44 +900,5 @@ mod tests {
         assert_eq!(streamed.len(), 3);
         assert!(streamed[0].contains("Table 1"));
         assert!(streamed[1].contains("Table 2"));
-    }
-
-    #[test]
-    fn streaming_campaign_renders_byte_identical_figures() {
-        let cfg = quick();
-        // table2 covers replay jobs; fig6-left covers miss-collection jobs.
-        let plans = |cfg: &ExperimentConfig| {
-            vec![
-                crate::experiments::plan_table2(cfg),
-                crate::experiments::plan_fig6_left(cfg),
-            ]
-        };
-        let materialized = Campaign::with_threads(cfg.clone(), 2);
-        let direct: Vec<String> = materialized
-            .run_figures(plans(&cfg))
-            .into_iter()
-            .map(|figure| figure.expect("no job fails").render())
-            .collect();
-
-        // Streaming without a cache: every job streams its own generator.
-        let streaming = Campaign::with_caches(
-            cfg.clone(),
-            2,
-            CampaignCaches {
-                stream_traces: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let streamed: Vec<String> = streaming
-            .run_figures(plans(&cfg))
-            .into_iter()
-            .map(|figure| figure.expect("no job fails").render())
-            .collect();
-        assert_eq!(streamed, direct);
-        let stats = streaming.store().stats();
-        assert!(stats.stream_replays > 0, "{stats:?}");
-        assert!(stats.stream_chunks >= stats.stream_replays);
-        assert_eq!(stats.hits, 0, "nothing was materialized");
     }
 }

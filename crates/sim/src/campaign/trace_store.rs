@@ -11,28 +11,40 @@
 //! inputs.
 //!
 //! Traces are never persisted: generating one is cheaper than reading it
-//! back from disk, and a trace too long for memory streams straight from
-//! the generator ([`TraceStore::replay_streaming`]):
+//! back from disk. Every replay runs over a materialized trace, so the
+//! store also keeps one [`HierarchyLog`] per trace and system
+//! ([`TraceStore::get_or_generate_logged`]), and every job on the trace
+//! replays only its prefetcher-dependent work:
 //!
 //! ```
+//! use stms_mem::{CmpSimulator, NullPrefetcher, SimOptions, SystemConfig};
 //! use stms_sim::campaign::TraceStore;
-//! use stms_types::stream::collect_trace;
 //! use stms_workloads::presets;
 //!
 //! let store = TraceStore::new();
 //! let spec = presets::web_apache();
-//! let streamed = store.replay_streaming(&spec, 2_000, collect_trace);
-//! assert_eq!(streamed, *store.get_or_generate(&spec, 2_000));
-//! assert_eq!(store.stats().stream_replays, 1);
+//! let system = SystemConfig::hpca09_baseline();
+//! let (trace, log) = store.get_or_generate_logged(&spec, 2_000, &system);
+//! let log = log.expect("the baseline geometry fits a log");
+//! let logged = CmpSimulator::new(&system, SimOptions::default())
+//!     .run_logged(&trace, &log, &mut NullPrefetcher::new());
+//! let live = CmpSimulator::new(&system, SimOptions::default())
+//!     .run(&trace, &mut NullPrefetcher::new());
+//! assert_eq!(logged.encode(), live.encode());
+//!
+//! // A second job on the same trace shares both the trace and its log.
+//! let (_, again) = store.get_or_generate_logged(&spec, 2_000, &system);
+//! assert!(std::sync::Arc::ptr_eq(&log, &again.unwrap()));
+//! let stats = store.stats();
+//! assert_eq!((stats.generated, stats.logs_recorded, stats.log_hits), (1, 1, 1));
 //! ```
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use stms_mem::{HierarchyLog, SystemConfig};
-use stms_types::stream::{AccessChunk, TraceSource};
-use stms_types::{Fingerprint, Fingerprintable, SharedTrace, TraceMeta};
-use stms_workloads::{generate, TraceGenerator, WorkloadSpec};
+use stms_types::{Fingerprint, Fingerprintable, SharedTrace};
+use stms_workloads::{generate, WorkloadSpec};
 
 /// Counters describing how a [`TraceStore`] was used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -43,15 +55,8 @@ pub struct TraceStoreStats {
     /// Requests that created a new memory entry.
     pub misses: u64,
     /// Traces actually generated: one per memory miss (each new entry is
-    /// generated exactly once, even under concurrent first requests), plus
-    /// one per streamed replay.
+    /// generated exactly once, even under concurrent first requests).
     pub generated: u64,
-    /// Replays served as a chunked stream straight from the generator
-    /// ([`TraceStore::replay_streaming`]), without ever materializing the
-    /// trace.
-    pub stream_replays: u64,
-    /// Chunks handed to streamed replays.
-    pub stream_chunks: u64,
     /// Hierarchy logs recorded ([`TraceStore::get_or_generate_logged`]):
     /// one per materialized trace and system model.
     pub logs_recorded: u64,
@@ -78,14 +83,9 @@ pub struct TraceStoreStats {
 #[derive(Debug, Default)]
 pub struct TraceStore {
     entries: Mutex<HashMap<WorkloadSpec, Arc<OnceLock<SharedTrace>>>>,
-    /// Streaming mode: replays flow chunk by chunk through
-    /// [`TraceStore::replay_streaming`] instead of materializing traces.
-    streaming: bool,
     hits: AtomicU64,
     misses: AtomicU64,
     generated: AtomicU64,
-    stream_replays: AtomicU64,
-    stream_chunks: AtomicU64,
     /// Hierarchy logs by trace key and system-model fingerprint; the cell
     /// holds `None` when the system's geometry does not fit a log.
     logs: Mutex<HashMap<(WorkloadSpec, Fingerprint), LogCell>>,
@@ -130,42 +130,6 @@ impl TraceStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Returns the store with streaming mode switched on or off.
-    ///
-    /// In streaming mode the campaign replays traces through
-    /// [`TraceStore::replay_streaming`] — chunk by chunk, never
-    /// materialized — so peak memory is independent of trace length.
-    pub fn with_streaming(mut self, streaming: bool) -> Self {
-        self.streaming = streaming;
-        self
-    }
-
-    /// Whether replays should stream instead of materializing.
-    pub fn is_streaming(&self) -> bool {
-        self.streaming
-    }
-
-    /// Replays the trace for `spec` as a chunked stream straight from the
-    /// resumable generator, without ever materializing it: `run` receives
-    /// a [`TraceSource`] and drives the simulation to completion. The
-    /// streamed access sequence is exactly what
-    /// [`TraceStore::get_or_generate`] would have replayed.
-    pub fn replay_streaming<T>(
-        &self,
-        spec: &WorkloadSpec,
-        accesses: usize,
-        run: impl FnOnce(&mut dyn TraceSource) -> T,
-    ) -> T {
-        let key = spec.clone().with_accesses(accesses);
-        counter_add(&self.generated, 1);
-        counter_add(&self.stream_replays, 1);
-        let mut generator = TraceGenerator::new(&key);
-        run(&mut CountingSource::new(
-            &mut generator,
-            &self.stream_chunks,
-        ))
     }
 
     /// Returns the trace for `spec` at the campaign's trace length,
@@ -292,8 +256,6 @@ impl TraceStore {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             generated: self.generated.load(Ordering::Relaxed),
-            stream_replays: self.stream_replays.load(Ordering::Relaxed),
-            stream_chunks: self.stream_chunks.load(Ordering::Relaxed),
             logs_recorded: self.logs_recorded.load(Ordering::Relaxed),
             log_hits: self.log_hits.load(Ordering::Relaxed),
             log_bytes: self.log_bytes.load(Ordering::Relaxed),
@@ -316,63 +278,12 @@ impl TraceStore {
             &self.hits,
             &self.misses,
             &self.generated,
-            &self.stream_replays,
-            &self.stream_chunks,
             &self.logs_recorded,
             &self.log_hits,
             &self.log_bytes,
         ] {
             counter.store(0, Ordering::Relaxed);
         }
-    }
-}
-
-/// A pass-through [`TraceSource`] that counts delivered chunks into a
-/// store-level gauge (the `streamed N chunks` line of the run summary) and,
-/// while telemetry is enabled, records the simulation time of each chunk —
-/// the gap between one chunk's delivery and the next request, which is
-/// exactly how long the simulator spent consuming it.
-struct CountingSource<'a, S: TraceSource + ?Sized> {
-    inner: &'a mut S,
-    chunks: &'a AtomicU64,
-    simulate: Option<stms_obs::Histogram>,
-    delivered: Option<std::time::Instant>,
-}
-
-impl<'a, S: TraceSource + ?Sized> CountingSource<'a, S> {
-    fn new(inner: &'a mut S, chunks: &'a AtomicU64) -> Self {
-        CountingSource {
-            inner,
-            chunks,
-            simulate: stms_obs::is_enabled().then(|| stms_obs::histogram("stream.simulate_ns")),
-            delivered: None,
-        }
-    }
-}
-
-impl<S: TraceSource + ?Sized> TraceSource for CountingSource<'_, S> {
-    fn meta(&self) -> &TraceMeta {
-        self.inner.meta()
-    }
-
-    fn total_accesses(&self) -> u64 {
-        self.inner.total_accesses()
-    }
-
-    fn next_chunk(&mut self) -> Option<AccessChunk<'_>> {
-        if let (Some(simulate), Some(delivered)) = (&self.simulate, self.delivered.take()) {
-            let nanos = delivered.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            simulate.record(nanos);
-        }
-        let chunks = self.chunks;
-        let chunk = self.inner.next_chunk();
-        if chunk.is_some() {
-            counter_add(chunks, 1);
-            if self.simulate.is_some() {
-                self.delivered = Some(std::time::Instant::now());
-            }
-        }
-        chunk
     }
 }
 
@@ -426,65 +337,18 @@ mod tests {
         assert_eq!(store.stats(), TraceStoreStats::default());
     }
 
-    /// Collects a streamed replay into a flat access vector (stand-in for
-    /// the simulator driving a [`TraceSource`]).
-    fn drain(source: &mut dyn TraceSource) -> Vec<stms_types::MemAccess> {
-        let mut all = Vec::new();
-        while let Some(chunk) = source.next_chunk() {
-            all.extend_from_slice(chunk.accesses);
-        }
-        all
-    }
-
-    #[test]
-    fn streaming_replay_without_disk_streams_the_generator() {
-        let store = TraceStore::new().with_streaming(true);
-        assert!(store.is_streaming());
-        let spec = presets::web_apache();
-        let accesses = store.replay_streaming(&spec, 2_000, drain);
-        assert_eq!(
-            accesses,
-            generate(&spec.clone().with_accesses(2_000)).accesses()
-        );
-        let stats = store.stats();
-        assert_eq!((stats.generated, stats.stream_replays), (1, 1));
-        assert!(stats.stream_chunks >= 1);
-    }
-
     #[test]
     fn stat_counters_saturate_instead_of_wrapping() {
         let store = TraceStore::new();
         // A counter poised one below the limit must pin at the limit, not
         // wrap to a small lie.
-        store.stream_chunks.store(u64::MAX - 1, Ordering::Relaxed);
-        counter_add(&store.stream_chunks, 5);
-        assert_eq!(store.stats().stream_chunks, u64::MAX);
-        counter_add(&store.stream_chunks, 1);
-        assert_eq!(store.stats().stream_chunks, u64::MAX);
+        store.log_bytes.store(u64::MAX - 1, Ordering::Relaxed);
+        counter_add(&store.log_bytes, 5);
+        assert_eq!(store.stats().log_bytes, u64::MAX);
+        counter_add(&store.log_bytes, 1);
+        assert_eq!(store.stats().log_bytes, u64::MAX);
         // Zero-adds are free and never touch the cell.
         counter_add(&store.hits, 0);
         assert_eq!(store.stats().hits, 0);
-    }
-
-    #[test]
-    fn concurrent_streamed_replays_count_chunks_exactly() {
-        // Regression: chunk counters were bumped with plain loads+stores in
-        // an early draft; racing replays must still sum exactly.
-        let store = TraceStore::new().with_streaming(true);
-        let spec = presets::web_apache();
-        // One warm-up replay tells us the per-replay chunk count.
-        store.replay_streaming(&spec, 2_000, drain);
-        let per_replay = store.stats().stream_chunks;
-        assert!(per_replay >= 1);
-
-        const THREADS: u64 = 4;
-        std::thread::scope(|scope| {
-            for _ in 0..THREADS {
-                scope.spawn(|| store.replay_streaming(&spec, 2_000, drain));
-            }
-        });
-        let stats = store.stats();
-        assert_eq!(stats.stream_chunks, per_replay * (THREADS + 1));
-        assert_eq!(stats.stream_replays, THREADS + 1);
     }
 }

@@ -17,7 +17,7 @@
 //! * [`experiments`] — one plan per table/figure of the paper (§5);
 //! * the `stms-experiments` binary — command-line front end
 //!   (`--figures`, `--threads`, `--format text|json`, `--result-cache DIR`,
-//!   `--stream-traces`).
+//!   `--metrics-out FILE`).
 //!
 //! # Example
 //!
@@ -49,7 +49,7 @@ pub use campaign::{
 };
 pub use experiments::FigureResult;
 pub use runner::{
-    build_trace, collect_miss_sequences, run_matched, run_source, run_suite, run_trace,
-    run_workload, PrefetcherKind,
+    build_trace, collect_miss_sequences, run_matched, run_suite, run_trace, run_workload,
+    PrefetcherKind,
 };
 pub use system::{ExperimentConfig, CAPACITY_SCALE};

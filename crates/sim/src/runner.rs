@@ -7,7 +7,6 @@ use stms_prefetch::{
     FixedDepthConfig, FixedDepthPrefetcher, IdealTms, IdealTmsConfig, MarkovConfig,
     MarkovPrefetcher, MissTraceCollector,
 };
-use stms_types::stream::TraceSource;
 use stms_types::{LineAddr, Trace};
 use stms_workloads::{generate, WorkloadSpec};
 
@@ -147,18 +146,6 @@ pub fn run_workload(
 pub fn run_trace(cfg: &ExperimentConfig, trace: &Trace, kind: &PrefetcherKind) -> SimResult {
     let mut prefetcher = kind.build(cfg.system.cores);
     CmpSimulator::new(&cfg.system, cfg.sim).run(trace, prefetcher.as_mut())
-}
-
-/// Runs a chunked trace stream with one prefetcher configuration — the
-/// out-of-core counterpart of [`run_trace`], producing bit-identical
-/// results for the same access sequence.
-pub fn run_source(
-    cfg: &ExperimentConfig,
-    source: &mut dyn TraceSource,
-    kind: &PrefetcherKind,
-) -> SimResult {
-    let mut prefetcher = kind.build(cfg.system.cores);
-    CmpSimulator::new(&cfg.system, cfg.sim).run_stream(source, prefetcher.as_mut())
 }
 
 /// Runs every workload of a suite with the same prefetcher configuration on

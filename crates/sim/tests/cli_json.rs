@@ -65,21 +65,25 @@ fn unknown_figure_and_invalid_options_exit_with_usage_error() {
     assert!(stderr.contains("--cache-verify"), "{stderr}");
     assert!(stderr.contains("usage:"), "{stderr}");
 
-    // Removed flags fail loudly instead of being ignored.
+    // Removed flags fail loudly instead of being ignored, also beside an
+    // otherwise valid run, which then renders nothing.
     for removed in [
-        ["--replay-pipeline", "4"],
-        ["--decode-threads", "2"],
-        ["--trace-cache", "DIR"],
-        ["--trace-codec", "v3"],
-        ["--shard", "1/2"],
-        ["--shard-out", "d"],
-        ["--shard-balance", "cost"],
-        ["--merge-shards", "d"],
-        ["--retry-failed", "m.stms"],
-        ["--calibrate-from", "d"],
+        &["--replay-pipeline", "4"][..],
+        &["--decode-threads", "2"],
+        &["--trace-cache", "DIR"],
+        &["--trace-codec", "v3"],
+        &["--shard", "1/2"],
+        &["--shard-out", "d"],
+        &["--shard-balance", "cost"],
+        &["--merge-shards", "d"],
+        &["--retry-failed", "m.stms"],
+        &["--calibrate-from", "d"],
+        &["--stream-traces"],
+        &["--quick", "--figures", "table2", "--stream-traces"],
     ] {
-        let out = run_cli(&removed);
+        let out = run_cli(removed);
         assert_eq!(out.status.code(), Some(2), "{removed:?}");
+        assert!(out.stdout.is_empty(), "{removed:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("unknown flag"), "{removed:?}: {stderr}");
         assert!(stderr.contains("usage:"), "{removed:?}: {stderr}");

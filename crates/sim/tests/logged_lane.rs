@@ -1,14 +1,24 @@
 //! The logged lane against the live engine on generated workload traces:
 //! every prefetcher family, and the miss collector, must produce
 //! bit-identical results whether the L1/L2/stride hierarchy is simulated
-//! live or replayed from a recorded `HierarchyLog`.
+//! live or replayed from a recorded `HierarchyLog`. A campaign runs its
+//! jobs on the logged lane and single replays run the live caches, so
+//! this is what keeps the two backends of the figure grid in step.
 
+use std::collections::HashSet;
 use stms_mem::{CmpSimulator, HierarchyLog, SimOptions, SystemConfig};
 use stms_prefetch::{FixedDepthConfig, MarkovConfig, MissTraceCollector};
-use stms_sim::{ExperimentConfig, PrefetcherKind};
+use stms_sim::{
+    experiments, job_fingerprint, ExperimentConfig, JobTask, PrefetcherKind, TraceStore,
+};
 use stms_workloads::{generate, presets};
 
 const ACCESSES: usize = 4_000;
+
+/// Trace length of the figure-grid check. At 4,000 accesses the grid's
+/// prefetchers barely stream, and a logged backend whose on-chip probe
+/// always answered "no" still matched the live one; at 10,000 it does not.
+const GRID_ACCESSES: usize = 10_000;
 
 /// The experiments' system, and one whose caches are small enough that
 /// most fills evict and dirty lines get written back.
@@ -70,6 +80,61 @@ fn logged_lane_matches_the_live_engine_for_every_family() {
             }
         }
     }
+}
+
+#[test]
+fn every_distinct_job_of_the_quick_grid_replays_identically_from_its_log() {
+    let cfg = ExperimentConfig::quick().with_accesses(GRID_ACCESSES);
+    let mut seen = HashSet::new();
+    let store = TraceStore::new();
+    let (mut replays, mut collections) = (0, 0);
+    for plan in experiments::all_plans(&cfg) {
+        for job in plan.jobs() {
+            if !seen.insert(job_fingerprint(&cfg, job)) {
+                continue;
+            }
+            let (trace, log) =
+                store.get_or_generate_logged(&job.workload, cfg.accesses, &cfg.system);
+            let log = log.expect("the geometry fits a log");
+            let engine = || CmpSimulator::new(&cfg.system, cfg.sim);
+            match &job.task {
+                JobTask::Replay(kind) => {
+                    let live = engine().run(&trace, kind.build(cfg.system.cores).as_mut());
+                    let logged =
+                        engine().run_logged(&trace, &log, kind.build(cfg.system.cores).as_mut());
+                    assert_eq!(
+                        logged.encode(),
+                        live.encode(),
+                        "{}: {} under {}",
+                        plan.id(),
+                        job.workload.name,
+                        kind.label()
+                    );
+                    replays += 1;
+                }
+                JobTask::CollectMisses => {
+                    let mut live = MissTraceCollector::new(cfg.system.cores);
+                    engine().run(&trace, &mut live);
+                    let mut logged = MissTraceCollector::new(cfg.system.cores);
+                    engine().run_logged(&trace, &log, &mut logged);
+                    assert_eq!(
+                        logged.all_cores(),
+                        live.all_cores(),
+                        "{}: {}",
+                        plan.id(),
+                        job.workload.name
+                    );
+                    collections += 1;
+                }
+            }
+        }
+    }
+    // The grid's shape: all eight traces and both kinds of job were covered.
+    assert_eq!(store.stats().generated, 8);
+    assert!(
+        replays > 200 && collections > 0,
+        "{replays} replays, {collections} collections"
+    );
 }
 
 #[test]

@@ -26,5 +26,5 @@ pub mod table;
 pub use aggregate::{batch_means, geometric_mean, mean, std_dev, MatchedPair};
 pub use cdf::Cdf;
 pub use streams::{analyze_streams, analyze_streams_multi, StreamAnalysis};
-pub use summary::{CacheReport, RunSummary, StreamReport, TelemetryReport};
+pub use summary::{CacheReport, RunSummary, TelemetryReport};
 pub use table::{pct, ratio, TextTable};

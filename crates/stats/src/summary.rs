@@ -82,27 +82,6 @@ impl CacheReport {
     }
 }
 
-/// Counters of the out-of-core replay path (`--stream-traces`): how many
-/// replays were served as chunked streams and how many chunks flowed
-/// through them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StreamReport {
-    /// Replays served chunk by chunk, without a materialized trace.
-    pub replays: u64,
-    /// Chunks delivered to those replays.
-    pub chunks: u64,
-}
-
-impl StreamReport {
-    /// One summary line, e.g. `streamed replay: 16 replays, 128 chunks`.
-    pub fn render_line(&self) -> String {
-        format!(
-            "streamed replay: {} replays, {} chunks",
-            self.replays, self.chunks
-        )
-    }
-}
-
 /// A rendered slice of the process-wide metrics registry: pre-formatted
 /// `name: value` pairs, one per metric, in registry order.
 ///
@@ -135,11 +114,10 @@ impl TelemetryReport {
     }
 }
 
-/// An ordered collection of [`StreamReport`]s, [`CacheReport`]s and an
-/// optional [`TelemetryReport`] rendered as one block.
+/// An ordered collection of [`CacheReport`]s and an optional
+/// [`TelemetryReport`] rendered as one block.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunSummary {
-    streams: Vec<StreamReport>,
     reports: Vec<CacheReport>,
     telemetry: Option<TelemetryReport>,
 }
@@ -155,12 +133,6 @@ impl RunSummary {
         self.reports.push(report);
     }
 
-    /// Appends the streamed-replay report (rendered before the cache
-    /// lines).
-    pub fn push_stream(&mut self, report: StreamReport) {
-        self.streams.push(report);
-    }
-
     /// Attaches the telemetry block (rendered last, after the cache
     /// tiers). A later call replaces an earlier one — the registry is
     /// process-wide, so there is only ever one current snapshot.
@@ -170,24 +142,16 @@ impl RunSummary {
 
     /// Whether any report was added.
     pub fn is_empty(&self) -> bool {
-        self.reports.is_empty()
-            && self.streams.is_empty()
-            && self.telemetry.as_ref().is_none_or(|t| t.lines.is_empty())
+        self.reports.is_empty() && self.telemetry.as_ref().is_none_or(|t| t.lines.is_empty())
     }
 
     /// The rendered block: a `run summary:` header plus one indented line
-    /// per stream report and tier. Empty summaries render as an empty
-    /// string.
+    /// per tier. Empty summaries render as an empty string.
     pub fn render(&self) -> String {
         if self.is_empty() {
             return String::new();
         }
         let mut out = String::from("run summary:\n");
-        for stream in &self.streams {
-            out.push_str("  ");
-            out.push_str(&stream.render_line());
-            out.push('\n');
-        }
         for report in &self.reports {
             out.push_str("  ");
             out.push_str(&report.render_line());
@@ -242,29 +206,6 @@ mod tests {
         assert_eq!(lines[2], "  telemetry:");
         assert_eq!(lines[3], "    job.run_ns: n=4 mean=1ms");
         assert_eq!(lines[4], "    flight.executed: 4");
-    }
-
-    #[test]
-    fn stream_report_renders_before_caches() {
-        let report = StreamReport {
-            replays: 16,
-            chunks: 128,
-        };
-        assert_eq!(
-            report.render_line(),
-            "streamed replay: 16 replays, 128 chunks"
-        );
-        let mut summary = RunSummary::new();
-        summary.push(CacheReport::new("traces", 1, 0));
-        summary.push_stream(report);
-        let lines: Vec<String> = summary.render().lines().map(str::to_string).collect();
-        assert!(lines[1].starts_with("  streamed replay:"), "{}", lines[1]);
-        assert!(lines[2].starts_with("  traces:"), "{}", lines[2]);
-
-        let mut only_stream = RunSummary::new();
-        assert!(only_stream.is_empty());
-        only_stream.push_stream(StreamReport::default());
-        assert!(!only_stream.is_empty());
     }
 
     #[test]

@@ -27,10 +27,8 @@ pub mod fingerprint;
 pub mod hash;
 pub mod ids;
 pub mod manifest;
-pub mod stream;
 pub mod time;
 pub mod trace;
-pub mod wire;
 
 pub use access::{AccessKind, MemAccess};
 pub use addr::{LineAddr, PhysAddr, CACHE_LINE_BYTES};
@@ -40,6 +38,5 @@ pub use manifest::{
     ManifestEntry, ManifestError, ManifestScan, ShardBalance, ShardJobTiming, ShardManifest,
     MANIFEST_CODEC_VERSION,
 };
-pub use stream::{AccessChunk, TraceChunks, TraceSource, DEFAULT_CHUNK_LEN};
 pub use time::Cycle;
 pub use trace::{SharedTrace, Trace, TraceMeta};

@@ -11,7 +11,6 @@ use crate::pool::{SharedStream, StreamPool};
 use crate::spec::WorkloadSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stms_types::stream::{AccessChunk, TraceSource, DEFAULT_CHUNK_LEN};
 use stms_types::{AccessKind, CoreId, LineAddr, MemAccess, Trace, TraceMeta};
 
 /// Base of the region from which unique (never-reused) stream/noise lines are
@@ -53,37 +52,10 @@ enum Phase {
     Hot { remaining: u32 },
 }
 
-/// Deterministic synthetic trace generator.
-///
-/// The generator is a *resumable chunk iterator*: [`TraceGenerator::next_chunk`]
-/// produces the trace one bounded chunk at a time (and the generator
-/// implements [`stms_types::stream::TraceSource`], so it plugs straight into
-/// the streaming simulator), while [`TraceGenerator::generate`] remains the
-/// thin collect-everything convenience. Both paths emit the identical access
-/// sequence for a given spec.
-///
-/// # Example
-///
-/// ```
-/// use stms_workloads::{presets, TraceGenerator};
-///
-/// let spec = presets::web_apache().with_accesses(5_000);
-/// let trace = TraceGenerator::new(&spec).generate();
-/// assert_eq!(trace.len(), 5_000);
-/// assert_eq!(trace.meta().workload, "Web Apache");
-///
-/// // The same trace, streamed chunk by chunk with bounded memory:
-/// let mut chunked = TraceGenerator::new(&spec).with_chunk_len(512);
-/// let mut seen = 0;
-/// while let Some(chunk) = chunked.next_chunk() {
-///     seen += chunk.len();
-/// }
-/// assert_eq!(seen, 5_000);
-/// ```
+/// Deterministic synthetic trace generator: the state behind [`generate`].
 #[derive(Debug)]
-pub struct TraceGenerator {
+pub(crate) struct TraceGenerator {
     spec: WorkloadSpec,
-    meta: TraceMeta,
     rng: StdRng,
     /// One pool if `shared_pool`, otherwise one pool per core.
     pools: Vec<StreamPool>,
@@ -91,12 +63,6 @@ pub struct TraceGenerator {
     phases: Vec<Phase>,
     fresh_counter: u64,
     scan_counter: u64,
-    /// Accesses emitted so far (resumption point of the chunk iterator).
-    emitted: u64,
-    /// Upper bound on accesses per [`TraceGenerator::next_chunk`] call.
-    chunk_len: usize,
-    /// Reused storage for the most recent chunk.
-    chunk_buf: Vec<MemAccess>,
 }
 
 impl TraceGenerator {
@@ -105,19 +71,13 @@ impl TraceGenerator {
     /// # Panics
     ///
     /// Panics if the specification fails [`WorkloadSpec::validate`].
-    pub fn new(spec: &WorkloadSpec) -> Self {
+    fn new(spec: &WorkloadSpec) -> Self {
         if let Err(e) = spec.validate() {
             panic!("invalid workload spec {}: {e}", spec.name);
         }
         let pool_count = if spec.shared_pool { 1 } else { spec.cores };
         TraceGenerator {
             spec: spec.clone(),
-            meta: TraceMeta {
-                workload: spec.name.clone(),
-                cores: spec.cores,
-                seed: spec.seed,
-                footprint_lines: spec.approx_footprint_lines(),
-            },
             rng: StdRng::seed_from_u64(spec.seed),
             pools: (0..pool_count)
                 .map(|_| StreamPool::new(spec.max_pool_streams))
@@ -131,23 +91,7 @@ impl TraceGenerator {
             ],
             fresh_counter: 0,
             scan_counter: 0,
-            emitted: 0,
-            chunk_len: DEFAULT_CHUNK_LEN,
-            chunk_buf: Vec::new(),
         }
-    }
-
-    /// Returns the generator with a different chunk size for
-    /// [`TraceGenerator::next_chunk`] (chunking never changes the emitted
-    /// access sequence).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_len` is zero.
-    pub fn with_chunk_len(mut self, chunk_len: usize) -> Self {
-        assert!(chunk_len > 0, "chunk_len must be non-zero");
-        self.chunk_len = chunk_len;
-        self
     }
 
     /// Samples the length of a hot phase so that, averaged over many phases,
@@ -170,37 +114,6 @@ impl TraceGenerator {
         } else {
             core.index()
         }
-    }
-
-    /// Generates the trace with the spec's default length — a thin collect
-    /// over [`TraceGenerator::next_chunk`].
-    pub fn generate(mut self) -> Trace {
-        let mut trace = Trace::new(self.meta.clone());
-        while let Some(chunk) = self.next_chunk() {
-            trace.extend(chunk.iter().copied());
-        }
-        trace
-    }
-
-    /// Produces the next chunk of at most `chunk_len` accesses, or `None`
-    /// once the spec's access count has been emitted. The returned slice is
-    /// valid until the next call; chunk boundaries never affect the access
-    /// sequence.
-    pub fn next_chunk(&mut self) -> Option<&[MemAccess]> {
-        let total = self.spec.accesses as u64;
-        if self.emitted >= total {
-            return None;
-        }
-        let count = (total - self.emitted).min(self.chunk_len as u64) as usize;
-        self.chunk_buf.clear();
-        self.chunk_buf.reserve(count);
-        for _ in 0..count {
-            let core = CoreId::new((self.emitted % self.spec.cores as u64) as u16);
-            self.emitted += 1;
-            let access = self.next_access(core);
-            self.chunk_buf.push(access);
-        }
-        Some(&self.chunk_buf)
     }
 
     /// Allocates a fresh, never-before-used line at a scrambled address.
@@ -373,30 +286,38 @@ impl TraceGenerator {
     }
 }
 
-// The generator is itself a streaming trace source, so the simulator can
-// replay a workload that is never materialized (out-of-core scale): the
-// resident state is one chunk plus the pool of retained temporal streams.
-impl TraceSource for TraceGenerator {
-    fn meta(&self) -> &TraceMeta {
-        &self.meta
-    }
-
-    fn total_accesses(&self) -> u64 {
-        self.spec.accesses as u64
-    }
-
-    fn next_chunk(&mut self) -> Option<AccessChunk<'_>> {
-        let first_index = self.emitted;
-        TraceGenerator::next_chunk(self).map(|accesses| AccessChunk {
-            accesses,
-            first_index,
-        })
-    }
-}
-
-/// Convenience function: generates the trace for a spec.
+/// Generates the trace for a spec: `spec.accesses` accesses, issued by
+/// the cores in round-robin order.
+///
+/// # Panics
+///
+/// Panics if the specification fails [`WorkloadSpec::validate`].
+///
+/// # Example
+///
+/// ```
+/// use stms_workloads::{generate, presets};
+///
+/// let spec = presets::web_apache().with_accesses(5_000);
+/// let trace = generate(&spec);
+/// assert_eq!(trace.len(), 5_000);
+/// assert_eq!(trace.meta().workload, "Web Apache");
+/// assert_eq!(trace, generate(&spec), "generation is deterministic");
+/// ```
 pub fn generate(spec: &WorkloadSpec) -> Trace {
-    TraceGenerator::new(spec).generate()
+    let mut generator = TraceGenerator::new(spec);
+    let meta = TraceMeta {
+        workload: spec.name.clone(),
+        cores: spec.cores,
+        seed: spec.seed,
+        footprint_lines: spec.approx_footprint_lines(),
+    };
+    let mut accesses = Vec::with_capacity(spec.accesses);
+    for i in 0..spec.accesses {
+        let core = CoreId::new((i % spec.cores) as u16);
+        accesses.push(generator.next_access(core));
+    }
+    Trace::from_accesses(meta, accesses)
 }
 
 #[cfg(test)]
@@ -567,41 +488,5 @@ mod tests {
         let mut spec = test_spec();
         spec.p_repeat = 2.0;
         let _ = TraceGenerator::new(&spec);
-    }
-
-    #[test]
-    fn chunked_generation_is_identical_to_collected_generation() {
-        let spec = test_spec().with_accesses(10_000);
-        let whole = generate(&spec);
-        for chunk_len in [1usize, 7, 1024, 10_000, 1 << 20] {
-            let mut gen = TraceGenerator::new(&spec).with_chunk_len(chunk_len);
-            let mut streamed = Vec::new();
-            let mut max_chunk = 0;
-            while let Some(chunk) = gen.next_chunk() {
-                max_chunk = max_chunk.max(chunk.len());
-                streamed.extend_from_slice(chunk);
-            }
-            assert_eq!(streamed, whole.accesses(), "chunk_len {chunk_len}");
-            assert!(max_chunk <= chunk_len);
-            assert!(gen.next_chunk().is_none(), "exhausted generators stay done");
-        }
-    }
-
-    #[test]
-    fn generator_is_a_trace_source_with_exact_totals() {
-        let spec = test_spec().with_accesses(5_000);
-        let mut gen = TraceGenerator::new(&spec).with_chunk_len(777);
-        assert_eq!(TraceSource::total_accesses(&gen), 5_000);
-        assert_eq!(TraceSource::meta(&gen).workload, "gen-test");
-        assert_eq!(TraceSource::meta(&gen).cores, 4);
-        let mut next_index = 0u64;
-        while let Some(chunk) = TraceSource::next_chunk(&mut gen) {
-            assert_eq!(chunk.first_index, next_index);
-            next_index += chunk.accesses.len() as u64;
-        }
-        assert_eq!(next_index, 5_000);
-        let collected =
-            stms_types::stream::collect_trace(&mut TraceGenerator::new(&spec).with_chunk_len(777));
-        assert_eq!(collected, generate(&spec));
     }
 }

@@ -16,7 +16,7 @@
 //! * compute gaps and writes.
 //!
 //! See [`presets`] for the per-workload calibrations and
-//! [`TraceGenerator`] for the generation model.
+//! [`generator`] for the generation model.
 //!
 //! # Example
 //!
@@ -38,6 +38,6 @@ pub mod presets;
 pub mod spec;
 
 pub use dist::LengthDist;
-pub use generator::{generate, TraceGenerator};
+pub use generator::generate;
 pub use pool::{SharedStream, StreamPool};
 pub use spec::{WorkloadClass, WorkloadSpec};

@@ -177,49 +177,6 @@ fn deterministic_results_for_identical_seeds() {
     assert_eq!(a, b, "the whole pipeline must be deterministic");
 }
 
-/// Renders `ids` through a campaign configured by `caches`, asserting no
-/// figure fails.
-fn render_with_caches(
-    ids: &[&str],
-    caches: stms::sim::campaign::CampaignCaches,
-) -> (Vec<String>, stms::sim::campaign::Campaign) {
-    use stms::sim::experiments;
-    let campaign = stms::sim::campaign::Campaign::with_caches(
-        ExperimentConfig::quick().with_accesses(6_000),
-        2,
-        caches,
-    )
-    .expect("open caches");
-    let plans = ids
-        .iter()
-        .map(|id| experiments::plan_for_id(id, campaign.cfg()).expect("known id"))
-        .collect();
-    let rendered = campaign
-        .run_figures(plans)
-        .into_iter()
-        .map(|figure| figure.expect("no job fails").render())
-        .collect();
-    (rendered, campaign)
-}
-
-#[test]
-fn streamed_campaigns_render_byte_identically() {
-    use stms::sim::campaign::CampaignCaches;
-    let ids = ["table2", "fig6-left"];
-    let (materialized, _) = render_with_caches(&ids, CampaignCaches::default());
-
-    // Out-of-core replay: traces stream chunk by chunk from the generator.
-    let (streamed, campaign) = render_with_caches(
-        &ids,
-        CampaignCaches {
-            stream_traces: true,
-            ..CampaignCaches::default()
-        },
-    );
-    assert_eq!(streamed, materialized, "streamed replay changed the bytes");
-    assert!(campaign.store().stats().stream_replays > 0);
-}
-
 #[test]
 fn direct_library_use_without_the_driver() {
     // The same flow as examples/quickstart.rs, exercising the public API of

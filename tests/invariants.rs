@@ -4,7 +4,9 @@
 
 use proptest::prelude::*;
 use stms::core::{Stms, StmsConfig};
-use stms::mem::{CmpSimulator, NullPrefetcher, SimOptions, SimResult, SystemConfig};
+use stms::mem::{
+    CmpSimulator, HierarchyLog, NullPrefetcher, Prefetcher, SimOptions, SimResult, SystemConfig,
+};
 use stms::prefetch::{IdealTms, IdealTmsConfig};
 use stms::workloads::{generate, LengthDist, WorkloadClass, WorkloadSpec};
 
@@ -128,25 +130,33 @@ proptest! {
         prop_assert_eq!(ra, rb);
     }
 
-    /// Streamed chunk-by-chunk replay is bit-identical to the materialized
-    /// replay for arbitrary workloads and chunkings, whether the chunks
-    /// come from a materialized trace or straight from the generator.
+    /// Replaying a recorded hierarchy log is bit-identical to simulating
+    /// the caches live, for arbitrary workloads and warm-up boundaries,
+    /// under the baseline, the idealized prefetcher and STMS.
     #[test]
-    fn streamed_replay_matches_materialized_for_arbitrary_workloads(
+    fn logged_replay_matches_live_for_arbitrary_workloads(
         spec in arb_spec(),
-        chunk_len in 16usize..500,
+        warmup_fraction in 0.0f64..0.5,
     ) {
-        use stms::workloads::TraceGenerator;
         let trace = generate(&spec);
         let sys = system();
-        let materialized =
-            CmpSimulator::new(&sys, options()).run(&trace, &mut NullPrefetcher::new());
-        let chunked = CmpSimulator::new(&sys, options())
-            .run_stream(&mut trace.chunks(chunk_len), &mut NullPrefetcher::new());
-        prop_assert_eq!(&chunked, &materialized, "materialized chunks diverged");
-        let mut generator = TraceGenerator::new(&spec).with_chunk_len(chunk_len);
-        let generated = CmpSimulator::new(&sys, options())
-            .run_stream(&mut generator, &mut NullPrefetcher::new());
-        prop_assert_eq!(&generated, &materialized, "generator stream diverged");
+        let opts = SimOptions { warmup_fraction, ..SimOptions::default() };
+        let log = HierarchyLog::record(&sys, &trace).expect("the geometry fits a log");
+        let prefetchers = || -> [Box<dyn Prefetcher>; 3] {
+            [
+                Box::new(NullPrefetcher::new()),
+                Box::new(IdealTms::new(IdealTmsConfig { cores: sys.cores, ..Default::default() })),
+                Box::new(Stms::new(StmsConfig {
+                    cores: sys.cores,
+                    sampling_probability: 0.25,
+                    ..StmsConfig::scaled_default()
+                })),
+            ]
+        };
+        for (mut live, mut logged) in prefetchers().into_iter().zip(prefetchers()) {
+            let live = CmpSimulator::new(&sys, opts).run(&trace, live.as_mut());
+            let logged = CmpSimulator::new(&sys, opts).run_logged(&trace, &log, logged.as_mut());
+            prop_assert_eq!(logged.encode(), live.encode(), "{} diverged", live.prefetcher);
+        }
     }
 }
