@@ -282,8 +282,8 @@ impl<'a> CmpSimulator<'a> {
     {
         self.res.prefetcher = prefetcher.name().to_string();
         self.res.workload = trace.meta().workload.clone();
+        check_cores(trace, self.cores.len());
         let accesses = trace.accesses();
-        check_cores(accesses, self.cores.len());
         let warmup_end =
             ((accesses.len() as f64) * self.opts.warmup_fraction.clamp(0.0, 0.95)) as usize;
 

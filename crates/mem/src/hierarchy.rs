@@ -249,10 +249,12 @@ impl HierarchyBackend for Hierarchy {
 }
 
 /// Panics if any access names a core the system does not have.
-pub(crate) fn check_cores(accesses: &[MemAccess], cores: usize) {
-    let highest = accesses.iter().map(|a| a.core.index()).max();
-    if let Some(core_idx) = highest.filter(|&c| c >= cores) {
-        panic!("trace references core {core_idx} beyond configured {cores}");
+pub(crate) fn check_cores(trace: &Trace, cores: usize) {
+    if let Some(core) = trace.highest_core().filter(|c| c.index() >= cores) {
+        panic!(
+            "trace references core {} beyond configured {cores}",
+            core.index()
+        );
     }
 }
 
@@ -302,8 +304,8 @@ impl HierarchyLog {
         {
             return None;
         }
+        check_cores(trace, cfg.cores);
         let accesses = trace.accesses();
-        check_cores(accesses, cfg.cores);
         let mut hierarchy = Hierarchy::new(cfg);
         let mut bytes = Vec::with_capacity(accesses.len() * 3);
         for access in accesses {

@@ -9,6 +9,8 @@
 //! or off-chip (each lookup/update costs main-memory accesses), which is how
 //! the EBCP-like and ULMT-like baselines of Figure 1 (right) are modelled.
 
+use crate::correlation::{CorrelationTable, MAX_SUCCESSORS};
+use std::collections::VecDeque;
 use stms_mem::{DramModel, Prefetcher, StreamChunk, TrafficClass};
 use stms_types::{CoreId, Cycle, LineAddr};
 
@@ -130,13 +132,6 @@ impl Default for FixedDepthConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Entry {
-    tag: LineAddr,
-    successors: Vec<LineAddr>,
-    lru: u64,
-}
-
 /// Counters describing fixed-depth prefetcher behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FixedDepthStats {
@@ -171,11 +166,10 @@ pub struct FixedDepthStats {
 #[derive(Debug)]
 pub struct FixedDepthPrefetcher {
     cfg: FixedDepthConfig,
-    sets: Vec<Vec<Entry>>,
+    table: CorrelationTable,
     /// Per-core trailing window of recent misses used to fill entries: the
     /// entry for a miss M receives the next `depth` misses that follow M.
-    recent: Vec<Vec<LineAddr>>,
-    clock: u64,
+    recent: Vec<VecDeque<LineAddr>>,
     stats: FixedDepthStats,
 }
 
@@ -185,17 +179,20 @@ impl FixedDepthPrefetcher {
     /// # Panics
     ///
     /// Panics if the geometry is invalid (entries not a multiple of
-    /// associativity, or a non-power-of-two set count).
+    /// associativity, a non-power-of-two set count, or more than
+    /// `u32::MAX` entries), or if `depth` is zero or above 65,535.
     pub fn new(cfg: FixedDepthConfig) -> Self {
-        assert!(cfg.associativity > 0 && cfg.entries.is_multiple_of(cfg.associativity));
-        let sets = cfg.entries / cfg.associativity;
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
-        assert!(cfg.depth > 0, "depth must be non-zero");
+        assert!(
+            (1..=MAX_SUCCESSORS).contains(&cfg.depth),
+            "depth must be between 1 and {MAX_SUCCESSORS}"
+        );
         FixedDepthPrefetcher {
             cfg,
-            sets: vec![Vec::new(); sets],
-            recent: vec![Vec::new(); cfg.cores],
-            clock: 0,
+            table: CorrelationTable::new(cfg.entries, cfg.associativity, cfg.depth),
+            // Built one by one: a cloned `VecDeque` drops the capacity.
+            recent: (0..cfg.cores)
+                .map(|_| VecDeque::with_capacity(cfg.depth + 1))
+                .collect(),
             stats: FixedDepthStats::default(),
         }
     }
@@ -210,8 +207,10 @@ impl FixedDepthPrefetcher {
         self.cfg.depth
     }
 
-    fn set_of(&self, line: LineAddr) -> usize {
-        (line.raw() % self.sets.len() as u64) as usize
+    /// Number of correlation entries currently stored.
+    #[cfg(test)]
+    pub(crate) fn occupancy(&self) -> usize {
+        self.table.occupancy()
     }
 
     fn charge_meta(
@@ -226,34 +225,6 @@ impl FixedDepthPrefetcher {
             done = dram.access(class, 64, done);
         }
         done
-    }
-
-    /// Appends `successor` to the entry for `trigger`, creating it if needed.
-    fn append_successor(&mut self, trigger: LineAddr, successor: LineAddr) {
-        self.clock += 1;
-        let clock = self.clock;
-        let assoc = self.cfg.associativity;
-        let depth = self.cfg.depth;
-        let set_idx = self.set_of(trigger);
-        let set = &mut self.sets[set_idx];
-        if let Some(e) = set.iter_mut().find(|e| e.tag == trigger) {
-            e.lru = clock;
-            if e.successors.len() < depth {
-                e.successors.push(successor);
-            }
-            return;
-        }
-        let entry = Entry {
-            tag: trigger,
-            successors: vec![successor],
-            lru: clock,
-        };
-        if set.len() < assoc {
-            set.push(entry);
-        } else {
-            let victim = set.iter_mut().min_by_key(|e| e.lru).expect("assoc > 0");
-            *victim = entry;
-        }
     }
 }
 
@@ -279,18 +250,10 @@ impl Prefetcher for FixedDepthPrefetcher {
                 lookup_accesses, ..
             } => self.charge_meta(lookup_accesses, now, dram, TrafficClass::MetaLookup),
         };
-        self.clock += 1;
-        let clock = self.clock;
-        let set_idx = self.set_of(line);
-        let entry = self.sets[set_idx].iter_mut().find(|e| e.tag == line)?;
-        entry.lru = clock;
-        let addresses = entry.successors.clone();
-        if addresses.is_empty() {
-            return None;
-        }
+        let successors = self.table.lookup(line)?;
         self.stats.lookup_hits += 1;
         Some(StreamChunk {
-            addresses,
+            addresses: successors.to_vec(),
             ready_at,
         })
     }
@@ -310,9 +273,8 @@ impl Prefetcher for FixedDepthPrefetcher {
         dram: &mut DramModel,
     ) {
         // Feed this miss into the entries of the preceding `depth` misses.
-        let window: Vec<LineAddr> = self.recent[core.index()].clone();
-        for &trigger in &window {
-            self.append_successor(trigger, line);
+        for &trigger in &self.recent[core.index()] {
+            self.table.append(trigger, line);
         }
         // Update traffic: one table update per recorded miss (read-modify-write
         // of the trigger entry) for off-chip placements.
@@ -324,9 +286,9 @@ impl Prefetcher for FixedDepthPrefetcher {
             self.charge_meta(update_accesses, now, dram, TrafficClass::MetaUpdate);
         }
         let recent = &mut self.recent[core.index()];
-        recent.push(line);
+        recent.push_back(line);
         if recent.len() > self.cfg.depth {
-            recent.remove(0);
+            recent.pop_front();
         }
     }
 }
@@ -467,6 +429,14 @@ mod tests {
     fn zero_depth_panics() {
         let mut cfg = FixedDepthConfig::on_chip_with_depth(1, 1);
         cfg.depth = 0;
+        let _ = FixedDepthPrefetcher::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "depth")]
+    fn depth_beyond_the_count_field_panics() {
+        let mut cfg = FixedDepthConfig::on_chip_with_depth(1, 1);
+        cfg.depth = usize::from(u16::MAX) + 1;
         let _ = FixedDepthPrefetcher::new(cfg);
     }
 }

@@ -21,6 +21,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod collector;
+mod correlation;
 pub mod fixed_depth;
 pub mod history;
 pub mod ideal;

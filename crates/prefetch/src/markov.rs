@@ -3,9 +3,10 @@
 //!
 //! The hardware is a set-associative correlation table mapping a miss address
 //! to a few recently-observed successor addresses. Each prediction covers at
-//! most `ways_successors` misses, so memory-level parallelism and lookahead
+//! most `successors` misses, so memory-level parallelism and lookahead
 //! are limited — the key shortcoming that temporal streaming addresses.
 
+use crate::correlation::{CorrelationTable, MAX_SUCCESSORS};
 use stms_mem::{DramModel, Prefetcher, StreamChunk};
 use stms_types::{CoreId, Cycle, LineAddr};
 
@@ -51,14 +52,6 @@ impl Default for MarkovConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Entry {
-    tag: LineAddr,
-    successors: Vec<LineAddr>,
-    lru: u64,
-    valid: bool,
-}
-
 /// The pair-wise correlating (Markov) prefetcher.
 ///
 /// # Example
@@ -79,10 +72,8 @@ struct Entry {
 /// ```
 #[derive(Debug)]
 pub struct MarkovPrefetcher {
-    cfg: MarkovConfig,
-    sets: Vec<Vec<Entry>>,
+    table: CorrelationTable,
     last_miss: Vec<Option<LineAddr>>,
-    clock: u64,
 }
 
 impl MarkovPrefetcher {
@@ -90,78 +81,23 @@ impl MarkovPrefetcher {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not a multiple of `associativity` or the
-    /// resulting set count is not a power of two.
+    /// Panics if `entries` is not a multiple of `associativity`, the
+    /// resulting set count is not a power of two, `entries` exceeds
+    /// `u32::MAX`, or `successors` is zero or above 65,535.
     pub fn new(cfg: MarkovConfig) -> Self {
-        assert!(cfg.associativity > 0 && cfg.entries.is_multiple_of(cfg.associativity));
-        let sets = cfg.entries / cfg.associativity;
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
+        assert!(
+            (1..=MAX_SUCCESSORS).contains(&cfg.successors),
+            "successors must be between 1 and {MAX_SUCCESSORS}"
+        );
         MarkovPrefetcher {
-            cfg,
-            sets: vec![Vec::new(); sets],
+            table: CorrelationTable::new(cfg.entries, cfg.associativity, cfg.successors),
             last_miss: vec![None; cfg.cores],
-            clock: 0,
-        }
-    }
-
-    fn set_of(&self, line: LineAddr) -> usize {
-        (line.raw() % self.sets.len() as u64) as usize
-    }
-
-    fn learn(&mut self, predecessor: LineAddr, successor: LineAddr) {
-        self.clock += 1;
-        let clock = self.clock;
-        let assoc = self.cfg.associativity;
-        let max_succ = self.cfg.successors;
-        let set_idx = self.set_of(predecessor);
-        let set = &mut self.sets[set_idx];
-        if let Some(entry) = set.iter_mut().find(|e| e.valid && e.tag == predecessor) {
-            entry.lru = clock;
-            // Most-recent successor first; keep the list deduplicated.
-            entry.successors.retain(|&s| s != successor);
-            entry.successors.insert(0, successor);
-            entry.successors.truncate(max_succ);
-            return;
-        }
-        let new_entry = Entry {
-            tag: predecessor,
-            successors: vec![successor],
-            lru: clock,
-            valid: true,
-        };
-        if set.len() < assoc {
-            set.push(new_entry);
-        } else {
-            let victim = set
-                .iter_mut()
-                .min_by_key(|e| e.lru)
-                .expect("associativity > 0");
-            *victim = new_entry;
-        }
-    }
-
-    fn predict(&mut self, line: LineAddr) -> Vec<LineAddr> {
-        self.clock += 1;
-        let clock = self.clock;
-        let set_idx = self.set_of(line);
-        match self.sets[set_idx]
-            .iter_mut()
-            .find(|e| e.valid && e.tag == line)
-        {
-            Some(entry) => {
-                entry.lru = clock;
-                entry.successors.clone()
-            }
-            None => Vec::new(),
         }
     }
 
     /// Number of valid correlation entries currently stored.
     pub fn occupancy(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.iter().filter(|e| e.valid).count())
-            .sum()
+        self.table.occupancy()
     }
 }
 
@@ -177,15 +113,11 @@ impl Prefetcher for MarkovPrefetcher {
         now: Cycle,
         _dram: &mut DramModel,
     ) -> Option<StreamChunk> {
-        let addresses = self.predict(line);
-        if addresses.is_empty() {
-            None
-        } else {
-            Some(StreamChunk {
-                addresses,
-                ready_at: now,
-            })
-        }
+        let successors = self.table.lookup(line)?;
+        Some(StreamChunk {
+            addresses: successors.to_vec(),
+            ready_at: now,
+        })
     }
 
     fn next_chunk(&mut self, _core: CoreId, now: Cycle, _dram: &mut DramModel) -> StreamChunk {
@@ -204,7 +136,7 @@ impl Prefetcher for MarkovPrefetcher {
     ) {
         if let Some(prev) = self.last_miss[core.index()] {
             if prev != line {
-                self.learn(prev, line);
+                self.table.push_front_unique(prev, line);
             }
         }
         self.last_miss[core.index()] = Some(line);
@@ -323,6 +255,24 @@ mod tests {
         p.record(CoreId::new(0), LineAddr::new(2), false, Cycle::ZERO, &mut d);
         let _ = p.on_trigger(CoreId::new(0), LineAddr::new(1), Cycle::ZERO, &mut d);
         assert_eq!(d.traffic().total(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "successors")]
+    fn zero_successors_panics() {
+        let _ = MarkovPrefetcher::new(MarkovConfig {
+            successors: 0,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "successors")]
+    fn successors_beyond_the_count_field_panic() {
+        let _ = MarkovPrefetcher::new(MarkovConfig {
+            successors: usize::from(u16::MAX) + 1,
+            ..Default::default()
+        });
     }
 
     #[test]

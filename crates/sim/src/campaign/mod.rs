@@ -375,6 +375,9 @@ impl Campaign {
     /// Jobs with equal fingerprints (`fingerprints[i]` belongs to
     /// `jobs[i]`) run once: only the first is enqueued, and its outcome is
     /// delivered to every duplicate, so a duplicate never holds a worker.
+    /// A task whose trace no other task of the batch replays simulates the
+    /// caches live instead of recording a hierarchy log it would replay
+    /// only once.
     ///
     /// `figures[i]`, when given, labels `jobs[i]`'s phase timings with its
     /// figure id in the telemetry registry; the phase clock itself always
@@ -389,35 +392,46 @@ impl Campaign {
         let mut figures = figures.map(Vec::into_iter);
         let mut task_of: HashMap<Fingerprint, usize> = HashMap::with_capacity(jobs.len());
         let mut members: Vec<Vec<usize>> = Vec::new();
-        let tasks: Vec<_> = jobs
-            .into_iter()
-            .zip(fingerprints)
-            .enumerate()
-            .filter_map(|(i, (job, &fingerprint))| {
-                let figure = figures.as_mut().and_then(Iterator::next);
-                match task_of.entry(fingerprint) {
-                    std::collections::hash_map::Entry::Occupied(task) => {
-                        members[*task.get()].push(i);
-                        return None;
-                    }
-                    std::collections::hash_map::Entry::Vacant(task) => {
-                        task.insert(members.len());
-                        members.push(vec![i]);
-                    }
+        let mut leaders = Vec::new();
+        for (i, (job, &fingerprint)) in jobs.into_iter().zip(fingerprints).enumerate() {
+            let figure = figures.as_mut().and_then(Iterator::next);
+            match task_of.entry(fingerprint) {
+                std::collections::hash_map::Entry::Occupied(task) => members[*task.get()].push(i),
+                std::collections::hash_map::Entry::Vacant(task) => {
+                    task.insert(members.len());
+                    members.push(vec![i]);
+                    leaders.push((job, fingerprint, figure));
                 }
+            }
+        }
+        let mut tasks_per_trace: HashMap<WorkloadSpec, usize> = HashMap::new();
+        for (job, _, _) in &leaders {
+            *tasks_per_trace.entry(job.workload.clone()).or_default() += 1;
+        }
+        let tasks: Vec<_> = leaders
+            .into_iter()
+            .map(|(job, fingerprint, figure)| {
+                let shared_trace = tasks_per_trace[&job.workload] > 1;
                 let cfg = Arc::clone(&self.cfg);
                 let store = Arc::clone(&self.store);
                 let results = self.results.clone();
                 let flights = Arc::clone(&self.flights);
                 let enqueued = std::time::Instant::now();
-                Some(move || {
+                move || {
                     let queue_ns = elapsed_ns(enqueued);
                     let started = std::time::Instant::now();
-                    let output =
-                        execute_job(&cfg, &store, results.as_deref(), &flights, fingerprint, job);
+                    let output = execute_job(
+                        &cfg,
+                        &store,
+                        results.as_deref(),
+                        &flights,
+                        fingerprint,
+                        shared_trace,
+                        job,
+                    );
                     note_job_phases(figure.as_deref(), queue_ns, elapsed_ns(started));
                     output
-                })
+                }
             })
             .collect();
         JobBatch {
@@ -706,13 +720,15 @@ fn collect_sims(
 /// Runs one job on the calling worker: a result-memo hit when one is
 /// configured, otherwise the simulation, whose output is then memoized.
 /// `fingerprint` is the job's [`job_fingerprint`], which is also its memo
-/// key.
+/// key; `shared_trace` says whether other jobs of its batch replay its
+/// trace (see [`run_job_uncached`]).
 fn execute_job(
     cfg: &ExperimentConfig,
     store: &TraceStore,
     results: Option<&ResultStore>,
     flights: &FlightCounters,
     fingerprint: Fingerprint,
+    shared_trace: bool,
     job: JobSpec,
 ) -> JobOutput {
     // A memoized output short-circuits everything, including trace
@@ -720,7 +736,7 @@ fn execute_job(
     if let Some(output) = results.and_then(|memo| memo.get(fingerprint, cfg, &job)) {
         return output;
     }
-    let output = run_job_uncached(cfg, store, &job);
+    let output = run_job_uncached(cfg, store, &job, shared_trace);
     if let Some(memo) = results {
         memo.put(fingerprint, &output);
     }
@@ -730,10 +746,22 @@ fn execute_job(
 }
 
 /// The actual generate/replay work of one job, no caching layers involved.
-fn run_job_uncached(cfg: &ExperimentConfig, store: &TraceStore, job: &JobSpec) -> JobOutput {
-    // The trace's L1/L2/stride outcomes are recorded once and shared by
-    // every job on it; the job replays only its own lane.
-    let (trace, log) = store.get_or_generate_logged(&job.workload, cfg.accesses, &cfg.system);
+///
+/// On a `shared_trace`, the trace's L1/L2/stride outcomes are recorded once
+/// and shared by every job on it, and the job replays only its own lane. A
+/// job alone on its trace simulates the caches live: recording costs about
+/// as much as a live replay, so a log replayed once saves nothing.
+fn run_job_uncached(
+    cfg: &ExperimentConfig,
+    store: &TraceStore,
+    job: &JobSpec,
+    shared_trace: bool,
+) -> JobOutput {
+    let (trace, log) = if shared_trace {
+        store.get_or_generate_logged(&job.workload, cfg.accesses, &cfg.system)
+    } else {
+        (store.get_or_generate(&job.workload, cfg.accesses), None)
+    };
     let replay = |prefetcher: &mut dyn Prefetcher| {
         let engine = CmpSimulator::new(&cfg.system, cfg.sim);
         match &log {
@@ -821,8 +849,34 @@ mod tests {
             }
         );
         let traces = campaign.store().stats();
-        assert_eq!(traces.logs_recorded, 2, "one hierarchy log per trace");
+        assert_eq!(
+            traces.logs_recorded, 0,
+            "each task is alone on its trace, so both run the live caches"
+        );
+    }
+
+    #[test]
+    fn only_a_trace_with_several_tasks_records_a_hierarchy_log() {
+        let jobs = vec![
+            JobSpec::replay(presets::web_apache(), PrefetcherKind::Baseline),
+            JobSpec::replay(presets::web_apache(), PrefetcherKind::ideal()),
+            JobSpec::replay(presets::oltp_db2(), PrefetcherKind::Baseline),
+            // A duplicate is not a second task on its trace.
+            JobSpec::replay(presets::oltp_db2(), PrefetcherKind::Baseline),
+        ];
+        let campaign = Campaign::with_threads(quick(), 2);
+        let batch = campaign.run_jobs(jobs.clone());
+        let traces = campaign.store().stats();
+        assert_eq!((traces.logs_recorded, traces.log_hits), (1, 1));
         assert!(traces.log_bytes > 0);
+        // Logged or live, each output equals the job run alone.
+        for (job, output) in jobs.into_iter().zip(batch) {
+            let alone = Campaign::with_threads(quick(), 1).run_jobs(vec![job]);
+            assert_eq!(
+                output.expect("no job fails").encode(),
+                alone[0].as_ref().expect("no job fails").encode()
+            );
+        }
     }
 
     #[test]

@@ -46,6 +46,8 @@ pub struct TraceMeta {
 pub struct Trace {
     meta: TraceMeta,
     accesses: Vec<MemAccess>,
+    /// The highest core any access names, kept up to date on every append.
+    highest_core: Option<CoreId>,
 }
 
 impl Trace {
@@ -54,12 +56,18 @@ impl Trace {
         Trace {
             meta,
             accesses: Vec::new(),
+            highest_core: None,
         }
     }
 
     /// Creates a trace from already-collected accesses.
     pub fn from_accesses(meta: TraceMeta, accesses: Vec<MemAccess>) -> Self {
-        Trace { meta, accesses }
+        let highest_core = accesses.iter().map(|a| a.core).max();
+        Trace {
+            meta,
+            accesses,
+            highest_core,
+        }
     }
 
     /// Wraps the trace in a [`SharedTrace`] handle for concurrent replay.
@@ -74,6 +82,7 @@ impl Trace {
 
     /// Appends one access.
     pub fn push(&mut self, access: MemAccess) {
+        self.highest_core = self.highest_core.max(Some(access.core));
         self.accesses.push(access);
     }
 
@@ -85,6 +94,12 @@ impl Trace {
     /// Whether the trace contains no accesses.
     pub fn is_empty(&self) -> bool {
         self.accesses.is_empty()
+    }
+
+    /// The highest core any access names (`None` for an empty trace), read
+    /// in O(1): a replay checks it against the system's core count.
+    pub fn highest_core(&self) -> Option<CoreId> {
+        self.highest_core
     }
 
     /// Returns the accesses as a slice.
@@ -120,7 +135,9 @@ impl Trace {
 
 impl Extend<MemAccess> for Trace {
     fn extend<T: IntoIterator<Item = MemAccess>>(&mut self, iter: T) {
-        self.accesses.extend(iter);
+        for access in iter {
+            self.push(access);
+        }
     }
 }
 
@@ -201,5 +218,17 @@ mod tests {
         let mut t = Trace::new(TraceMeta::default());
         t.extend(vec![MemAccess::read(CoreId::new(0), LineAddr::new(1))]);
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn highest_core_tracks_every_way_of_building_a_trace() {
+        assert_eq!(Trace::new(TraceMeta::default()).highest_core(), None);
+        let pushed = sample_trace();
+        assert_eq!(pushed.highest_core(), Some(CoreId::new(1)));
+        let collected = Trace::from_accesses(TraceMeta::default(), pushed.accesses().to_vec());
+        assert_eq!(collected.highest_core(), Some(CoreId::new(1)));
+        let mut extended = Trace::new(TraceMeta::default());
+        extended.extend(pushed.iter().copied().rev());
+        assert_eq!(extended.highest_core(), Some(CoreId::new(1)));
     }
 }
