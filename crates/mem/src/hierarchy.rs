@@ -320,9 +320,10 @@ impl HierarchyLog {
             // A copy, not `shrink_to_fit`: freeing the over-sized buffer
             // raises glibc's mmap threshold above the log size, so the logs
             // sit in the worker's heap. With the logs as separate mappings
-            // the heap kept about 12 MiB of freed job tables resident: a
-            // one-thread run of the figure grid at 120k accesses per trace
-            // peaked at 56.4 MiB, against 44.3 MiB with the copy.
+            // the heap kept freed job tables resident: a one-thread run of
+            // the figure grid at 120k accesses per trace (perfbench
+            // grid-cold) peaked at 33.7 MiB with `shrink_to_fit`, against
+            // 31.1 MiB with the copy (6 of 6 alternating runs).
             bytes: bytes.as_slice().to_vec(),
         })
     }

@@ -3,10 +3,11 @@
 //! victim of LRU or FIFO replacement, is found in O(1).
 //!
 //! Each slot carries its own [`Link`], so the list allocates nothing: the
-//! table's one slot array holds the order too. The stride table and the
-//! index table's bucket buffer push a slot on every use (LRU); the
-//! prefetch buffer pushes a slot only when it fills it (FIFO). Slots are
-//! never removed: each table replaces only once all its slots are in use.
+//! table's one slot array holds the order too. The stride table, the
+//! index table's bucket buffer and the ideal prefetcher's bounded index
+//! push a slot on every use (LRU); the prefetch buffer pushes a slot only
+//! when it fills it (FIFO). Slots are never removed: each table replaces
+//! only once all its slots are in use.
 
 /// Marks the ends of the list, and an unlinked slot.
 const NIL: u32 = u32::MAX;
