@@ -314,17 +314,17 @@ impl HierarchyLog {
             let step = hierarchy.step_into(access, &mut bytes);
             bytes[header] = step.flags & HEADER;
         }
+        // Peak RSS turns on glibc's dynamic mmap threshold, which the order
+        // of large frees moves. One-thread runs of the figure grid at 120k
+        // accesses per trace (perfbench grid-cold, 8 seeds, 6-8 alternating
+        // runs each) peaked at a median 23.9 MiB (max 26.9) with
+        // `shrink_to_fit`, 23.7 (max 29.7) keeping the over-sized buffer,
+        // and 26.4 (max 30.9) copying into an exact-size one.
+        bytes.shrink_to_fit();
         Some(HierarchyLog {
             system: cfg.clone(),
             accesses: accesses.len(),
-            // A copy, not `shrink_to_fit`: freeing the over-sized buffer
-            // raises glibc's mmap threshold above the log size, so the logs
-            // sit in the worker's heap. With the logs as separate mappings
-            // the heap kept freed job tables resident: a one-thread run of
-            // the figure grid at 120k accesses per trace (perfbench
-            // grid-cold) peaked at 33.7 MiB with `shrink_to_fit`, against
-            // 31.1 MiB with the copy (6 of 6 alternating runs).
-            bytes: bytes.as_slice().to_vec(),
+            bytes,
         })
     }
 

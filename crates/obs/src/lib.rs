@@ -23,8 +23,7 @@
 //!
 //! A [`Snapshot`] is a deterministic point-in-time copy of every metric,
 //! serializable to the versioned `stms-metrics/v1` JSON document written by
-//! `--metrics-out`. Snapshots [`Snapshot::merge`] associatively, so the
-//! snapshots of separate runs aggregate in any order.
+//! `--metrics-out`.
 //!
 //! # Example
 //!
@@ -40,8 +39,8 @@
 //! let snap = registry.snapshot();
 //! assert_eq!(snap.counter("store/hits"), Some(3));
 //! assert_eq!(snap.histogram("job/run_ns").unwrap().count, 1);
-//! let back = stms_obs::Snapshot::parse(&snap.to_json_string()).unwrap();
-//! assert_eq!(back.counter("store/hits"), Some(3));
+//! let json = snap.to_json();
+//! assert_eq!(json.get("counters").unwrap().get("store/hits").unwrap().as_u64(), Some(3));
 //! ```
 
 #![warn(missing_docs)]
@@ -445,21 +444,6 @@ impl HistogramSnapshot {
         }
         self.max
     }
-
-    /// Folds `other` into `self`: totals add saturating, max takes the
-    /// larger, bucket counts add pointwise. Associative and commutative,
-    /// so snapshots can merge in any order.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-        let mut merged: BTreeMap<u32, u64> = self.buckets.iter().copied().collect();
-        for &(index, n) in &other.buckets {
-            let slot = merged.entry(index).or_insert(0);
-            *slot = slot.saturating_add(n);
-        }
-        self.buckets = merged.into_iter().collect();
-    }
 }
 
 /// Inclusive upper bound of one log2 bucket (see [`BUCKETS`]).
@@ -475,7 +459,7 @@ fn bucket_upper_bound(index: u32) -> u64 {
 
 /// A deterministic, serializable copy of a whole registry at one instant.
 ///
-/// The JSON form ([`Snapshot::to_json_string`] / [`Snapshot::parse`]) is the
+/// The JSON form ([`Snapshot::to_json_string`]) is the
 /// `stms-metrics/v1` document written by `--metrics-out` and validated by
 /// CI — all integers, flat name→value maps.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -507,33 +491,6 @@ impl Snapshot {
     /// The named histogram, if present.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         lookup(&self.histograms, name)
-    }
-
-    /// Folds `other` into `self`: counters and histogram totals add
-    /// saturating, gauges keep the larger value (they are levels, not
-    /// events — the merged document reports the overall high-water mark).
-    /// Associative and commutative.
-    pub fn merge(&mut self, other: &Snapshot) {
-        let mut counters: BTreeMap<String, u64> = self.counters.drain(..).collect();
-        for (name, value) in &other.counters {
-            let slot = counters.entry(name.clone()).or_insert(0);
-            *slot = slot.saturating_add(*value);
-        }
-        self.counters = counters.into_iter().collect();
-
-        let mut gauges: BTreeMap<String, u64> = self.gauges.drain(..).collect();
-        for (name, value) in &other.gauges {
-            let slot = gauges.entry(name.clone()).or_insert(0);
-            *slot = (*slot).max(*value);
-        }
-        self.gauges = gauges.into_iter().collect();
-
-        let mut histograms: BTreeMap<String, HistogramSnapshot> =
-            self.histograms.drain(..).collect();
-        for (name, hist) in &other.histograms {
-            histograms.entry(name.clone()).or_default().merge(hist);
-        }
-        self.histograms = histograms.into_iter().collect();
     }
 
     /// The snapshot as a JSON value under the [`SNAPSHOT_SCHEMA`] layout.
@@ -585,101 +542,6 @@ impl Snapshot {
         let mut out = serde_json::to_string_pretty(&self.to_json());
         out.push('\n');
         out
-    }
-
-    /// Parses a JSON document produced by [`Snapshot::to_json_string`] (or
-    /// any value with the same layout).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed field, including a
-    /// schema tag other than [`SNAPSHOT_SCHEMA`].
-    pub fn parse(text: &str) -> Result<Snapshot, String> {
-        let value = serde_json::from_str(text).map_err(|e| format!("bad metrics JSON: {e}"))?;
-        Snapshot::from_json(&value)
-    }
-
-    /// Extracts a snapshot from an already-parsed JSON value (see
-    /// [`Snapshot::parse`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Snapshot::parse`].
-    pub fn from_json(value: &serde_json::Value) -> Result<Snapshot, String> {
-        let schema = value
-            .get("schema")
-            .and_then(|v| v.as_str())
-            .ok_or("metrics snapshot missing schema tag")?;
-        if schema != SNAPSHOT_SCHEMA {
-            return Err(format!(
-                "unsupported metrics schema {schema:?} (expected {SNAPSHOT_SCHEMA:?})"
-            ));
-        }
-        let scalar_map = |key: &str| -> Result<Vec<(String, u64)>, String> {
-            let members = value
-                .get(key)
-                .and_then(|v| v.as_object())
-                .ok_or_else(|| format!("metrics snapshot missing {key:?} object"))?;
-            members
-                .iter()
-                .map(|(name, v)| {
-                    let n = v
-                        .as_u64()
-                        .ok_or_else(|| format!("{key}/{name} is not an unsigned integer"))?;
-                    Ok((name.clone(), n))
-                })
-                .collect()
-        };
-        let mut counters = scalar_map("counters")?;
-        let mut gauges = scalar_map("gauges")?;
-        let members = value
-            .get("histograms")
-            .and_then(|v| v.as_object())
-            .ok_or("metrics snapshot missing \"histograms\" object")?;
-        let mut histograms = members
-            .iter()
-            .map(|(name, v)| {
-                let field = |key: &str| {
-                    v.get(key)
-                        .and_then(|f| f.as_u64())
-                        .ok_or_else(|| format!("histogram {name}/{key} is not an unsigned integer"))
-                };
-                let bucket_items = v
-                    .get("buckets")
-                    .and_then(|b| b.as_array())
-                    .ok_or_else(|| format!("histogram {name} missing buckets array"))?;
-                let buckets = bucket_items
-                    .iter()
-                    .map(|pair| {
-                        let index = pair.index(0).and_then(|i| i.as_u64());
-                        let n = pair.index(1).and_then(|c| c.as_u64());
-                        match (index, n) {
-                            (Some(index), Some(n)) if index < BUCKETS as u64 => {
-                                Ok((index as u32, n))
-                            }
-                            _ => Err(format!("histogram {name} has a malformed bucket pair")),
-                        }
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok((
-                    name.clone(),
-                    HistogramSnapshot {
-                        count: field("count")?,
-                        sum: field("sum")?,
-                        max: field("max")?,
-                        buckets,
-                    },
-                ))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        counters.sort_by(|a, b| a.0.cmp(&b.0));
-        gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(Snapshot {
-            counters,
-            gauges,
-            histograms,
-        })
     }
 
     /// Compact `(label, value)` lines for the stderr `telemetry:` block of
@@ -834,6 +696,7 @@ mod tests {
             "p100 is 1000's bucket bound (1023) clamped to the max"
         );
         assert_eq!(HistogramSnapshot::default().quantile(0.5), 0);
+        assert_eq!(HistogramSnapshot::default().mean(), 0);
     }
 
     #[test]
@@ -844,23 +707,25 @@ mod tests {
         registry.histogram("a/lat_ns").record(700);
         let snap = registry.snapshot();
         let text = snap.to_json_string();
-        assert!(text.contains("stms-metrics/v1"));
-        let back = Snapshot::parse(&text).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn parse_rejects_malformed_documents() {
-        assert!(Snapshot::parse("not json").is_err());
-        assert!(Snapshot::parse("{}").unwrap_err().contains("schema"));
-        let wrong = r#"{"schema":"stms-metrics/v999","counters":{},"gauges":{},"histograms":{}}"#;
-        assert!(Snapshot::parse(wrong).unwrap_err().contains("v999"));
-        let bad_counter =
-            r#"{"schema":"stms-metrics/v1","counters":{"c":-1},"gauges":{},"histograms":{}}"#;
-        assert!(Snapshot::parse(bad_counter).is_err());
-        let bad_bucket = r#"{"schema":"stms-metrics/v1","counters":{},"gauges":{},
-            "histograms":{"h":{"count":1,"sum":1,"max":1,"buckets":[[99]]}}}"#;
-        assert!(Snapshot::parse(bad_bucket).is_err());
+        assert!(text.ends_with('\n'));
+        let json = serde_json::from_str(&text).unwrap();
+        assert_eq!(
+            json,
+            snap.to_json(),
+            "the text is the value, pretty-printed"
+        );
+        assert_eq!(json.get("schema").unwrap().as_str(), Some(SNAPSHOT_SCHEMA));
+        let field = |section: &str, name: &str| json.get(section).unwrap().get(name).cloned();
+        assert_eq!(field("counters", "a/hits").unwrap().as_u64(), Some(3));
+        assert_eq!(field("gauges", "a/depth").unwrap().as_u64(), Some(2));
+        let hist = field("histograms", "a/lat_ns").unwrap();
+        for (key, value) in [("count", 1), ("sum", 700), ("max", 700)] {
+            assert_eq!(hist.get(key).unwrap().as_u64(), Some(value), "{key}");
+        }
+        let buckets = hist.get("buckets").unwrap().as_array().unwrap();
+        let pair = buckets[0].as_array().unwrap();
+        let index = bucket_index(700) as u64;
+        assert_eq!((pair[0].as_u64(), pair[1].as_u64()), (Some(index), Some(1)));
     }
 
     #[test]

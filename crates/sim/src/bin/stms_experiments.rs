@@ -14,15 +14,15 @@
 //! `fig5-left`, `fig5-right`, `fig6-left`, `fig6-right`, `fig7`, `fig8`,
 //! `fig9`, `ablation-index`, `markov-sweep`, plus the alias `all`.
 //!
-//! The jobs of every selected figure go to the pool in plan order as one
-//! batch. Figures render **streaming**: each one is printed as soon as its
-//! own jobs complete (in selection order), so the first table appears long
-//! before a many-figure run finishes.
+//! The jobs of every selected figure go to the pool as one batch, trace by
+//! trace and in plan order within a trace. Figures render **streaming**:
+//! each one is printed as soon as its own jobs and those of every figure
+//! before it complete (in selection order).
 //!
 //! Each distinct trace is generated once per run, held in memory and
 //! shared by every job that replays it, together with one recorded
-//! hierarchy log (its L1, L2 and stride outcomes) per trace; traces are
-//! never written to disk. `--result-cache DIR`
+//! hierarchy log (its L1, L2 and stride outcomes) per trace, and dropped
+//! after its last job; traces are never written to disk. `--result-cache DIR`
 //! memoizes finished job outputs across runs (processes sharing the
 //! directory reuse each other's outputs); `--cache-verify` cross-checks
 //! every loaded output against its requesting job and replays on mismatch.

@@ -6,11 +6,12 @@
 //! lifecycle into reusable stages:
 //!
 //! 1. **Generation** — the [`TraceStore`] generates each distinct workload
-//!    trace exactly once per campaign and shares it as a
-//!    [`stms_types::SharedTrace`];
+//!    trace once per batch, shares it as a [`stms_types::SharedTrace`], and
+//!    drops it after its last job;
 //! 2. **Scheduling** — the [`JobPool`] replays figure cells on a bounded
-//!    set of worker threads, in plan order, with panic-safe, per-job error
-//!    reporting; jobs with equal fingerprints in one batch run once;
+//!    set of worker threads, trace by trace and in plan order within a
+//!    trace, with panic-safe, per-job error reporting; jobs with equal
+//!    fingerprints in one batch run once;
 //! 3. **Aggregation** — each figure is a declarative [`FigurePlan`]: a list
 //!    of [`JobSpec`]s plus a render stage that folds the job outputs into a
 //!    [`FigureResult`]. [`Campaign::run_figures`] enqueues the jobs of
@@ -193,8 +194,10 @@ pub struct CampaignCacheStats {
 
 /// Appends the result-cache line to a stderr `run summary:` block, and,
 /// once jobs ran, how many executed and how many shared a duplicate's
-/// output (`job flights`), and how many jobs replayed a recorded hierarchy
-/// log (`hierarchy logs`, with the logs' total size).
+/// output (`job flights`), how many requests found their trace in the
+/// store (`traces`, with the traces released and the most held at once),
+/// and how many jobs replayed a recorded hierarchy log (`hierarchy logs`,
+/// with the logs' total size).
 pub fn push_cache_reports(summary: &mut stms_stats::RunSummary, campaign: &Campaign) {
     use stms_stats::CacheReport;
     let stats = campaign.cache_stats();
@@ -215,6 +218,13 @@ pub fn push_cache_reports(summary: &mut stms_stats::RunSummary, campaign: &Campa
             flights.shared,
             flights.executed,
         ));
+    }
+    if trace.generated > 0 {
+        summary.push(
+            CacheReport::new("traces", trace.hits, trace.misses)
+                .with_detail("released", trace.released)
+                .with_detail("max resident", trace.max_resident),
+        );
     }
     if trace.logs_recorded > 0 {
         summary.push(
@@ -369,7 +379,7 @@ impl Campaign {
             .collect()
     }
 
-    /// Enqueues a batch in job order without waiting (the streaming
+    /// Enqueues a batch trace by trace without waiting (the streaming
     /// primitive behind [`Campaign::run_figures`]).
     ///
     /// Jobs with equal fingerprints (`fingerprints[i]` belongs to
@@ -378,6 +388,11 @@ impl Campaign {
     /// A task whose trace no other task of the batch replays simulates the
     /// caches live instead of recording a hierarchy log it would replay
     /// only once.
+    ///
+    /// The tasks go to the pool ordered by their trace's first use, in
+    /// batch order within a trace. The tasks on a trace share one claim
+    /// on it, and the trace and its logs are dropped when the last of them
+    /// ends, so the store holds about one trace per worker.
     ///
     /// `figures[i]`, when given, labels `jobs[i]`'s phase timings with its
     /// figure id in the telemetry registry; the phase clock itself always
@@ -404,20 +419,40 @@ impl Campaign {
                 }
             }
         }
-        let mut tasks_per_trace: HashMap<WorkloadSpec, usize> = HashMap::new();
-        for (job, _, _) in &leaders {
-            *tasks_per_trace.entry(job.workload.clone()).or_default() += 1;
-        }
-        let tasks: Vec<_> = leaders
+        // Each trace by the rank of its first use: one claim shared by its
+        // tasks, and their number.
+        let mut rank_of: HashMap<&WorkloadSpec, usize> = HashMap::new();
+        let (mut claims, mut tasks_on) = (Vec::new(), Vec::new());
+        let ranks: Vec<usize> = leaders
+            .iter()
+            .map(|(job, _, _)| {
+                let rank = *rank_of.entry(&job.workload).or_insert_with(|| {
+                    claims.push(Arc::new(self.store.claim(&job.workload, self.cfg.accesses)));
+                    tasks_on.push(0usize);
+                    claims.len() - 1
+                });
+                tasks_on[rank] += 1;
+                rank
+            })
+            .collect();
+        let mut order: Vec<_> = ranks.into_iter().zip(leaders).zip(members).collect();
+        order.sort_by_key(|((rank, _), _)| *rank);
+        let mut members = Vec::with_capacity(order.len());
+        let tasks: Vec<_> = order
             .into_iter()
-            .map(|(job, fingerprint, figure)| {
-                let shared_trace = tasks_per_trace[&job.workload] > 1;
+            .map(|((rank, (job, fingerprint, figure)), positions)| {
+                members.push(positions);
+                let shared_trace = tasks_on[rank] > 1;
+                let claim = Arc::clone(&claims[rank]);
                 let cfg = Arc::clone(&self.cfg);
                 let store = Arc::clone(&self.store);
                 let results = self.results.clone();
                 let flights = Arc::clone(&self.flights);
                 let enqueued = std::time::Instant::now();
                 move || {
+                    // Dropped last, also when the job panics: the last
+                    // task on the trace releases it.
+                    let _claim = claim;
                     let queue_ns = elapsed_ns(enqueued);
                     let started = std::time::Instant::now();
                     let output = execute_job(
@@ -434,6 +469,8 @@ impl Campaign {
                 }
             })
             .collect();
+        // From here the tasks hold the only handles on the claims.
+        drop(claims);
         JobBatch {
             handle: self.pool.submit_batch(tasks),
             members,
@@ -515,7 +552,8 @@ impl Campaign {
     /// to `emit` — in plan order — *as soon as its own jobs complete*,
     /// while later figures' jobs are still running.
     ///
-    /// Jobs go to the pool in plan order. Streaming changes
+    /// Jobs go to the pool trace by trace, in plan order within a trace,
+    /// so a figure whose traces come late emits late. Streaming changes
     /// time-to-first-table, never content or order: a driver that prints
     /// each emitted figure produces stdout byte-identical to collecting
     /// everything first.
@@ -903,6 +941,57 @@ mod tests {
             campaign.flight_stats().shared,
             0,
             "a panic is not shared output"
+        );
+        assert!(
+            campaign.store().is_empty(),
+            "a panicking task still counts itself done, so its trace is dropped"
+        );
+    }
+
+    #[test]
+    fn one_thread_campaign_drops_each_trace_after_its_last_job() {
+        let jobs = vec![
+            JobSpec::replay(presets::web_apache(), PrefetcherKind::Baseline),
+            JobSpec::replay(presets::oltp_db2(), PrefetcherKind::ideal()),
+            JobSpec::collect_misses(presets::web_apache()),
+            JobSpec::replay(presets::sci_ocean(), PrefetcherKind::Baseline),
+            JobSpec::replay(presets::oltp_db2(), PrefetcherKind::Baseline),
+            JobSpec::replay(presets::web_apache(), PrefetcherKind::ideal()),
+            JobSpec::replay(presets::oltp_db2(), PrefetcherKind::ideal()),
+        ];
+        let campaign = Campaign::with_threads(quick(), 1);
+        let batch = campaign.run_jobs(jobs.clone());
+        assert!(campaign.store().is_empty());
+        let traces = campaign.store().stats();
+        assert_eq!((traces.generated, traces.released), (3, 3));
+        assert_eq!(
+            traces.max_resident, 1,
+            "one worker running trace by trace holds one trace at a time"
+        );
+        for (job, output) in jobs.into_iter().zip(batch) {
+            let alone = Campaign::with_threads(quick(), 1).run_jobs(vec![job]);
+            assert_eq!(
+                output.expect("no job fails").encode(),
+                alone[0].as_ref().expect("no job fails").encode()
+            );
+        }
+    }
+
+    #[test]
+    fn a_second_batch_generates_its_trace_again() {
+        let campaign = Campaign::with_threads(quick(), 1);
+        let job = JobSpec::replay(presets::web_apache(), PrefetcherKind::Baseline);
+        let first = campaign.run_jobs(vec![job.clone()]);
+        let second = campaign.run_jobs(vec![job]);
+        assert_eq!(
+            first[0].as_ref().expect("no job fails").encode(),
+            second[0].as_ref().expect("no job fails").encode()
+        );
+        let traces = campaign.store().stats();
+        assert_eq!(
+            (traces.generated, traces.released),
+            (2, 2),
+            "the first batch dropped the trace after its last job"
         );
     }
 

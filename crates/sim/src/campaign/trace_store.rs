@@ -6,9 +6,16 @@
 //! campaign). [`TraceStore`] keys generated traces by the full
 //! [`WorkloadSpec`] identity (every generator parameter, including trace
 //! length and seed) and hands out [`SharedTrace`] handles, so each distinct
-//! trace is generated exactly once per campaign no matter how many jobs
-//! request it, and matched comparisons across figures replay bit-identical
-//! inputs.
+//! trace is generated once per batch, and dropped after its last job, no
+//! matter how many jobs request it, and matched comparisons across figures
+//! replay bit-identical inputs.
+//!
+//! A campaign claims each trace a batch uses once for the batch, and the
+//! batch's tasks on the trace share the claim: it drops when the last of
+//! them ends. Dropping the last claim on a trace releases it
+//! ([`TraceStore::release`]) with every log recorded for it, so a campaign
+//! that runs its batch trace by trace holds about one trace per worker,
+//! not every trace it has generated.
 //!
 //! Traces are never persisted: generating one is cheaper than reading it
 //! back from disk. Every replay runs over a materialized trace, so the
@@ -55,7 +62,8 @@ pub struct TraceStoreStats {
     /// Requests that created a new memory entry.
     pub misses: u64,
     /// Traces actually generated: one per memory miss (each new entry is
-    /// generated exactly once, even under concurrent first requests).
+    /// generated exactly once, even under concurrent first requests; a
+    /// released trace that is requested again is generated again).
     pub generated: u64,
     /// Hierarchy logs recorded ([`TraceStore::get_or_generate_logged`]):
     /// one per materialized trace and system model.
@@ -64,6 +72,10 @@ pub struct TraceStoreStats {
     pub log_hits: u64,
     /// Total size of the recorded logs in bytes.
     pub log_bytes: u64,
+    /// Traces dropped by [`TraceStore::release`].
+    pub released: u64,
+    /// The most traces the store held at once.
+    pub max_resident: u64,
 }
 
 /// A shared, thread-safe store of generated traces keyed by workload spec.
@@ -92,6 +104,10 @@ pub struct TraceStore {
     logs_recorded: AtomicU64,
     log_hits: AtomicU64,
     log_bytes: AtomicU64,
+    /// Open claims by trace key (see `TraceClaim`).
+    claims: Mutex<HashMap<WorkloadSpec, usize>>,
+    released: AtomicU64,
+    max_resident: AtomicU64,
 }
 
 /// One entry of [`TraceStore`]'s hierarchy-log map.
@@ -167,6 +183,9 @@ impl TraceStore {
                     counter_add(&self.misses, 1);
                     let cell = Arc::new(OnceLock::new());
                     map.insert(key.clone(), Arc::clone(&cell));
+                    let resident = map.len() as u64;
+                    self.max_resident.fetch_max(resident, Ordering::Relaxed);
+                    stms_obs::gauge("trace.resident_max").record_max(resident);
                     (cell, false)
                 }
             }
@@ -236,6 +255,58 @@ impl TraceStore {
         trace
     }
 
+    /// Drops the trace for `spec` at `accesses` and every hierarchy log
+    /// recorded for it. Handles already handed out stay valid; the next
+    /// request generates the trace again.
+    ///
+    /// ```
+    /// use stms_sim::campaign::TraceStore;
+    /// use stms_workloads::presets;
+    ///
+    /// let store = TraceStore::new();
+    /// let spec = presets::web_apache();
+    /// let held = store.get_or_generate(&spec, 1_000);
+    /// store.release(&spec, 1_000);
+    /// assert!(store.is_empty());
+    /// assert_eq!(held.len(), 1_000); // the caller's handle survives
+    /// store.get_or_generate(&spec, 1_000);
+    /// assert_eq!((store.stats().released, store.stats().generated), (1, 2));
+    /// ```
+    pub fn release(&self, spec: &WorkloadSpec, accesses: usize) {
+        self.release_key(&spec.clone().with_accesses(accesses));
+    }
+
+    fn release_key(&self, key: &WorkloadSpec) {
+        let removed = self
+            .entries
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(key);
+        if removed.is_some() {
+            counter_add(&self.released, 1);
+        }
+        self.logs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .retain(|(trace, _), _| trace != key);
+    }
+
+    /// Claims the trace for `spec` at `accesses`: the store releases it
+    /// once every claim on it is dropped.
+    pub(crate) fn claim(self: &Arc<Self>, spec: &WorkloadSpec, accesses: usize) -> TraceClaim {
+        let key = spec.clone().with_accesses(accesses);
+        *self
+            .claims
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(key.clone())
+            .or_default() += 1;
+        TraceClaim {
+            store: Arc::clone(self),
+            key,
+        }
+    }
+
     /// Number of distinct traces currently cached in memory (including any
     /// still being resolved).
     pub fn len(&self) -> usize {
@@ -259,6 +330,8 @@ impl TraceStore {
             logs_recorded: self.logs_recorded.load(Ordering::Relaxed),
             log_hits: self.log_hits.load(Ordering::Relaxed),
             log_bytes: self.log_bytes.load(Ordering::Relaxed),
+            released: self.released.load(Ordering::Relaxed),
+            max_resident: self.max_resident.load(Ordering::Relaxed),
         }
     }
 
@@ -281,8 +354,41 @@ impl TraceStore {
             &self.logs_recorded,
             &self.log_hits,
             &self.log_bytes,
+            &self.released,
+            &self.max_resident,
         ] {
             counter.store(0, Ordering::Relaxed);
+        }
+    }
+}
+
+/// A claim on a trace (`TraceStore::claim`). A batch's tasks on the trace
+/// share one behind an `Arc`, so it drops when the last of them ends,
+/// whether it finished, panicked or never ran; the last claim on a trace
+/// releases it.
+#[derive(Debug)]
+pub(crate) struct TraceClaim {
+    store: Arc<TraceStore>,
+    key: WorkloadSpec,
+}
+
+impl Drop for TraceClaim {
+    fn drop(&mut self) {
+        // The release happens under the claims lock, so a claim taken
+        // concurrently either keeps the trace or finds it already gone.
+        let mut claims = self
+            .store
+            .claims
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        // Every live claim is counted; a drop must not panic regardless.
+        let Some(open) = claims.get_mut(&self.key) else {
+            return;
+        };
+        *open -= 1;
+        if *open == 0 {
+            claims.remove(&self.key);
+            self.store.release_key(&self.key);
         }
     }
 }

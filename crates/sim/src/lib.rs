@@ -8,10 +8,11 @@
 //!
 //! * [`ExperimentConfig`] — the scaled system model and trace lengths;
 //! * [`campaign`] — the orchestration layer: a [`campaign::TraceStore`]
-//!   generating each workload trace exactly once, a bounded
-//!   [`campaign::JobPool`] with panic-safe per-job errors, declarative
-//!   [`campaign::FigurePlan`]s whose cells go to one pool in plan order,
-//!   and an optional persistent [`campaign::ResultStore`];
+//!   generating each workload trace once per batch and dropping it after
+//!   its last job, a bounded [`campaign::JobPool`] with panic-safe per-job
+//!   errors, declarative [`campaign::FigurePlan`]s whose cells go to one
+//!   pool trace by trace, and an optional persistent
+//!   [`campaign::ResultStore`];
 //! * [`runner`] — (workload × prefetcher) convenience runners on top of the
 //!   campaign layer;
 //! * [`experiments`] — one plan per table/figure of the paper (§5);

@@ -1,7 +1,8 @@
 //! End-to-end checks of the campaign orchestration layer: a full `run_all`
-//! grid generates each workload trace exactly once, every figure renders
-//! through the job layer with the expected shape, and the cached-trace path
-//! reproduces the regeneration path bit-for-bit.
+//! grid generates each workload trace exactly once and drops it after its
+//! last job, every figure renders through the job layer with the expected
+//! shape, and the cached-trace path reproduces the regeneration path
+//! bit-for-bit.
 
 use std::collections::HashSet;
 use stms_sim::campaign::Campaign;
@@ -39,9 +40,11 @@ fn full_grid_generates_each_workload_trace_exactly_once() {
     assert_eq!(
         stats.generated,
         distinct.len() as u64,
-        "each distinct workload trace is generated exactly once per campaign"
+        "each distinct workload trace is generated exactly once per batch"
     );
     assert_eq!(stats.misses, stats.generated);
+    assert_eq!(stats.released, stats.generated, "every trace is dropped");
+    assert!(campaign.store().is_empty());
     assert!(
         stats.hits > 100,
         "the grid re-uses cached traces heavily (got {} hits)",
