@@ -193,6 +193,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     // every known experiment.
     if selected.is_empty() || selected.iter().any(|id| id == "all") {
         selected = ALL_IDS.iter().map(|s| s.to_string()).collect();
+    } else {
+        // A repeated id renders once, at its first position.
+        let mut seen = std::collections::HashSet::new();
+        selected.retain(|id| seen.insert(id.clone()));
     }
     Ok(Options {
         cfg,

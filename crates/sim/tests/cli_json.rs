@@ -20,7 +20,8 @@ fn json_output_round_trips_through_serde_json() {
         "--threads",
         "2",
         "--figures",
-        "table2,fig4",
+        "table2,fig4,table2",
+        "fig4",
         "--format",
         "json",
     ]);
@@ -33,6 +34,7 @@ fn json_output_round_trips_through_serde_json() {
     let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
     let doc = serde_json::from_str(&stdout).expect("stdout is one valid JSON document");
     let items = doc.as_array().expect("top level is an array");
+    // Each repeated id renders once, at its first position.
     assert_eq!(items.len(), 2);
     assert_eq!(items[0].get("id").unwrap().as_str(), Some("table2"));
     assert_eq!(items[1].get("id").unwrap().as_str(), Some("fig4"));
@@ -92,9 +94,22 @@ fn unknown_figure_and_invalid_options_exit_with_usage_error() {
 
 #[test]
 fn text_mode_renders_selected_figures_only() {
-    let out = run_cli(&["--quick", "--accesses", "8000", "--figures", "table1"]);
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let once = run_cli(&["--quick", "--accesses", "8000", "--figures", "table1"]);
+    assert!(once.status.success());
+    let stdout = String::from_utf8_lossy(&once.stdout);
     assert!(stdout.contains("Table 1"));
     assert!(!stdout.contains("Figure 4"));
+
+    // An id repeated through `--figures` and as a positional id renders
+    // once: the output equals the single selection's.
+    let repeated = run_cli(&[
+        "--quick",
+        "--accesses",
+        "8000",
+        "--figures",
+        "table1,table1",
+        "table1",
+    ]);
+    assert!(repeated.status.success());
+    assert_eq!(repeated.stdout, once.stdout);
 }

@@ -35,7 +35,7 @@ pub use addr::{LineAddr, PhysAddr, CACHE_LINE_BYTES};
 pub use fingerprint::{Fingerprint, Fingerprintable, Fingerprinter};
 pub use ids::CoreId;
 pub use manifest::{
-    ManifestEntry, ManifestError, ManifestScan, ShardBalance, ShardJobTiming, ShardManifest,
+    ManifestEntry, ManifestError, ManifestScan, ShardJobTiming, ShardManifest,
     MANIFEST_CODEC_VERSION,
 };
 pub use time::Cycle;

@@ -4,8 +4,7 @@
 //! hand its finished job outputs to a later merge stage as a single sealed
 //! artifact. This module defines that artifact's *container*: a
 //! [`ShardManifest`] carries the configuration fingerprint the shard ran
-//! under, its 1-based `index` out of `count` shards, the
-//! [`ShardBalance`] mode the fleet partitioned under, and an ordered list
+//! under, its 1-based `index` out of `count` shards, and an ordered list
 //! of `(job fingerprint, payload bytes)` entries. The payload bytes are
 //! opaque here — the campaign layer stores `JobOutput::encode` blobs — so
 //! the envelope stays free of simulator types, exactly like [`crate::blob`].
@@ -21,7 +20,7 @@
 //! # Layout
 //!
 //! The body layout is versioned through the blob codec field. Only the
-//! current version, [`MANIFEST_CODEC_VERSION`] (v3), is read: manifests
+//! current version, [`MANIFEST_CODEC_VERSION`] (v4), is read: manifests
 //! are regenerable by re-running their shard, so older layouts get no
 //! compatibility reader and fail closed with a codec-version mismatch.
 //!
@@ -35,14 +34,13 @@
 //! # Example
 //!
 //! ```
-//! use stms_types::manifest::{ShardBalance, ShardManifest};
+//! use stms_types::manifest::ShardManifest;
 //! use stms_types::Fingerprint;
 //!
 //! let manifest = ShardManifest {
 //!     config: Fingerprint::from_raw(7),
 //!     index: 1,
 //!     count: 2,
-//!     balance: ShardBalance::Cost,
 //!     entries: vec![(Fingerprint::from_raw(11), b"output".to_vec())],
 //!     timings: Vec::new(),
 //! };
@@ -60,71 +58,14 @@ use std::io::Read;
 /// [`ShardManifest::seal`] / [`ShardManifest::scan`]. Bump when the
 /// encoding changes; v2 appended the per-job timing section, v3 added the
 /// balance-mode header byte and chunk-framed entries for bounded-memory
-/// streaming reads.
-pub const MANIFEST_CODEC_VERSION: u16 = 3;
+/// streaming reads, v4 dropped the balance-mode byte.
+pub const MANIFEST_CODEC_VERSION: u16 = 4;
 
-/// Target encoded size of one entry chunk in a v3 manifest. Chunks are
+/// Target encoded size of one entry chunk in a manifest. Chunks are
 /// packed greedily: an entry larger than the target gets a chunk of its
 /// own (entries are never split, so every payload stays contiguous on
 /// disk and addressable by one `(offset, len)` pair).
 pub const MANIFEST_CHUNK_BYTES: usize = 256 * 1024;
-
-/// How a fleet partitioned the distinct job grid across shards. Sealed
-/// into every v3 manifest so a merge can verify all shards agreed on the
-/// same partition function before trusting their coverage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ShardBalance {
-    /// Modulo partition: shard `i` of `n` owns jobs with
-    /// `fingerprint % n == i - 1`. Splits job *count* evenly.
-    #[default]
-    Count,
-    /// Greedy LPT bin-packing over predicted job costs: splits predicted
-    /// *work* evenly. Deterministic, so every shard computes the same
-    /// partition from the same grid and cost model.
-    Cost,
-}
-
-impl ShardBalance {
-    /// The byte this mode encodes to in a v3 manifest header.
-    pub fn code(self) -> u8 {
-        match self {
-            ShardBalance::Count => 0,
-            ShardBalance::Cost => 1,
-        }
-    }
-
-    /// Decodes a v3 header byte; `None` for bytes no known mode uses.
-    pub fn from_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(ShardBalance::Count),
-            1 => Some(ShardBalance::Cost),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling of this mode (`count` / `cost`).
-    pub fn label(self) -> &'static str {
-        match self {
-            ShardBalance::Count => "count",
-            ShardBalance::Cost => "cost",
-        }
-    }
-
-    /// Parses the CLI spelling accepted by `--shard-balance`.
-    pub fn parse(text: &str) -> Option<Self> {
-        match text {
-            "count" => Some(ShardBalance::Count),
-            "cost" => Some(ShardBalance::Cost),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for ShardBalance {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// Wall-clock phase timings of one job as measured by the shard that ran
 /// it, keyed by the same stable job fingerprint as the output entries.
@@ -151,10 +92,6 @@ pub struct ShardManifest {
     pub index: u32,
     /// Total number of shards in the partition.
     pub count: u32,
-    /// Partition function the fleet ran under. Merge rejects mixed fleets:
-    /// a `cost` shard and a `count` shard of the same campaign computed
-    /// different ownership and cannot have consistent coverage.
-    pub balance: ShardBalance,
     /// `(job fingerprint, opaque payload)` pairs, in the shard's job order.
     pub entries: Vec<(Fingerprint, Vec<u8>)>,
     /// Per-job phase timings measured on this shard. Independent of
@@ -187,8 +124,6 @@ pub struct ManifestScan {
     pub index: u32,
     /// Total number of shards in the partition.
     pub count: u32,
-    /// Partition function the fleet ran under.
-    pub balance: ShardBalance,
     /// Number of entries the scan surfaced.
     pub entry_count: u64,
     /// Per-job phase timings measured on the shard.
@@ -221,7 +156,6 @@ impl ShardManifest {
         body.extend_from_slice(&self.config.raw().to_le_bytes());
         body.extend_from_slice(&self.index.to_le_bytes());
         body.extend_from_slice(&self.count.to_le_bytes());
-        body.push(self.balance.code());
         body.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
         // Pack entries greedily into framed chunks. Chunk boundaries never
         // split an entry, so a chunk holding one oversized payload may
@@ -282,7 +216,6 @@ impl ShardManifest {
             config: scan.config,
             index: scan.index,
             count: scan.count,
-            balance: scan.balance,
             entries,
             timings: scan.timings,
         })
@@ -325,7 +258,7 @@ impl ShardManifest {
         // so truncated prefixes read exactly as they always have.
         let header = blob::parse_header(&header_bytes[..got])?;
         match header.codec_version {
-            MANIFEST_CODEC_VERSION => scan_v3(header, reader, &mut on_entry),
+            MANIFEST_CODEC_VERSION => scan_body(header, reader, &mut on_entry),
             found => Err(ManifestError::Blob(BlobError::CodecVersionMismatch {
                 found,
                 expected: MANIFEST_CODEC_VERSION,
@@ -382,9 +315,9 @@ impl<R: Read> BodyReader<R> {
     }
 }
 
-/// Streams the chunk-framed v3 layout: fixed header, framed entry chunks
+/// Streams the chunk-framed layout: fixed header, framed entry chunks
 /// (validated one at a time), timing section, whole-payload checksum.
-fn scan_v3<R: Read>(
+fn scan_body<R: Read>(
     header: blob::BlobHeader,
     reader: R,
     on_entry: &mut impl FnMut(ManifestEntry<'_>),
@@ -396,22 +329,19 @@ fn scan_v3<R: Read>(
         payload_len,
         hasher: Fingerprinter::new(),
     };
-    let mut fixed = [0u8; 16 + 4 + 4 + 1 + 8 + 8];
+    let mut fixed = [0u8; 16 + 4 + 4 + 8 + 8];
     body.read_body(&mut fixed, "manifest header")?;
     let config = Fingerprint::from_raw(u128::from_le_bytes(fixed[0..16].try_into().unwrap()));
     let index = u32::from_le_bytes(fixed[16..20].try_into().unwrap());
     let count = u32::from_le_bytes(fixed[20..24].try_into().unwrap());
-    let balance_code = fixed[24];
-    let entry_count = u64::from_le_bytes(fixed[25..33].try_into().unwrap());
-    let chunk_count = u64::from_le_bytes(fixed[33..41].try_into().unwrap());
+    let entry_count = u64::from_le_bytes(fixed[24..32].try_into().unwrap());
+    let chunk_count = u64::from_le_bytes(fixed[32..40].try_into().unwrap());
     if count == 0 || index == 0 || index > count {
         return Err(ManifestError::BadShard { index, count });
     }
     if header.key != ShardManifest::seal_key(config, index, count) {
         return Err(ManifestError::KeyMismatch);
     }
-    let balance = ShardBalance::from_code(balance_code)
-        .ok_or(ManifestError::BadBalance { code: balance_code })?;
     // An entry costs at least 24 framing bytes, a chunk at least 16: a
     // vandalized count cannot force an absurd allocation.
     if entry_count.saturating_mul(24) > payload_len || chunk_count.saturating_mul(16) > payload_len
@@ -516,7 +446,6 @@ fn scan_v3<R: Read>(
         config,
         index,
         count,
-        balance,
         entry_count,
         timings,
     })
@@ -540,11 +469,6 @@ pub enum ManifestError {
         index: u32,
         /// Count found in the header (must be non-zero).
         count: u32,
-    },
-    /// The v3 balance-mode byte is one this build does not know.
-    BadBalance {
-        /// The unknown byte.
-        code: u8,
     },
     /// The blob key does not match the decoded header — a renamed or
     /// spliced file.
@@ -584,9 +508,6 @@ impl fmt::Display for ManifestError {
             ManifestError::BadShard { index, count } => {
                 write!(f, "shard manifest claims invalid shard {index}/{count}")
             }
-            ManifestError::BadBalance { code } => {
-                write!(f, "shard manifest has unknown balance mode byte {code}")
-            }
             ManifestError::KeyMismatch => {
                 write!(f, "shard manifest key does not match its header")
             }
@@ -613,7 +534,6 @@ mod tests {
             config: Fingerprint::from_raw(0xfeed_beef),
             index: 2,
             count: 3,
-            balance: ShardBalance::Count,
             entries: vec![
                 (Fingerprint::from_raw(1), vec![1, 2, 3]),
                 (Fingerprint::from_raw(2), Vec::new()),
@@ -640,7 +560,6 @@ mod tests {
         body.extend_from_slice(&config.raw().to_le_bytes());
         body.extend_from_slice(&index.to_le_bytes());
         body.extend_from_slice(&count.to_le_bytes());
-        body.push(ShardBalance::Count.code());
         body.extend_from_slice(&0u64.to_le_bytes()); // entries
         body.extend_from_slice(&0u64.to_le_bytes()); // chunks
         body.extend_from_slice(&0u64.to_le_bytes()); // timings
@@ -658,17 +577,6 @@ mod tests {
         };
         assert_eq!(ShardManifest::open(&empty.seal()).unwrap(), empty);
         assert_eq!(manifest.file_name(), "shard-2-of-3.stms");
-    }
-
-    #[test]
-    fn balance_mode_survives_the_round_trip() {
-        let manifest = ShardManifest {
-            balance: ShardBalance::Cost,
-            ..sample()
-        };
-        let back = ShardManifest::open(&manifest.seal()).unwrap();
-        assert_eq!(back.balance, ShardBalance::Cost);
-        assert_eq!(back, manifest);
     }
 
     #[test]
@@ -732,7 +640,7 @@ mod tests {
 
     #[test]
     fn chunk_corruption_names_the_chunk() {
-        // Corrupt one payload byte inside the first framed chunk of a v3
+        // Corrupt one payload byte inside the first framed chunk of a
         // manifest: the per-chunk checksum catches it before the trailing
         // whole-payload checksum is even reached by a streaming scan.
         let manifest = ShardManifest {
@@ -741,34 +649,13 @@ mod tests {
             ..sample()
         };
         let mut sealed = manifest.seal();
-        // Fixed header is 41 bytes into the body; chunk length frame is 8
+        // Fixed header is 40 bytes into the body; chunk length frame is 8
         // more; the first entry's payload starts 24 bytes after that.
-        let payload_at = blob::HEADER_LEN + 41 + 8 + 24;
+        let payload_at = blob::HEADER_LEN + 40 + 8 + 24;
         sealed[payload_at] ^= 0xff;
         assert_eq!(
             ShardManifest::scan(&sealed[..], |_| {}),
             Err(ManifestError::ChunkChecksum { chunk: 0 })
-        );
-    }
-
-    #[test]
-    fn unknown_balance_bytes_are_rejected() {
-        let manifest = sample();
-        let mut sealed = manifest.seal();
-        // The balance byte sits 24 bytes into the body. Re-seal so the
-        // checksums stay valid and only the mode byte is unknown.
-        let (_, body) = blob::open_any(&sealed, MANIFEST_CODEC_VERSION).unwrap();
-        let mut body = body.to_vec();
-        body[24] = 9;
-        sealed = blob::seal(
-            MANIFEST_CODEC_VERSION,
-            ShardManifest::seal_key(manifest.config, manifest.index, manifest.count),
-            &body,
-        );
-        // The chunk checksums are untouched, so only the mode byte trips.
-        assert_eq!(
-            ShardManifest::open(&sealed),
-            Err(ManifestError::BadBalance { code: 9 })
         );
     }
 
@@ -835,27 +722,11 @@ mod tests {
     }
 
     #[test]
-    fn balance_parses_its_cli_spellings() {
-        assert_eq!(ShardBalance::parse("count"), Some(ShardBalance::Count));
-        assert_eq!(ShardBalance::parse("cost"), Some(ShardBalance::Cost));
-        assert_eq!(ShardBalance::parse("weight"), None);
-        for mode in [ShardBalance::Count, ShardBalance::Cost] {
-            assert_eq!(ShardBalance::from_code(mode.code()), Some(mode));
-            assert_eq!(ShardBalance::parse(mode.label()), Some(mode));
-            assert_eq!(mode.to_string(), mode.label());
-        }
-        assert_eq!(ShardBalance::from_code(7), None);
-    }
-
-    #[test]
     fn errors_render_their_cause() {
         assert!(ManifestError::KeyMismatch.to_string().contains("key"));
         assert!(ManifestError::BadShard { index: 3, count: 2 }
             .to_string()
             .contains("3/2"));
-        assert!(ManifestError::BadBalance { code: 9 }
-            .to_string()
-            .contains("9"));
         assert!(ManifestError::ChunkChecksum { chunk: 4 }
             .to_string()
             .contains("chunk 4"));
