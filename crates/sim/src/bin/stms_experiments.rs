@@ -79,6 +79,9 @@ enum Format {
     Json,
 }
 
+/// Upper bound on `--threads`: each is an OS thread started up front.
+const MAX_THREADS: usize = 1024;
+
 fn usage() -> String {
     format!(
         "usage: stms-experiments [--quick] [--accesses N] [--threads N] [--warmup F]\n\
@@ -128,6 +131,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .map_err(|_| format!("--threads requires a number, got `{v}`"))?;
                 if threads == 0 {
                     return Err("--threads must be non-zero".into());
+                }
+                if threads > MAX_THREADS {
+                    return Err(format!(
+                        "--threads must be at most {MAX_THREADS}, got {threads}"
+                    ));
                 }
             }
             "--warmup" => {
@@ -189,6 +197,16 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         return Err("--cache-verify has no effect without --result-cache DIR".into());
     }
 
+    // Every id is checked, also beside an `all` that would replace it.
+    if let Some(id) = selected
+        .iter()
+        .find(|id| *id != "all" && !ALL_IDS.contains(&id.as_str()))
+    {
+        return Err(format!(
+            "unknown experiment `{id}` (known: {})",
+            ALL_IDS.join(", ")
+        ));
+    }
     // `all` (anywhere in the selection) and an empty selection both mean
     // every known experiment.
     if selected.is_empty() || selected.iter().any(|id| id == "all") {
@@ -308,19 +326,11 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut plans = Vec::new();
-    for id in &opts.selected {
-        match experiments::plan_for_id(id, &opts.cfg) {
-            Some(plan) => plans.push(plan),
-            None => {
-                eprintln!(
-                    "error: unknown experiment `{id}` (known: {})",
-                    ALL_IDS.join(", ")
-                );
-                return ExitCode::from(2);
-            }
-        }
-    }
+    let plans: Vec<_> = opts
+        .selected
+        .iter()
+        .map(|id| experiments::plan_for_id(id, &opts.cfg).expect("parse_args checked the id"))
+        .collect();
 
     if let Some(dir) = &opts.csv_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {

@@ -69,7 +69,7 @@ const CACHE_FILE_EXT: &str = "stms";
 /// threads within one process (counter), so concurrent writers of the same
 /// key can never interleave on one temp file; the final `rename` is atomic
 /// and last-writer-wins with identical content.
-pub(crate) fn unique_tmp_name(key: Fingerprint) -> String {
+fn unique_tmp_name(key: Fingerprint) -> String {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     format!(
         ".tmp-{}-{}-{}.{CACHE_FILE_EXT}",

@@ -49,9 +49,29 @@ fn json_output_round_trips_through_serde_json() {
 
 #[test]
 fn unknown_figure_and_invalid_options_exit_with_usage_error() {
-    let out = run_cli(&["--figures", "fig99"]);
+    // An unknown id is refused also beside an `all` that would otherwise
+    // replace the whole selection.
+    for args in [
+        &["--figures", "fig99"][..],
+        &["--quick", "--figures", "all,fig99"],
+        &["--quick", "all", "fig99"],
+    ] {
+        let out = run_cli(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown experiment"), "{args:?}: {stderr}");
+    }
+
+    // A thread count beyond the bound is refused before any thread starts.
+    let out = run_cli(&["--quick", "--threads", "1000000", "--figures", "table1"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown experiment"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--threads must be at most 1024"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("usage:"), "{stderr}");
 
     let out = run_cli(&["--warmup", "1.5", "--figures", "table1"]);
     assert_eq!(out.status.code(), Some(2));

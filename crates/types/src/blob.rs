@@ -1,9 +1,9 @@
 //! A versioned, self-checking envelope for on-disk cache files.
 //!
 //! The campaign layer's persistent result cache (memoized job outputs)
-//! and its shard manifests store *payload codecs that will evolve* in files
-//! *named after cache keys that must never alias*. This module provides the
-//! shared wrapper that makes that safe:
+//! stores *payload codecs that will evolve* in files *named after cache keys
+//! that must never alias*. This module provides the wrapper that makes that
+//! safe:
 //!
 //! ```text
 //! magic "STMB" | envelope version u16 | payload codec version u16 |
@@ -46,12 +46,11 @@ const BLOB_MAGIC: [u8; 4] = *b"STMB";
 const ENVELOPE_VERSION: u16 = 1;
 
 /// Fixed header size: magic + envelope version + codec version + key +
-/// payload length. Public so streaming readers (shard-manifest scans) can
-/// frame their I/O without materializing a whole file.
-pub const HEADER_LEN: usize = 4 + 2 + 2 + 16 + 8;
+/// payload length.
+const HEADER_LEN: usize = 4 + 2 + 2 + 16 + 8;
 
 /// Trailing checksum size of a sealed blob.
-pub const CHECKSUM_LEN: usize = 8;
+const CHECKSUM_LEN: usize = 8;
 
 /// Why a sealed blob could not be opened.
 ///
@@ -109,54 +108,37 @@ impl fmt::Display for BlobError {
 
 impl std::error::Error for BlobError {}
 
-/// Folds an incremental payload hash into the 64-bit checksum recorded at
-/// the end of a sealed blob. Streaming readers feed payload bytes through a
-/// [`Fingerprinter`] as they go and finish with this, so their checksum is
-/// bit-identical to [`seal`]/[`open`] over the same bytes.
-pub(crate) fn checksum_finish(fp: &Fingerprinter) -> u64 {
-    fp.finish().raw() as u64
-}
-
+/// The 64-bit checksum recorded after the payload: the low half of its
+/// FNV-1a-128 fingerprint.
 fn checksum(payload: &[u8]) -> u64 {
     let mut fp = Fingerprinter::new();
     fp.write_bytes(payload);
-    checksum_finish(&fp)
+    fp.finish().raw() as u64
 }
 
-/// The decoded fixed-size header of a sealed blob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlobHeader {
-    /// Payload codec version recorded in the header.
-    pub codec_version: u16,
-    /// Cache-key fingerprint recorded in the header.
-    pub key: Fingerprint,
-    /// Payload length in bytes (excludes header and trailing checksum).
-    pub payload_len: u64,
-}
-
-/// Encodes the fixed-size header of a sealed blob.
-fn encode_header(codec_version: u16, key: Fingerprint, payload_len: u64) -> [u8; HEADER_LEN] {
-    let mut out = [0u8; HEADER_LEN];
-    out[0..4].copy_from_slice(&BLOB_MAGIC);
-    out[4..6].copy_from_slice(&ENVELOPE_VERSION.to_le_bytes());
-    out[6..8].copy_from_slice(&codec_version.to_le_bytes());
-    out[8..24].copy_from_slice(&key.raw().to_le_bytes());
-    out[24..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+/// Wraps `payload` in a sealed envelope for the given payload codec version
+/// and cache key.
+pub fn seal(codec_version: u16, key: Fingerprint, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
+    out.extend_from_slice(&BLOB_MAGIC);
+    out.extend_from_slice(&ENVELOPE_VERSION.to_le_bytes());
+    out.extend_from_slice(&codec_version.to_le_bytes());
+    out.extend_from_slice(&key.raw().to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&checksum(payload).to_le_bytes());
     out
 }
 
-/// Parses and validates the fixed-size header of a sealed blob: the magic
-/// and the envelope version are checked here; the payload codec version and
-/// key are returned for the caller to check (a streaming reader reports
-/// those through its own error type).
+/// Opens a sealed blob, returning the payload slice after verifying the
+/// magic, versions, key fingerprint, payload length and checksum.
 ///
 /// # Errors
 ///
-/// [`BlobError::Truncated`], [`BlobError::BadMagic`] or
-/// [`BlobError::UnsupportedEnvelope`].
-pub fn parse_header(data: &[u8]) -> Result<BlobHeader, BlobError> {
-    // Name the first missing field, so a truncated prefix reads the same as
-    // it always has through `open`.
+/// Returns the first [`BlobError`] encountered; see the variant docs. Any
+/// error means the file is unusable as a cache entry for `key`.
+pub fn open(data: &[u8], codec_version: u16, key: Fingerprint) -> Result<&[u8], BlobError> {
+    // Name the first missing header field.
     for (end, what) in [
         (4, "magic"),
         (6, "envelope version"),
@@ -175,69 +157,15 @@ pub fn parse_header(data: &[u8]) -> Result<BlobHeader, BlobError> {
     if envelope != ENVELOPE_VERSION {
         return Err(BlobError::UnsupportedEnvelope { found: envelope });
     }
-    Ok(BlobHeader {
-        codec_version: u16::from_le_bytes(data[6..8].try_into().expect("2 bytes")),
-        key: Fingerprint::from_raw(u128::from_le_bytes(
-            data[8..24].try_into().expect("16 bytes"),
-        )),
-        payload_len: u64::from_le_bytes(data[24..32].try_into().expect("8 bytes")),
-    })
-}
-
-/// Total on-disk size of a sealed blob carrying `payload_len` payload
-/// bytes (header + payload + checksum), for cache size accounting.
-pub fn sealed_len(payload_len: usize) -> usize {
-    HEADER_LEN + payload_len + 8
-}
-
-/// Wraps `payload` in a sealed envelope for the given payload codec version
-/// and cache key.
-pub fn seal(codec_version: u16, key: Fingerprint, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
-    out.extend_from_slice(&encode_header(codec_version, key, payload.len() as u64));
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&checksum(payload).to_le_bytes());
-    out
-}
-
-/// Opens a sealed blob, returning the payload slice after verifying the
-/// magic, versions, key fingerprint, payload length and checksum.
-///
-/// # Errors
-///
-/// Returns the first [`BlobError`] encountered; see the variant docs. Any
-/// error means the file is unusable as a cache entry for `key`.
-pub fn open(data: &[u8], codec_version: u16, key: Fingerprint) -> Result<&[u8], BlobError> {
-    let (found, payload) = open_any(data, codec_version)?;
-    if found != key {
-        return Err(BlobError::KeyMismatch);
-    }
-    Ok(payload)
-}
-
-/// Opens a sealed blob whose key the reader cannot derive in advance,
-/// returning the *recorded* key alongside the verified payload.
-///
-/// Cache tiers always know their key (it names the file) and should use
-/// [`open`]; this variant exists for self-describing artifacts like shard
-/// manifests, whose key is a fingerprint of header fields that live inside
-/// the payload. Such callers must re-derive the key from the decoded payload
-/// and compare it against the returned one themselves.
-///
-/// # Errors
-///
-/// Same as [`open`], except that [`BlobError::KeyMismatch`] is never
-/// returned (the caller owns that check).
-pub fn open_any(data: &[u8], codec_version: u16) -> Result<(Fingerprint, &[u8]), BlobError> {
-    let header = parse_header(data)?;
-    if header.codec_version != codec_version {
+    let found = u16::from_le_bytes(data[6..8].try_into().expect("2 bytes"));
+    if found != codec_version {
         return Err(BlobError::CodecVersionMismatch {
-            found: header.codec_version,
+            found,
             expected: codec_version,
         });
     }
-    let found_key = header.key.raw();
-    let len = header.payload_len as usize;
+    let found_key = u128::from_le_bytes(data[8..24].try_into().expect("16 bytes"));
+    let len = u64::from_le_bytes(data[24..HEADER_LEN].try_into().expect("8 bytes")) as usize;
     // The length field is untrusted on-disk data: all arithmetic on it must
     // be checked, so a vandalized length is a clean Truncated error rather
     // than an overflow panic.
@@ -251,7 +179,7 @@ pub fn open_any(data: &[u8], codec_version: u16) -> Result<(Fingerprint, &[u8]),
         .get(HEADER_LEN..payload_end)
         .ok_or(BlobError::Truncated { what: "payload" })?;
     let recorded = u64::from_le_bytes(
-        data.get(payload_end..payload_end + CHECKSUM_LEN)
+        data.get(payload_end..total)
             .ok_or(BlobError::Truncated { what: "checksum" })?
             .try_into()
             .expect("8 bytes"),
@@ -262,7 +190,10 @@ pub fn open_any(data: &[u8], codec_version: u16) -> Result<(Fingerprint, &[u8]),
     if data.len() != total {
         return Err(BlobError::TrailingData);
     }
-    Ok((Fingerprint::from_raw(found_key), payload))
+    if found_key != key.raw() {
+        return Err(BlobError::KeyMismatch);
+    }
+    Ok(payload)
 }
 
 #[cfg(test)]
@@ -276,6 +207,14 @@ mod tests {
     #[test]
     fn round_trip() {
         let sealed = seal(7, key(), b"hello cache");
+        // The on-disk layout, byte for byte: files written by earlier builds
+        // must stay readable.
+        let expected: &[u8] = b"STMB\x01\x00\x07\x00\
+            \x88\x77\x66\x55\x44\x33\x22\x11\xf0\xde\xbc\x9a\x78\x56\x34\x12\
+            \x0b\x00\x00\x00\x00\x00\x00\x00\
+            hello cache\
+            \x11\xe4\xa6\x8d\x47\xe9\x14\xb9";
+        assert_eq!(sealed, expected);
         assert_eq!(open(&sealed, 7, key()).unwrap(), b"hello cache");
         // Empty payloads are legal.
         let empty = seal(7, key(), b"");
@@ -346,22 +285,6 @@ mod tests {
             open(&sealed, 7, key()),
             Err(BlobError::Truncated { .. })
         ));
-    }
-
-    #[test]
-    fn open_any_returns_the_recorded_key_and_still_verifies_content() {
-        let sealed = seal(7, key(), b"payload");
-        let (found, payload) = open_any(&sealed, 7).unwrap();
-        assert_eq!(found, key());
-        assert_eq!(payload, b"payload");
-        // Everything except the key check still applies.
-        assert!(matches!(
-            open_any(&sealed, 8),
-            Err(BlobError::CodecVersionMismatch { .. })
-        ));
-        let mut bad = sealed.clone();
-        *bad.last_mut().unwrap() ^= 0xff;
-        assert_eq!(open_any(&bad, 7), Err(BlobError::ChecksumMismatch));
     }
 
     #[test]

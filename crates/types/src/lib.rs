@@ -26,7 +26,6 @@ pub mod blob;
 pub mod fingerprint;
 pub mod hash;
 pub mod ids;
-pub mod manifest;
 pub mod time;
 pub mod trace;
 
@@ -34,9 +33,5 @@ pub use access::{AccessKind, MemAccess};
 pub use addr::{LineAddr, PhysAddr, CACHE_LINE_BYTES};
 pub use fingerprint::{Fingerprint, Fingerprintable, Fingerprinter};
 pub use ids::CoreId;
-pub use manifest::{
-    ManifestEntry, ManifestError, ManifestScan, ShardJobTiming, ShardManifest,
-    MANIFEST_CODEC_VERSION,
-};
 pub use time::Cycle;
 pub use trace::{SharedTrace, Trace, TraceMeta};
