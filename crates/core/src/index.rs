@@ -142,11 +142,6 @@ impl HashIndexTable {
         }
     }
 
-    /// Number of buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Total entries currently stored across all buckets.
     pub fn occupancy(&self) -> usize {
         self.buckets.iter().map(|b| b.entries.len()).sum()
@@ -420,10 +415,5 @@ mod tests {
     #[should_panic]
     fn zero_buckets_panics() {
         let _ = HashIndexTable::new(0, 12, 8);
-    }
-
-    #[test]
-    fn bucket_count_reported() {
-        assert_eq!(HashIndexTable::new(77, 12, 8).bucket_count(), 77);
     }
 }

@@ -138,11 +138,6 @@ impl Stms {
         self.index.stats()
     }
 
-    /// Fraction of potential index updates that were actually performed.
-    pub fn observed_sampling_rate(&self) -> f64 {
-        self.sampler.observed_rate()
-    }
-
     /// Ends the stream currently followed on behalf of `core`, writing an
     /// end-of-stream annotation after the last contiguously-prefetched
     /// address (§4.5).
@@ -376,7 +371,6 @@ mod tests {
         assert_eq!(s.updates_performed + s.updates_skipped, 4000);
         let rate = s.updates_performed as f64 / 4000.0;
         assert!((rate - 0.125).abs() < 0.04, "observed sampling rate {rate}");
-        assert!((stms.observed_sampling_rate() - rate).abs() < 1e-12);
         // Update traffic is roughly proportional to the sampling rate.
         assert!(d.traffic().meta_update < 4000 * 64);
     }

@@ -245,12 +245,6 @@ impl SetAssocCache {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
-
-    /// Resets the hit/miss counters (contents are preserved), used after
-    /// cache warm-up.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -342,17 +336,6 @@ mod tests {
             c.fill(LineAddr::new(i), false);
         }
         assert_eq!(c.occupancy(), 5);
-    }
-
-    #[test]
-    fn reset_stats_preserves_contents() {
-        let mut c = small_cache(2);
-        let a = LineAddr::new(1);
-        c.fill(a, false);
-        c.access(a, false);
-        c.reset_stats();
-        assert_eq!(c.stats(), CacheStats::default());
-        assert!(c.probe(a));
     }
 
     #[test]

@@ -53,18 +53,6 @@ impl TrafficClass {
         matches!(self, TrafficClass::DemandFill | TrafficClass::Writeback)
     }
 
-    /// Whether this class is part of the temporal-streaming prefetcher's
-    /// overhead (as opposed to the base system's own traffic).
-    pub fn is_streaming_overhead(self) -> bool {
-        matches!(
-            self,
-            TrafficClass::PrefetchData
-                | TrafficClass::MetaLookup
-                | TrafficClass::MetaUpdate
-                | TrafficClass::MetaRecord
-        )
-    }
-
     /// Short label used in tables.
     pub fn label(self) -> &'static str {
         match self {
@@ -182,7 +170,6 @@ pub struct DramModel {
     /// line-sized transfers nearly every access makes.
     line_transfer_cycles: u64,
     traffic: TrafficStats,
-    accesses: u64,
 }
 
 impl DramModel {
@@ -194,7 +181,6 @@ impl DramModel {
             low_busy_until: Cycle::ZERO,
             line_transfer_cycles: cfg.transfer_cycles(cfg.transfer_bytes as u64),
             traffic: TrafficStats::default(),
-            accesses: 0,
         }
     }
 
@@ -210,7 +196,6 @@ impl DramModel {
     /// transfers; low-priority accesses queue behind all traffic.
     pub fn access(&mut self, class: TrafficClass, bytes: u64, now: Cycle) -> Cycle {
         self.traffic.add(class, bytes);
-        self.accesses += 1;
         let transfer = if bytes == self.cfg.transfer_bytes as u64 {
             self.line_transfer_cycles
         } else {
@@ -230,29 +215,9 @@ impl DramModel {
         }
     }
 
-    /// Records traffic that does not occupy the modelled channel (used for
-    /// purely analytic accounting such as published-results reconstruction).
-    pub fn account_only(&mut self, class: TrafficClass, bytes: u64) {
-        self.traffic.add(class, bytes);
-    }
-
     /// Per-class byte counters accumulated so far.
     pub fn traffic(&self) -> &TrafficStats {
         &self.traffic
-    }
-
-    /// Number of channel accesses performed.
-    pub fn access_count(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Fraction of cycles the channel was busy up to `now` (0.0 – 1.0+).
-    pub fn utilization(&self, now: Cycle) -> f64 {
-        if now == Cycle::ZERO {
-            return 0.0;
-        }
-        let busy = self.cfg.transfer_cycles(self.traffic.total());
-        busy as f64 / now.raw() as f64
     }
 }
 
@@ -315,7 +280,7 @@ mod tests {
         d.access(TrafficClass::MetaUpdate, 128, Cycle::ZERO);
         d.access(TrafficClass::MetaLookup, 64, Cycle::ZERO);
         d.access(TrafficClass::PrefetchData, 64, Cycle::ZERO);
-        d.account_only(TrafficClass::MetaRecord, 64);
+        d.access(TrafficClass::MetaRecord, 64, Cycle::ZERO);
         let t = d.traffic();
         assert_eq!(t.demand_fill, 64);
         assert_eq!(t.meta_update, 128);
@@ -325,7 +290,6 @@ mod tests {
         assert_eq!(t.total(), 64 + 128 + 64 + 64 + 64);
         assert_eq!(t.base_system(), 64);
         assert_eq!(t.meta_total(), 128 + 64 + 64);
-        assert_eq!(d.access_count(), 4);
     }
 
     #[test]
@@ -345,19 +309,9 @@ mod tests {
         assert!(TrafficClass::DemandFill.is_high_priority());
         assert!(TrafficClass::Writeback.is_high_priority());
         assert!(!TrafficClass::MetaLookup.is_high_priority());
-        assert!(TrafficClass::MetaUpdate.is_streaming_overhead());
-        assert!(!TrafficClass::StridePrefetch.is_streaming_overhead());
         for c in TrafficClass::ALL {
             assert!(!c.label().is_empty());
             assert_eq!(c.to_string(), c.label());
         }
-    }
-
-    #[test]
-    fn utilization_grows_with_traffic() {
-        let mut d = dram();
-        assert_eq!(d.utilization(Cycle::ZERO), 0.0);
-        d.access(TrafficClass::DemandFill, 64, Cycle::ZERO);
-        assert!(d.utilization(Cycle::new(100)) > 0.0);
     }
 }

@@ -8,18 +8,15 @@
 //! * [`Gauge`] — last-value / high-water `u64` levels (queue depths,
 //!   resident bytes);
 //! * [`Histogram`] — fixed-bucket log2 latency distributions with no
-//!   allocation on the record path;
-//! * [`Span`] — RAII timers that feed a histogram with elapsed nanoseconds
-//!   on drop (`obs::span("job/run_ns")`).
+//!   allocation on the record path; timers record elapsed nanoseconds into
+//!   one (`obs::histogram("job/run_ns").record(ns)`).
 //!
 //! Handles are `Arc`-backed clones: the registry lock is taken only at
 //! registration, never on the hot path. Recording is a handful of relaxed
 //! atomic operations, and the whole registry can be switched off
-//! ([`set_enabled`]) which turns every record — including the
-//! `Instant::now()` calls inside spans — into a branch on one relaxed
+//! ([`set_enabled`]) which turns every record into a branch on one relaxed
 //! atomic load. Telemetry must never perturb figure output: it writes to
-//! stderr or files, and its overhead is benchmarked (see the
-//! `telemetry_overhead` bench group).
+//! stderr or files.
 //!
 //! A [`Snapshot`] is a deterministic point-in-time copy of every metric,
 //! serializable to the versioned `stms-metrics/v1` JSON document written by
@@ -33,9 +30,7 @@
 //! let registry = Registry::new();
 //! let hits = registry.counter("store/hits");
 //! hits.add(3);
-//! {
-//!     let _timer = registry.span("job/run_ns");
-//! } // drop records the elapsed nanoseconds
+//! registry.histogram("job/run_ns").record(1_500);
 //! let snap = registry.snapshot();
 //! assert_eq!(snap.counter("store/hits"), Some(3));
 //! assert_eq!(snap.histogram("job/run_ns").unwrap().count, 1);
@@ -49,7 +44,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-use std::time::Instant;
 
 /// Number of log2 buckets in a [`Histogram`]. Bucket 0 counts the value 0;
 /// bucket `i >= 1` counts values in `[2^(i-1), 2^i)`; the last bucket
@@ -169,15 +163,6 @@ impl Histogram {
         saturating_fetch_add(&self.cells.buckets[bucket_index(value)], 1);
     }
 
-    /// Starts an RAII timer whose drop records the elapsed nanoseconds
-    /// here. While the registry is disabled the clock is never read.
-    pub fn span(&self) -> Span {
-        Span {
-            histogram: self.clone(),
-            start: self.enabled.load(Ordering::Relaxed).then(Instant::now),
-        }
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.cells.count.load(Ordering::Relaxed)
@@ -196,32 +181,6 @@ impl Histogram {
             sum: self.cells.sum.load(Ordering::Relaxed),
             max: self.cells.max.load(Ordering::Relaxed),
             buckets,
-        }
-    }
-}
-
-/// An RAII timer: created by [`Histogram::span`] / [`Registry::span`],
-/// records the elapsed wall time in nanoseconds into its histogram when
-/// dropped. If the registry was disabled at creation, drop records nothing.
-#[derive(Debug)]
-pub struct Span {
-    histogram: Histogram,
-    start: Option<Instant>,
-}
-
-impl Span {
-    /// Discards the timer without recording (for paths that turned out not
-    /// to be the measured operation, e.g. a cache miss on a hit timer).
-    pub fn cancel(mut self) {
-        self.start = None;
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some(start) = self.start.take() {
-            let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            self.histogram.record(nanos);
         }
     }
 }
@@ -256,8 +215,7 @@ impl Registry {
     }
 
     /// Turns all recording on or off. Existing handles observe the switch
-    /// immediately (they share the flag); disabled spans skip the clock
-    /// read entirely.
+    /// immediately (they share the flag).
     pub fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::Relaxed);
     }
@@ -319,13 +277,6 @@ impl Registry {
             enabled: Arc::clone(&self.enabled),
             cells,
         }
-    }
-
-    /// Starts an RAII timer feeding the histogram named `name` (see
-    /// [`Histogram::span`]). For repeated use, cache the histogram handle
-    /// and call [`Histogram::span`] on it instead.
-    pub fn span(&self, name: &str) -> Span {
-        self.histogram(name).span()
     }
 
     /// A deterministic point-in-time copy of every registered metric,
@@ -392,12 +343,6 @@ pub fn gauge(name: &str) -> Gauge {
 /// A histogram in the global registry (see [`Registry::histogram`]).
 pub fn histogram(name: &str) -> Histogram {
     global().histogram(name)
-}
-
-/// An RAII timer feeding a histogram in the global registry (see
-/// [`Registry::span`]).
-pub fn span(name: &str) -> Span {
-    global().span(name)
 }
 
 /// A snapshot of the global registry.
@@ -639,7 +584,6 @@ mod tests {
         registry.set_enabled(false);
         c.add(10);
         h.record(10);
-        drop(h.span());
         registry.gauge("g").set(7);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("c"), Some(0));
@@ -649,21 +593,6 @@ mod tests {
         registry.set_enabled(true);
         c.add(2);
         assert_eq!(c.get(), 2);
-    }
-
-    #[test]
-    fn spans_record_elapsed_nanos_and_cancel_discards() {
-        let registry = Registry::new();
-        let h = registry.histogram("lat");
-        {
-            let _span = h.span();
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 1);
-        assert!(snap.sum >= 1_000_000, "at least the slept millisecond");
-        h.span().cancel();
-        assert_eq!(h.snapshot().count, 1, "cancelled span records nothing");
     }
 
     #[test]
@@ -756,9 +685,9 @@ mod tests {
         // test in this binary.
         let c = counter("obs-test/global");
         let before = c.get();
-        span("obs-test/span_ns");
+        histogram("obs-test/global_ns").record(5);
         counter("obs-test/global").incr();
         assert_eq!(c.get(), before + 1);
-        assert!(snapshot().histogram("obs-test/span_ns").unwrap().count >= 1);
+        assert!(snapshot().histogram("obs-test/global_ns").unwrap().count >= 1);
     }
 }

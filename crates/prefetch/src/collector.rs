@@ -62,11 +62,6 @@ impl MissTraceCollector {
             .map(|c| self.per_core(CoreId::new(c as u16)))
             .collect()
     }
-
-    /// Consumes the collector, returning the global miss sequence.
-    pub fn into_misses(self) -> Vec<(CoreId, LineAddr)> {
-        self.misses
-    }
 }
 
 impl Prefetcher for MissTraceCollector {
@@ -129,7 +124,6 @@ mod tests {
         );
         assert_eq!(c.all_cores().len(), 2);
         assert_eq!(c.all_cores()[1], vec![LineAddr::new(2), LineAddr::new(4)]);
-        assert_eq!(c.clone().into_misses().len(), 4);
         assert_eq!(c.name(), "miss-collector");
     }
 

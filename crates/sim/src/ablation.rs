@@ -9,13 +9,10 @@
 //! quantities that drive that conclusion: memory blocks touched per lookup
 //! and per update, lookup hit rate, and main-memory storage.
 
-use crate::runner::collect_miss_sequences;
-use crate::system::ExperimentConfig;
 use stms_core::{ChainedIndex, HashIndexTable, HistoryPointer, OpenAddressIndex};
 use stms_mem::{DramModel, SystemConfig};
 use stms_stats::{ratio, TextTable};
 use stms_types::{CoreId, Cycle, LineAddr};
-use stms_workloads::WorkloadSpec;
 
 /// Per-organization measurements.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,17 +71,11 @@ fn dram() -> DramModel {
     DramModel::new(SystemConfig::hpca09_baseline().dram)
 }
 
-/// Runs the ablation for one workload: every baseline off-chip read miss is
-/// first looked up and then inserted in each organization (mimicking the
-/// lookup-then-record flow of the prefetcher at 100% update sampling).
-pub fn index_organization_ablation(cfg: &ExperimentConfig, spec: &WorkloadSpec) -> IndexAblation {
-    index_organization_ablation_from(&spec.name, &collect_miss_sequences(cfg, spec))
-}
-
-/// The pure analysis stage of [`index_organization_ablation`]: replays
-/// already-captured per-core miss sequences against each index organization.
-/// Campaign plans use this form so the expensive capture runs as a pooled
-/// job against the shared trace store.
+/// Runs the ablation on already-captured per-core baseline miss sequences:
+/// every off-chip read miss is first looked up and then inserted in each
+/// organization (mimicking the lookup-then-record flow of the prefetcher at
+/// 100% update sampling). The `ablation-index` figure captures the misses
+/// as a pooled job against the shared trace store.
 pub fn index_organization_ablation_from(
     workload: &str,
     per_core: &[Vec<LineAddr>],
@@ -190,12 +181,18 @@ pub fn index_organization_ablation_from(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Campaign;
+    use crate::system::ExperimentConfig;
     use stms_workloads::presets;
 
     #[test]
     fn ablation_reports_three_organizations_with_sane_costs() {
         let cfg = ExperimentConfig::quick().with_accesses(20_000);
-        let ablation = index_organization_ablation(&cfg, &presets::oltp_db2());
+        let spec = presets::oltp_db2();
+        let misses = Campaign::with_threads(cfg, 1)
+            .collect_miss_sequences(&spec)
+            .expect("no job fails");
+        let ablation = index_organization_ablation_from(&spec.name, &misses);
         assert_eq!(ablation.rows.len(), 3);
         assert!(ablation.misses > 500);
         let bucketized = &ablation.rows[0];

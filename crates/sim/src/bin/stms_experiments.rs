@@ -10,9 +10,9 @@
 //!
 //! With no selection every figure/table is produced. Experiments are
 //! selected with `--figures fig5-left,fig8` or as bare positional ids; the
-//! known ids are `table1`, `table2`, `fig1-left`, `fig1-right`, `fig4`,
-//! `fig5-left`, `fig5-right`, `fig6-left`, `fig6-right`, `fig7`, `fig8`,
-//! `fig9`, `ablation-index`, `markov-sweep`, plus the alias `all`.
+//! known ids are those of `stms_sim::experiments::FIGURES` (listed by
+//! `--help`), plus the alias `all`. A `--figures` value naming no id (say
+//! `--figures ,`) is a usage error, not a request for every figure.
 //!
 //! The jobs of every selected figure go to the pool as one batch, trace by
 //! trace and in plan order within a trace. Figures render **streaming**:
@@ -59,7 +59,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use stms_sim::campaign::{push_cache_reports, Campaign, CampaignCaches};
-use stms_sim::experiments::{self, ALL_IDS};
+use stms_sim::experiments::{self, FIGURES};
 use stms_sim::{ExperimentConfig, FigureResult};
 use stms_stats::{RunSummary, TelemetryReport};
 
@@ -82,6 +82,12 @@ enum Format {
 /// Upper bound on `--threads`: each is an OS thread started up front.
 const MAX_THREADS: usize = 1024;
 
+/// The known experiment ids, comma-separated, in presentation order.
+fn known_ids() -> String {
+    let ids: Vec<&str> = FIGURES.iter().map(|&(id, _)| id).collect();
+    ids.join(", ")
+}
+
 fn usage() -> String {
     format!(
         "usage: stms-experiments [--quick] [--accesses N] [--threads N] [--warmup F]\n\
@@ -89,7 +95,7 @@ fn usage() -> String {
          \x20                       [--result-cache DIR] [--cache-verify] [--metrics-out FILE]\n\
          \x20                       [EXPERIMENT ...]\n\
          experiments: {} (or `all`)",
-        ALL_IDS.join(", ")
+        known_ids()
     )
 }
 
@@ -147,12 +153,18 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--figures" => {
                 let v = value_of(&mut i, "--figures")?;
+                let before = selected.len();
                 selected.extend(
                     v.split(',')
                         .map(str::trim)
                         .filter(|s| !s.is_empty())
                         .map(str::to_string),
                 );
+                // An empty selection means `all`, so a value naming no id
+                // must not reach it.
+                if selected.len() == before {
+                    return Err(format!("--figures names no experiment, got `{v}`"));
+                }
             }
             "--format" => {
                 let v = value_of(&mut i, "--format")?;
@@ -200,17 +212,17 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     // Every id is checked, also beside an `all` that would replace it.
     if let Some(id) = selected
         .iter()
-        .find(|id| *id != "all" && !ALL_IDS.contains(&id.as_str()))
+        .find(|id| *id != "all" && !FIGURES.iter().any(|&(known, _)| known == id.as_str()))
     {
         return Err(format!(
             "unknown experiment `{id}` (known: {})",
-            ALL_IDS.join(", ")
+            known_ids()
         ));
     }
-    // `all` (anywhere in the selection) and an empty selection both mean
+    // `all` (anywhere in the selection) and no selection at all both mean
     // every known experiment.
     if selected.is_empty() || selected.iter().any(|id| id == "all") {
-        selected = ALL_IDS.iter().map(|s| s.to_string()).collect();
+        selected = FIGURES.iter().map(|&(id, _)| id.to_string()).collect();
     } else {
         // A repeated id renders once, at its first position.
         let mut seen = std::collections::HashSet::new();

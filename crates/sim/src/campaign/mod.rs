@@ -2,7 +2,7 @@
 //! declarative figure plans.
 //!
 //! The paper's evaluation is a `(workload × prefetcher × sweep-point)` grid
-//! rendered as 13 tables and figures. This module decomposes the run
+//! rendered as 14 tables and figures. This module decomposes the run
 //! lifecycle into reusable stages:
 //!
 //! 1. **Generation** — the [`TraceStore`] generates each distinct workload
@@ -36,10 +36,10 @@
 //! use stms_sim::{experiments, ExperimentConfig};
 //!
 //! let campaign = Campaign::with_threads(ExperimentConfig::quick(), 2);
-//! let plans = vec![
-//!     experiments::plan_table2(campaign.cfg()),
-//!     experiments::plan_fig4(campaign.cfg()),
-//! ];
+//! let plans = ["table2", "fig4"]
+//!     .iter()
+//!     .filter_map(|id| experiments::plan_for_id(id, campaign.cfg()))
+//!     .collect();
 //! for figure in campaign.run_figures(plans) {
 //!     println!("{}", figure.expect("no simulation failed").render());
 //! }
@@ -837,6 +837,15 @@ mod tests {
             )
             .expect("no job fails");
         assert_eq!(results.len(), 2);
+        assert!(results[1].coverage() >= results[0].coverage());
+        // Matched runs replay the identical trace: the base miss opportunity
+        // is (approximately) the same.
+        let base = results[0].base_read_misses() as f64;
+        let ideal = results[1].base_read_misses() as f64;
+        assert!(
+            (base - ideal).abs() / base < 0.2,
+            "base {base} vs ideal {ideal}"
+        );
         let stats = campaign.store().stats();
         assert_eq!(stats.generated, 1, "matched kinds replay one shared trace");
         assert_eq!(stats.hits + stats.misses, 2);
@@ -1023,12 +1032,11 @@ mod tests {
     fn streaming_figures_arrive_in_plan_order_with_identical_content() {
         let campaign = Campaign::with_threads(quick(), 2);
         let cfg = campaign.cfg().clone();
-        let plans = |cfg: &ExperimentConfig| {
-            vec![
-                crate::experiments::plan_table1(cfg),
-                crate::experiments::plan_table2(cfg),
-                crate::experiments::plan_fig1_right(cfg),
-            ]
+        let plans = |cfg: &ExperimentConfig| -> Vec<FigurePlan> {
+            ["table1", "table2", "fig1-right"]
+                .iter()
+                .map(|id| crate::experiments::plan_for_id(id, cfg).expect("known id"))
+                .collect()
         };
         let mut streamed = Vec::new();
         campaign.run_figures_streaming(plans(&cfg), |figure| {

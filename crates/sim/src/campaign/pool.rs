@@ -86,13 +86,8 @@ impl JobPool {
         }
     }
 
-    /// A pool sized to the machine (`available_parallelism`, falling back to
-    /// one worker when the parallelism cannot be queried).
-    pub fn with_default_threads() -> Self {
-        Self::new(Self::default_threads())
-    }
-
-    /// The thread count [`JobPool::with_default_threads`] uses.
+    /// A thread count sized to the machine (`available_parallelism`,
+    /// falling back to one worker when the parallelism cannot be queried).
     pub fn default_threads() -> usize {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)

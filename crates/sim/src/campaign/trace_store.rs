@@ -12,8 +12,8 @@
 //!
 //! A campaign claims each trace a batch uses once for the batch, and the
 //! batch's tasks on the trace share the claim: it drops when the last of
-//! them ends. Dropping the last claim on a trace releases it
-//! ([`TraceStore::release`]) with every log recorded for it, so a campaign
+//! them ends. Dropping the last claim on a trace releases it: the store
+//! drops the trace with every log recorded for it, so a campaign
 //! that runs its batch trace by trace holds about one trace per worker,
 //! not every trace it has generated.
 //!
@@ -72,7 +72,7 @@ pub struct TraceStoreStats {
     pub log_hits: u64,
     /// Total size of the recorded logs in bytes.
     pub log_bytes: u64,
-    /// Traces dropped by [`TraceStore::release`].
+    /// Traces dropped after their last claim.
     pub released: u64,
     /// The most traces the store held at once.
     pub max_resident: u64,
@@ -255,28 +255,10 @@ impl TraceStore {
         trace
     }
 
-    /// Drops the trace for `spec` at `accesses` and every hierarchy log
-    /// recorded for it. Handles already handed out stay valid; the next
-    /// request generates the trace again.
-    ///
-    /// ```
-    /// use stms_sim::campaign::TraceStore;
-    /// use stms_workloads::presets;
-    ///
-    /// let store = TraceStore::new();
-    /// let spec = presets::web_apache();
-    /// let held = store.get_or_generate(&spec, 1_000);
-    /// store.release(&spec, 1_000);
-    /// assert!(store.is_empty());
-    /// assert_eq!(held.len(), 1_000); // the caller's handle survives
-    /// store.get_or_generate(&spec, 1_000);
-    /// assert_eq!((store.stats().released, store.stats().generated), (1, 2));
-    /// ```
-    pub fn release(&self, spec: &WorkloadSpec, accesses: usize) {
-        self.release_key(&spec.clone().with_accesses(accesses));
-    }
-
-    fn release_key(&self, key: &WorkloadSpec) {
+    /// Drops the trace for `key` and every hierarchy log recorded for it.
+    /// Handles already handed out stay valid; the next request generates
+    /// the trace again.
+    fn release(&self, key: &WorkloadSpec) {
         let removed = self
             .entries
             .lock()
@@ -334,32 +316,6 @@ impl TraceStore {
             max_resident: self.max_resident.load(Ordering::Relaxed),
         }
     }
-
-    /// Drops every cached trace and hierarchy log and resets the counters
-    /// (frees the memory of a finished campaign without discarding the
-    /// store).
-    pub fn clear(&self) {
-        self.entries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        self.logs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        for counter in [
-            &self.hits,
-            &self.misses,
-            &self.generated,
-            &self.logs_recorded,
-            &self.log_hits,
-            &self.log_bytes,
-            &self.released,
-            &self.max_resident,
-        ] {
-            counter.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// A claim on a trace (`TraceStore::claim`). A batch's tasks on the trace
@@ -388,7 +344,7 @@ impl Drop for TraceClaim {
         *open -= 1;
         if *open == 0 {
             claims.remove(&self.key);
-            self.store.release_key(&self.key);
+            self.store.release(&self.key);
         }
     }
 }
@@ -430,17 +386,6 @@ mod tests {
         let cached = store.get_or_generate(&spec, 3_000);
         let direct = generate(&spec.clone().with_accesses(3_000));
         assert_eq!(*cached, direct);
-    }
-
-    #[test]
-    fn clear_resets_contents_and_counters() {
-        let store = TraceStore::new();
-        assert!(store.is_empty());
-        store.get_or_generate(&presets::web_apache(), 1_000);
-        assert!(!store.is_empty());
-        store.clear();
-        assert!(store.is_empty());
-        assert_eq!(store.stats(), TraceStoreStats::default());
     }
 
     #[test]

@@ -4,15 +4,15 @@
 //! of simulation [`JobSpec`]s it needs (its cells of the `(workload ×
 //! prefetcher × sweep-point)` grid) plus a render stage folding the job
 //! outputs into a [`FigureResult`]. Plans from *different* figures share one
-//! [`Campaign`]: the campaign generates each workload trace exactly once in
-//! its trace store and interleaves all cells on one bounded job pool.
+//! [`Campaign`](crate::campaign::Campaign): the campaign generates each
+//! workload trace exactly once in its trace store and interleaves all cells
+//! on one bounded job pool.
 //!
-//! Convenience wrappers with the original one-call-per-figure signatures
-//! (`fig4_potential(cfg)` etc.) remain for tests, examples and benches; they
-//! run a single plan on a transient campaign. The `stms-experiments` binary
-//! and [`run_all`] batch every requested plan through one shared campaign.
+//! [`FIGURES`] declares every figure once, in presentation order: its id
+//! and the function that builds its plan. The `stms-experiments` binary
+//! looks ids up there and runs the selected plans through one campaign.
 
-use crate::campaign::{Campaign, FigurePlan, JobOutput, JobSpec};
+use crate::campaign::{FigurePlan, JobOutput, JobSpec};
 use crate::runner::PrefetcherKind;
 use crate::system::ExperimentConfig;
 use stms_core::StmsConfig;
@@ -20,24 +20,6 @@ use stms_mem::SimResult;
 use stms_prefetch::{FixedDepthConfig, MarkovConfig};
 use stms_stats::{analyze_streams_multi, geometric_mean, pct, ratio, TextTable};
 use stms_workloads::{presets, WorkloadSpec};
-
-/// Ids of every reproduced experiment, in presentation order.
-pub const ALL_IDS: &[&str] = &[
-    "table1",
-    "table2",
-    "fig1-left",
-    "fig1-right",
-    "fig4",
-    "fig5-left",
-    "fig5-right",
-    "fig6-left",
-    "fig6-right",
-    "fig7",
-    "fig8",
-    "fig9",
-    "ablation-index",
-    "markov-sweep",
-];
 
 /// The rendered result of one reproduced table or figure.
 #[derive(Debug, Clone)]
@@ -94,77 +76,6 @@ impl FigureResult {
             ("notes".to_string(), Value::from(self.notes.as_str())),
             ("metrics".to_string(), Value::Array(self.metrics.clone())),
         ])
-    }
-
-    /// Rebuilds a figure from the JSON produced by [`FigureResult::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first missing/mistyped field, or of a
-    /// row whose width disagrees with the headers.
-    pub fn from_json(value: &serde_json::Value) -> Result<Self, String> {
-        let str_field = |key: &str| -> Result<String, String> {
-            value
-                .get(key)
-                .and_then(|v| v.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing or non-string field `{key}`"))
-        };
-        let strings = |v: &serde_json::Value, what: &str| -> Result<Vec<String>, String> {
-            v.as_array()
-                .ok_or_else(|| format!("{what} is not an array"))?
-                .iter()
-                .map(|item| {
-                    item.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("{what} contains a non-string"))
-                })
-                .collect()
-        };
-        let id = str_field("id")?;
-        let notes = str_field("notes")?;
-        let title = match value.get("title") {
-            Some(serde_json::Value::Null) | None => None,
-            Some(v) => Some(
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or("field `title` is not a string or null")?,
-            ),
-        };
-        let headers = strings(
-            value.get("headers").ok_or("missing field `headers`")?,
-            "headers",
-        )?;
-        let rows: Vec<Vec<String>> = value
-            .get("rows")
-            .and_then(|v| v.as_array())
-            .ok_or("missing or non-array field `rows`")?
-            .iter()
-            .map(|row| strings(row, "row"))
-            .collect::<Result<_, _>>()?;
-        for row in &rows {
-            if row.len() != headers.len() {
-                return Err(format!(
-                    "row width {} disagrees with header width {}",
-                    row.len(),
-                    headers.len()
-                ));
-            }
-        }
-        let metrics = match value.get("metrics") {
-            // Absent: a pre-metrics document; tolerated as empty.
-            None => Vec::new(),
-            Some(v) => v
-                .as_array()
-                .ok_or("field `metrics` is not an array")?
-                .to_vec(),
-        };
-        Ok(FigureResult {
-            id,
-            table: TextTable::from_parts(headers, rows, title),
-            notes,
-            metrics,
-        })
     }
 }
 
@@ -271,23 +182,8 @@ fn sims(outputs: Vec<JobOutput>) -> Vec<SimResult> {
     outputs.into_iter().map(JobOutput::into_sim).collect()
 }
 
-/// Runs one plan on a transient single-figure campaign (the convenience
-/// path behind the original `figN(cfg)` signatures).
-///
-/// # Panics
-///
-/// Panics if a simulation job fails; batch callers that want per-figure
-/// errors use [`Campaign::run_figures`] directly.
-fn run_plan(cfg: &ExperimentConfig, plan: FigurePlan) -> FigureResult {
-    Campaign::new(cfg.clone())
-        .run_figures(vec![plan])
-        .pop()
-        .expect("one plan in, one figure out")
-        .unwrap_or_else(|err| panic!("{err}"))
-}
-
 /// Plan for Table 1: the system model parameters (no simulation jobs).
-pub fn plan_table1(_cfg: &ExperimentConfig) -> FigurePlan {
+fn plan_table1(_cfg: &ExperimentConfig) -> FigurePlan {
     FigurePlan::new("table1", Vec::new(), |cfg, _outputs| {
         let sys = &cfg.system;
         let mut t = TextTable::new(vec!["parameter".into(), "value".into()])
@@ -346,14 +242,9 @@ pub fn plan_table1(_cfg: &ExperimentConfig) -> FigurePlan {
     })
 }
 
-/// Table 1 (convenience wrapper; see [`plan_table1`]).
-pub fn table1_system(cfg: &ExperimentConfig) -> FigureResult {
-    run_plan(cfg, plan_table1(cfg))
-}
-
 /// Plan for Table 2: memory-level parallelism of off-chip reads in the base
 /// system.
-pub fn plan_table2(_cfg: &ExperimentConfig) -> FigurePlan {
+fn plan_table2(_cfg: &ExperimentConfig) -> FigurePlan {
     let jobs = workload_suite()
         .into_iter()
         .map(|spec| JobSpec::replay(spec, PrefetcherKind::Baseline))
@@ -373,15 +264,10 @@ pub fn plan_table2(_cfg: &ExperimentConfig) -> FigurePlan {
     })
 }
 
-/// Table 2 (convenience wrapper; see [`plan_table2`]).
-pub fn table2_mlp(cfg: &ExperimentConfig) -> FigureResult {
-    run_plan(cfg, plan_table2(cfg))
-}
-
 /// Plan for Figure 1 (left): coverage as a function of correlation-table
 /// entries for an idealized address-correlating prefetcher (commercial
 /// workloads).
-pub fn plan_fig1_left(_cfg: &ExperimentConfig) -> FigurePlan {
+fn plan_fig1_left(_cfg: &ExperimentConfig) -> FigurePlan {
     const ENTRY_COUNTS: [usize; 6] = [1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20];
     let specs = presets::commercial_suite();
     let per_point = specs.len();
@@ -424,15 +310,10 @@ pub fn plan_fig1_left(_cfg: &ExperimentConfig) -> FigurePlan {
     })
 }
 
-/// Figure 1 left (convenience wrapper; see [`plan_fig1_left`]).
-pub fn fig1_left_entries_sweep(cfg: &ExperimentConfig) -> FigureResult {
-    run_plan(cfg, plan_fig1_left(cfg))
-}
-
 /// Plan for Figure 1 (right): memory-traffic overheads of prior off-chip
 /// meta-data designs, reconstructed (as the paper does) from their published
 /// results. No simulation jobs.
-pub fn plan_fig1_right(_cfg: &ExperimentConfig) -> FigurePlan {
+fn plan_fig1_right(_cfg: &ExperimentConfig) -> FigurePlan {
     FigurePlan::new("fig1-right", Vec::new(), |_cfg, _outputs| {
         // Reconstruction constants, per design, from the published results the
         // paper cites: overhead accesses per baseline read access.
@@ -474,17 +355,9 @@ pub fn plan_fig1_right(_cfg: &ExperimentConfig) -> FigurePlan {
     })
 }
 
-/// Figure 1 right (convenience wrapper; see [`plan_fig1_right`]).
-pub fn fig1_right_published_overheads() -> FigureResult {
-    run_plan(
-        &ExperimentConfig::quick(),
-        plan_fig1_right(&ExperimentConfig::quick()),
-    )
-}
-
 /// Plan for Figure 4: coverage (left) and speedup (right) of idealized TMS
 /// over the baseline, per workload (matched on one shared trace each).
-pub fn plan_fig4(_cfg: &ExperimentConfig) -> FigurePlan {
+fn plan_fig4(_cfg: &ExperimentConfig) -> FigurePlan {
     let specs = workload_suite();
     let names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
     let mut jobs = Vec::new();
@@ -514,14 +387,9 @@ pub fn plan_fig4(_cfg: &ExperimentConfig) -> FigurePlan {
     })
 }
 
-/// Figure 4 (convenience wrapper; see [`plan_fig4`]).
-pub fn fig4_potential(cfg: &ExperimentConfig) -> FigureResult {
-    run_plan(cfg, plan_fig4(cfg))
-}
-
 /// Plan for Figure 5 (left): coverage as a function of (aggregate)
 /// history-buffer size.
-pub fn plan_fig5_history(_cfg: &ExperimentConfig) -> FigurePlan {
+fn plan_fig5_history(_cfg: &ExperimentConfig) -> FigurePlan {
     // Entries per core; 4 bytes per entry, 4 cores -> aggregate bytes = 16x.
     const SIZES: [usize; 6] = [1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20];
     let specs = workload_suite();
@@ -568,14 +436,9 @@ pub fn plan_fig5_history(_cfg: &ExperimentConfig) -> FigurePlan {
     })
 }
 
-/// Figure 5 left (convenience wrapper; see [`plan_fig5_history`]).
-pub fn fig5_history_sweep(cfg: &ExperimentConfig) -> FigureResult {
-    run_plan(cfg, plan_fig5_history(cfg))
-}
-
 /// Plan for Figure 5 (right): coverage as a function of index-table size
 /// (hash-based lookup, unbounded history).
-pub fn plan_fig5_index(_cfg: &ExperimentConfig) -> FigurePlan {
+fn plan_fig5_index(_cfg: &ExperimentConfig) -> FigurePlan {
     const BUCKET_COUNTS: [usize; 6] = [1 << 7, 1 << 9, 1 << 11, 1 << 13, 1 << 15, 1 << 17];
     let specs = workload_suite();
     let names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
@@ -617,14 +480,9 @@ pub fn plan_fig5_index(_cfg: &ExperimentConfig) -> FigurePlan {
     })
 }
 
-/// Figure 5 right (convenience wrapper; see [`plan_fig5_index`]).
-pub fn fig5_index_sweep(cfg: &ExperimentConfig) -> FigureResult {
-    run_plan(cfg, plan_fig5_index(cfg))
-}
-
 /// Plan for Figure 6 (left): cumulative fraction of streamed blocks by
 /// temporal-stream length (commercial workloads).
-pub fn plan_fig6_left(_cfg: &ExperimentConfig) -> FigurePlan {
+fn plan_fig6_left(_cfg: &ExperimentConfig) -> FigurePlan {
     const SAMPLE_POINTS: [u64; 5] = [1, 10, 100, 1000, 10000];
     let specs = presets::commercial_suite();
     let names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
@@ -660,14 +518,9 @@ pub fn plan_fig6_left(_cfg: &ExperimentConfig) -> FigurePlan {
     })
 }
 
-/// Figure 6 left (convenience wrapper; see [`plan_fig6_left`]).
-pub fn fig6_left_stream_length_cdf(cfg: &ExperimentConfig) -> FigureResult {
-    run_plan(cfg, plan_fig6_left(cfg))
-}
-
 /// Plan for Figure 6 (right): coverage loss (relative to unbounded prefetch
 /// depth) of a fixed-depth single-table prefetcher.
-pub fn plan_fig6_right(cfg: &ExperimentConfig) -> FigurePlan {
+fn plan_fig6_right(cfg: &ExperimentConfig) -> FigurePlan {
     const DEPTHS: [usize; 5] = [1, 2, 4, 6, 12];
     let specs = workload_suite();
     let names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
@@ -708,14 +561,9 @@ pub fn plan_fig6_right(cfg: &ExperimentConfig) -> FigurePlan {
     })
 }
 
-/// Figure 6 right (convenience wrapper; see [`plan_fig6_right`]).
-pub fn fig6_right_depth_loss(cfg: &ExperimentConfig) -> FigureResult {
-    run_plan(cfg, plan_fig6_right(cfg))
-}
-
 /// Plan for Figure 7: overhead-traffic breakdown with and without
 /// probabilistic update (100% vs 12.5% sampling).
-pub fn plan_fig7(_cfg: &ExperimentConfig) -> FigurePlan {
+fn plan_fig7(_cfg: &ExperimentConfig) -> FigurePlan {
     const PROBABILITIES: [f64; 2] = [1.0, 0.125];
     let specs = workload_suite();
     let names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
@@ -770,14 +618,9 @@ pub fn plan_fig7(_cfg: &ExperimentConfig) -> FigurePlan {
     })
 }
 
-/// Figure 7 (convenience wrapper; see [`plan_fig7`]).
-pub fn fig7_traffic_breakdown(cfg: &ExperimentConfig) -> FigureResult {
-    run_plan(cfg, plan_fig7(cfg))
-}
-
 /// Plan for Figure 8: traffic overhead (left) and coverage (right) as a
 /// function of the update sampling probability.
-pub fn plan_fig8(_cfg: &ExperimentConfig) -> FigurePlan {
+fn plan_fig8(_cfg: &ExperimentConfig) -> FigurePlan {
     const PROBABILITIES: [f64; 7] = [0.01, 0.03125, 0.0625, 0.125, 0.25, 0.5, 1.0];
     let specs = workload_suite();
     let names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
@@ -821,14 +664,9 @@ pub fn plan_fig8(_cfg: &ExperimentConfig) -> FigurePlan {
     })
 }
 
-/// Figure 8 (convenience wrapper; see [`plan_fig8`]).
-pub fn fig8_sampling_sweep(cfg: &ExperimentConfig) -> FigureResult {
-    run_plan(cfg, plan_fig8(cfg))
-}
-
 /// Plan for Figure 9: coverage and speedup of practical STMS (off-chip
 /// meta-data, 12.5% sampling) versus idealized TMS.
-pub fn plan_fig9(_cfg: &ExperimentConfig) -> FigurePlan {
+fn plan_fig9(_cfg: &ExperimentConfig) -> FigurePlan {
     let specs = workload_suite();
     let names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
     let mut jobs = Vec::new();
@@ -880,15 +718,10 @@ pub fn plan_fig9(_cfg: &ExperimentConfig) -> FigurePlan {
     })
 }
 
-/// Figure 9 (convenience wrapper; see [`plan_fig9`]).
-pub fn fig9_final_comparison(cfg: &ExperimentConfig) -> FigureResult {
-    run_plan(cfg, plan_fig9(cfg))
-}
-
 /// Plan for the index-organization ablation (§4.3 / §5.4): the miss capture
 /// runs as a pooled job against the shared trace store, the index replay in
 /// the render stage.
-pub fn plan_ablation_index(_cfg: &ExperimentConfig) -> FigurePlan {
+fn plan_ablation_index(_cfg: &ExperimentConfig) -> FigurePlan {
     let spec = presets::oltp_db2();
     let name = spec.name.clone();
     FigurePlan::new(
@@ -923,7 +756,7 @@ pub fn plan_ablation_index(_cfg: &ExperimentConfig) -> FigurePlan {
 /// shows the same story — coverage keeps growing past any practical on-chip
 /// capacity — with the added twist that wider successor lists buy little
 /// beyond doubling the storage.
-pub fn plan_markov_sweep(_cfg: &ExperimentConfig) -> FigurePlan {
+fn plan_markov_sweep(_cfg: &ExperimentConfig) -> FigurePlan {
     const ENTRY_COUNTS: [usize; 5] = [1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16];
     const SUCCESSORS: [usize; 2] = [2, 4];
     let specs = presets::commercial_suite();
@@ -981,76 +814,64 @@ pub fn plan_markov_sweep(_cfg: &ExperimentConfig) -> FigurePlan {
     })
 }
 
-/// Markov sweep (convenience wrapper; see [`plan_markov_sweep`]).
-pub fn markov_sweep(cfg: &ExperimentConfig) -> FigureResult {
-    run_plan(cfg, plan_markov_sweep(cfg))
-}
+/// Builds the plan of one figure for a configuration.
+pub type PlanFn = fn(&ExperimentConfig) -> FigurePlan;
 
-/// Convenience: MLP plus baseline statistics for one workload (used in
-/// examples and tests).
-pub fn baseline_summary(cfg: &ExperimentConfig, spec: &WorkloadSpec) -> SimResult {
-    crate::runner::run_workload(cfg, spec, &PrefetcherKind::Baseline)
-}
+/// Every reproduced table and figure, in presentation order: its id and
+/// the function that builds its plan (whose [`FigurePlan::id`] is the id).
+pub const FIGURES: &[(&str, PlanFn)] = &[
+    ("table1", plan_table1),
+    ("table2", plan_table2),
+    ("fig1-left", plan_fig1_left),
+    ("fig1-right", plan_fig1_right),
+    ("fig4", plan_fig4),
+    ("fig5-left", plan_fig5_history),
+    ("fig5-right", plan_fig5_index),
+    ("fig6-left", plan_fig6_left),
+    ("fig6-right", plan_fig6_right),
+    ("fig7", plan_fig7),
+    ("fig8", plan_fig8),
+    ("fig9", plan_fig9),
+    ("ablation-index", plan_ablation_index),
+    ("markov-sweep", plan_markov_sweep),
+];
 
-/// The plan for one experiment id (`None` for unknown ids); ids are listed
-/// in [`ALL_IDS`].
+/// The plan for one experiment id of [`FIGURES`] (`None` for unknown ids).
 pub fn plan_for_id(id: &str, cfg: &ExperimentConfig) -> Option<FigurePlan> {
-    let plan = match id {
-        "table1" => plan_table1(cfg),
-        "table2" => plan_table2(cfg),
-        "fig1-left" => plan_fig1_left(cfg),
-        "fig1-right" => plan_fig1_right(cfg),
-        "fig4" => plan_fig4(cfg),
-        "fig5-left" => plan_fig5_history(cfg),
-        "fig5-right" => plan_fig5_index(cfg),
-        "fig6-left" => plan_fig6_left(cfg),
-        "fig6-right" => plan_fig6_right(cfg),
-        "fig7" => plan_fig7(cfg),
-        "fig8" => plan_fig8(cfg),
-        "fig9" => plan_fig9(cfg),
-        "ablation-index" => plan_ablation_index(cfg),
-        "markov-sweep" => plan_markov_sweep(cfg),
-        _ => return None,
-    };
-    Some(plan)
-}
-
-/// Plans for every reproduced table and figure, in [`ALL_IDS`] order.
-pub fn all_plans(cfg: &ExperimentConfig) -> Vec<FigurePlan> {
-    ALL_IDS
+    FIGURES
         .iter()
-        .map(|id| plan_for_id(id, cfg).expect("every listed id has a plan"))
-        .collect()
+        .find(|(known, _)| *known == id)
+        .map(|(_, plan)| plan(cfg))
 }
 
-/// Runs every reproduced table and figure through one shared campaign (each
-/// workload trace is generated exactly once, all cells interleave on one
-/// bounded pool).
-///
-/// # Panics
-///
-/// Panics if any simulation job fails; use
-/// [`Campaign::run_figures`] with [`all_plans`] for per-figure errors.
-pub fn run_all(cfg: &ExperimentConfig) -> Vec<FigureResult> {
-    Campaign::new(cfg.clone())
-        .run_figures(all_plans(cfg))
-        .into_iter()
-        .map(|figure| figure.unwrap_or_else(|err| panic!("{err}")))
-        .collect()
+/// Plans for every reproduced table and figure, in [`FIGURES`] order.
+pub fn all_plans(cfg: &ExperimentConfig) -> Vec<FigurePlan> {
+    FIGURES.iter().map(|(_, plan)| plan(cfg)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Campaign;
 
     fn tiny() -> ExperimentConfig {
         ExperimentConfig::quick().with_accesses(12_000)
     }
 
+    /// Renders one figure through a campaign of its own.
+    fn render(id: &str, cfg: &ExperimentConfig) -> FigureResult {
+        let plan = plan_for_id(id, cfg).expect("known id");
+        Campaign::with_threads(cfg.clone(), 2)
+            .run_figures(vec![plan])
+            .pop()
+            .expect("one plan in, one figure out")
+            .expect("no job fails")
+    }
+
     #[test]
     fn table1_reports_configuration_without_simulation() {
         assert_eq!(plan_table1(&tiny()).job_count(), 0);
-        let fig = table1_system(&ExperimentConfig::scaled());
+        let fig = render("table1", &ExperimentConfig::scaled());
         assert_eq!(fig.id, "table1");
         assert!(fig.table.row_count() >= 6);
         assert!(fig.render().contains("cores"));
@@ -1058,7 +879,7 @@ mod tests {
 
     #[test]
     fn fig1_right_totals_are_about_three() {
-        let fig = fig1_right_published_overheads();
+        let fig = render("fig1-right", &tiny());
         let csv = fig.table.to_csv();
         // Every design's total overhead is between 2 and 4 accesses per read.
         for line in csv.lines().skip(1) {
@@ -1069,14 +890,14 @@ mod tests {
 
     #[test]
     fn fig4_quick_run_produces_all_rows() {
-        let fig = fig4_potential(&tiny());
+        let fig = render("fig4", &tiny());
         assert_eq!(fig.table.row_count(), 8);
         assert!(fig.render().contains("Web Apache"));
     }
 
     #[test]
     fn table2_quick_run_reports_mlp_near_expected_band() {
-        let fig = table2_mlp(&tiny());
+        let fig = render("table2", &tiny());
         assert_eq!(fig.table.row_count(), 8);
         let csv = fig.table.to_csv();
         for line in csv.lines().skip(1) {
@@ -1088,39 +909,43 @@ mod tests {
     #[test]
     fn every_id_has_a_plan_with_the_matching_identity() {
         let cfg = tiny();
-        for &id in ALL_IDS {
+        for &(id, _) in FIGURES {
             let plan = plan_for_id(id, &cfg).expect("listed id");
             assert_eq!(plan.id(), id);
         }
         assert!(plan_for_id("fig99", &cfg).is_none());
-        assert_eq!(all_plans(&cfg).len(), ALL_IDS.len());
+        let plans = all_plans(&cfg);
+        let ids: Vec<&str> = plans.iter().map(FigurePlan::id).collect();
+        let listed: Vec<&str> = FIGURES.iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, listed);
         // The full grid is substantially larger than any one figure.
-        let total_jobs: usize = all_plans(&cfg).iter().map(|p| p.job_count()).sum();
+        let total_jobs: usize = plans.iter().map(|p| p.job_count()).sum();
         assert!(total_jobs > 100, "full grid has {total_jobs} jobs");
     }
 
     #[test]
     fn figure_json_round_trips_through_serde_json() {
-        let fig = table2_mlp(&tiny());
+        let fig = render("table2", &tiny());
         let text = serde_json::to_string(&fig.to_json());
         let parsed = serde_json::from_str(&text).expect("emitted JSON is valid");
-        let back = FigureResult::from_json(&parsed).expect("JSON carries every field");
-        assert_eq!(back.id, fig.id);
-        assert_eq!(back.notes, fig.notes);
-        assert_eq!(back.table, fig.table);
-        assert_eq!(back.render(), fig.render());
-    }
-
-    #[test]
-    fn figure_from_json_rejects_malformed_documents() {
-        assert!(FigureResult::from_json(&serde_json::Value::Null).is_err());
-        let missing = serde_json::from_str(r#"{"id":"x"}"#).unwrap();
-        assert!(FigureResult::from_json(&missing).is_err());
-        let ragged = serde_json::from_str(
-            r#"{"id":"x","title":null,"headers":["a","b"],"rows":[["1"]],"notes":""}"#,
-        )
-        .unwrap();
-        let err = FigureResult::from_json(&ragged).unwrap_err();
-        assert!(err.contains("width"), "{err}");
+        let field = |key: &str| parsed.get(key).unwrap_or_else(|| panic!("no `{key}`"));
+        assert_eq!(field("id").as_str(), Some(fig.id.as_str()));
+        assert_eq!(field("notes").as_str(), Some(fig.notes.as_str()));
+        let strings = |value: &serde_json::Value| -> Vec<String> {
+            value
+                .as_array()
+                .expect("an array")
+                .iter()
+                .map(|item| item.as_str().expect("a string").to_string())
+                .collect()
+        };
+        assert_eq!(strings(field("headers")), fig.table.headers());
+        let rows: Vec<Vec<String>> = field("rows")
+            .as_array()
+            .expect("an array")
+            .iter()
+            .map(strings)
+            .collect();
+        assert_eq!(rows, fig.table.rows());
     }
 }

@@ -7,15 +7,17 @@
 //! (`stms-stats`).
 //!
 //! * [`ExperimentConfig`] — the scaled system model and trace lengths;
-//! * [`campaign`] — the orchestration layer: a [`campaign::TraceStore`]
+//! * [`campaign`] — the orchestration layer, whose [`Campaign`] runs every
+//!   batch of simulation jobs: a [`campaign::TraceStore`]
 //!   generating each workload trace once per batch and dropping it after
 //!   its last job, a bounded [`campaign::JobPool`] with panic-safe per-job
 //!   errors, declarative [`campaign::FigurePlan`]s whose cells go to one
 //!   pool trace by trace, and an optional persistent
 //!   [`campaign::ResultStore`];
-//! * [`runner`] — (workload × prefetcher) convenience runners on top of the
-//!   campaign layer;
-//! * [`experiments`] — one plan per table/figure of the paper (§5);
+//! * [`runner`] — the prefetcher configurations under study
+//!   ([`PrefetcherKind`]) and [`run_trace`], which replays one trace;
+//! * [`experiments`] — one plan per table/figure of the paper (§5), all
+//!   declared in [`experiments::FIGURES`];
 //! * the `stms-experiments` binary — command-line front end
 //!   (`--figures`, `--threads`, `--format text|json`, `--result-cache DIR`,
 //!   `--metrics-out FILE`).
@@ -23,12 +25,14 @@
 //! # Example
 //!
 //! ```no_run
-//! use stms_sim::{experiments, ExperimentConfig};
+//! use stms_sim::{experiments, Campaign, ExperimentConfig};
 //!
 //! // Regenerate Figure 4 (idealized prefetching potential) at full scale.
-//! let cfg = ExperimentConfig::scaled();
-//! let fig4 = experiments::fig4_potential(&cfg);
-//! println!("{}", fig4.render());
+//! let campaign = Campaign::new(ExperimentConfig::scaled());
+//! let plan = experiments::plan_for_id("fig4", campaign.cfg()).expect("known id");
+//! for figure in campaign.run_figures(vec![plan]) {
+//!     println!("{}", figure.expect("no simulation failed").render());
+//! }
 //! ```
 
 #![warn(missing_docs)]
@@ -40,17 +44,12 @@ pub mod experiments;
 pub mod runner;
 pub mod system;
 
-pub use ablation::{
-    index_organization_ablation, index_organization_ablation_from, IndexAblation, IndexAblationRow,
-};
+pub use ablation::{index_organization_ablation_from, IndexAblation, IndexAblationRow};
 pub use campaign::{
     job_fingerprint, Campaign, CampaignCacheStats, CampaignCaches, CampaignError, FigurePlan,
     FlightStats, JobError, JobOutput, JobPool, JobSpec, JobTask, ResultStore, ResultStoreStats,
     TraceStore, TraceStoreStats,
 };
 pub use experiments::FigureResult;
-pub use runner::{
-    build_trace, collect_miss_sequences, run_matched, run_suite, run_trace, run_workload,
-    PrefetcherKind,
-};
+pub use runner::{run_trace, PrefetcherKind};
 pub use system::{ExperimentConfig, CAPACITY_SCALE};

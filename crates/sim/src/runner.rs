@@ -1,14 +1,15 @@
-//! Running (workload × prefetcher) configurations through the simulator.
+//! The prefetcher configurations under study and the replay of one trace
+//! ([`run_trace`]). Batches of jobs run through a
+//! [`Campaign`](crate::campaign::Campaign).
 
 use crate::system::ExperimentConfig;
 use stms_core::{Stms, StmsConfig};
 use stms_mem::{CmpSimulator, NullPrefetcher, Prefetcher, SimResult};
 use stms_prefetch::{
     FixedDepthConfig, FixedDepthPrefetcher, IdealTms, IdealTmsConfig, MarkovConfig,
-    MarkovPrefetcher, MissTraceCollector,
+    MarkovPrefetcher,
 };
-use stms_types::{LineAddr, Trace};
-use stms_workloads::{generate, WorkloadSpec};
+use stms_types::Trace;
 
 /// The prefetcher configurations the experiments compare.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,75 +128,16 @@ impl PrefetcherKind {
     }
 }
 
-/// Generates the trace for `spec` at the campaign's trace length.
-pub fn build_trace(cfg: &ExperimentConfig, spec: &WorkloadSpec) -> Trace {
-    generate(&spec.clone().with_accesses(cfg.accesses))
-}
-
-/// Runs one workload with one prefetcher configuration.
-pub fn run_workload(
-    cfg: &ExperimentConfig,
-    spec: &WorkloadSpec,
-    kind: &PrefetcherKind,
-) -> SimResult {
-    let trace = build_trace(cfg, spec);
-    run_trace(cfg, &trace, kind)
-}
-
 /// Runs an already-generated trace with one prefetcher configuration.
 pub fn run_trace(cfg: &ExperimentConfig, trace: &Trace, kind: &PrefetcherKind) -> SimResult {
     let mut prefetcher = kind.build(cfg.system.cores);
     CmpSimulator::new(&cfg.system, cfg.sim).run(trace, prefetcher.as_mut())
 }
 
-/// Runs every workload of a suite with the same prefetcher configuration on
-/// a bounded worker pool (one transient [`Campaign`](crate::campaign::Campaign)
-/// sized to the machine). Results are in workload order.
-///
-/// This is the convenience form for one-off suites; campaign-scale callers
-/// should hold a [`Campaign`](crate::campaign::Campaign) so traces and
-/// workers are shared across calls.
-///
-/// # Errors
-///
-/// Returns a [`JobError`](crate::campaign::JobError) naming the first
-/// workload whose simulation panicked, instead of aborting the process.
-pub fn run_suite(
-    cfg: &ExperimentConfig,
-    specs: &[WorkloadSpec],
-    kind: &PrefetcherKind,
-) -> Result<Vec<SimResult>, crate::campaign::JobError> {
-    crate::campaign::Campaign::new(cfg.clone()).run_suite(specs, kind)
-}
-
-/// Runs several prefetcher configurations on the *same* generated trace of
-/// one workload (matched comparison) on a bounded worker pool. Results are
-/// in `kinds` order.
-///
-/// # Errors
-///
-/// See [`run_suite`].
-pub fn run_matched(
-    cfg: &ExperimentConfig,
-    spec: &WorkloadSpec,
-    kinds: &[PrefetcherKind],
-) -> Result<Vec<SimResult>, crate::campaign::JobError> {
-    crate::campaign::Campaign::new(cfg.clone()).run_matched(spec, kinds)
-}
-
-/// Captures the baseline off-chip read-miss sequence of each core for a
-/// workload (used by the offline stream-length analysis of Figure 6, left).
-pub fn collect_miss_sequences(cfg: &ExperimentConfig, spec: &WorkloadSpec) -> Vec<Vec<LineAddr>> {
-    let trace = build_trace(cfg, spec);
-    let mut collector = MissTraceCollector::new(cfg.system.cores);
-    let _ = CmpSimulator::new(&cfg.system, cfg.sim).run(&trace, &mut collector);
-    collector.all_cores()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stms_workloads::presets;
+    use stms_workloads::{generate, presets, WorkloadSpec};
 
     fn quick() -> ExperimentConfig {
         ExperimentConfig::quick().with_accesses(20_000)
@@ -249,8 +191,8 @@ mod tests {
     #[test]
     fn baseline_run_produces_misses() {
         let cfg = quick();
-        let spec = presets::web_apache();
-        let res = run_workload(&cfg, &spec, &PrefetcherKind::Baseline);
+        let trace = generate(&presets::web_apache().with_accesses(cfg.accesses));
+        let res = run_trace(&cfg, &trace, &PrefetcherKind::Baseline);
         assert!(res.uncovered_misses > 100);
         assert_eq!(res.covered_full + res.covered_partial, 0);
         assert_eq!(res.workload, "Web Apache");
@@ -273,47 +215,12 @@ mod tests {
             mean_gap: 8,
             ..presets::web_apache()
         };
-        let res = run_workload(&cfg, &spec, &PrefetcherKind::ideal());
+        let trace = generate(&spec.with_accesses(cfg.accesses));
+        let res = run_trace(&cfg, &trace, &PrefetcherKind::ideal());
         assert!(
             res.coverage() > 0.25,
             "idealized TMS should cover a repeating workload, got {}",
             res.coverage()
         );
-    }
-
-    #[test]
-    fn run_matched_returns_one_result_per_kind() {
-        let cfg = quick();
-        let spec = presets::sci_ocean();
-        let kinds = [PrefetcherKind::Baseline, PrefetcherKind::ideal()];
-        let results = run_matched(&cfg, &spec, &kinds).expect("no simulation panics");
-        assert_eq!(results.len(), 2);
-        assert!(results[1].coverage() >= results[0].coverage());
-        // Matched runs replay the identical trace: the base miss opportunity
-        // is (approximately) the same.
-        let base = results[0].base_read_misses() as f64;
-        let ideal = results[1].base_read_misses() as f64;
-        assert!(
-            (base - ideal).abs() / base < 0.2,
-            "base {base} vs ideal {ideal}"
-        );
-    }
-
-    #[test]
-    fn run_suite_is_pooled_and_ordered() {
-        let cfg = quick();
-        let specs = vec![presets::web_apache(), presets::dss_qry17()];
-        let results = run_suite(&cfg, &specs, &PrefetcherKind::Baseline).expect("no panics");
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].workload, "Web Apache");
-        assert_eq!(results[1].workload, "DSS DB2");
-    }
-
-    #[test]
-    fn miss_sequences_have_one_entry_per_core() {
-        let cfg = quick();
-        let seqs = collect_miss_sequences(&cfg, &presets::oltp_db2());
-        assert_eq!(seqs.len(), cfg.system.cores);
-        assert!(seqs.iter().any(|s| !s.is_empty()));
     }
 }

@@ -129,10 +129,10 @@ fn concurrent_workers_and_stores_share_one_cache_dir() {
     // Many pool workers racing on the same cold keys: each trace must be
     // generated exactly once.
     let campaign = Campaign::with_caches(quick(), 4, CampaignCaches::in_dir(&dir)).unwrap();
-    let plans = vec![
-        experiments::plan_table2(campaign.cfg()),
-        experiments::plan_fig4(campaign.cfg()),
-    ];
+    let plans = ["table2", "fig4"]
+        .iter()
+        .map(|id| experiments::plan_for_id(id, campaign.cfg()).expect("known id"))
+        .collect();
     for figure in campaign.run_figures(plans) {
         figure.expect("no job fails under concurrency");
     }

@@ -1,12 +1,12 @@
-//! End-to-end checks of the campaign orchestration layer: a full `run_all`
-//! grid generates each workload trace exactly once and drops it after its
+//! End-to-end checks of the campaign orchestration layer: the full figure
+//! grid (`experiments::all_plans` in one campaign) generates each workload trace exactly once and drops it after its
 //! last job, every figure renders through the job layer with the expected
 //! shape, and the cached-trace path reproduces the regeneration path
 //! bit-for-bit.
 
 use std::collections::HashSet;
 use stms_sim::campaign::Campaign;
-use stms_sim::experiments::{self, ALL_IDS};
+use stms_sim::experiments::{self, FIGURES};
 use stms_sim::ExperimentConfig;
 use stms_workloads::{presets, WorkloadSpec};
 
@@ -20,9 +20,9 @@ fn full_grid_generates_each_workload_trace_exactly_once() {
     let campaign = Campaign::with_threads(cfg.clone(), 2);
     let figures = campaign.run_figures(experiments::all_plans(&cfg));
 
-    // All 13 experiments render through the job layer, in ALL_IDS order.
-    assert_eq!(figures.len(), ALL_IDS.len());
-    for (figure, &id) in figures.iter().zip(ALL_IDS) {
+    // All 14 experiments render through the job layer, in FIGURES order.
+    assert_eq!(figures.len(), FIGURES.len());
+    for (figure, &(id, _)) in figures.iter().zip(FIGURES) {
         let figure = figure.as_ref().expect("no job fails on the tiny grid");
         assert_eq!(figure.id, id);
         assert!(!figure.render().trim().is_empty(), "{id}: empty output");
@@ -89,17 +89,17 @@ fn cached_traces_reproduce_the_regeneration_path() {
     let cfg = tiny();
     // Through the shared campaign (fig4's cells replay cached traces that
     // many other figures also used)...
+    let plan = |id| experiments::plan_for_id(id, &cfg).expect("known id");
     let campaign = Campaign::with_threads(cfg.clone(), 2);
-    let plans = vec![
-        experiments::plan_table2(&cfg),
-        experiments::plan_fig4(&cfg),
-        experiments::plan_fig6_right(&cfg),
-    ];
+    let plans = vec![plan("table2"), plan("fig4"), plan("fig6-right")];
     let mut batched = campaign.run_figures(plans);
     let fig4_batched = batched.remove(1).expect("no job fails");
 
-    // ...and through the standalone wrapper with its own fresh store.
-    let fig4_direct = experiments::fig4_potential(&cfg);
+    // ...and alone, through a campaign with its own fresh store.
+    let fig4_direct = Campaign::with_threads(cfg.clone(), 2)
+        .run_figures(vec![plan("fig4")])
+        .remove(0)
+        .expect("no job fails");
 
     assert_eq!(fig4_batched.render(), fig4_direct.render());
 }

@@ -1,18 +1,22 @@
-//! Smoke test for the `stms-experiments` driver path: runs the same
-//! experiment functions the binary's `run_one` dispatches to, for the two
-//! cheapest representative targets (`fig4`, `table2`), under the quick
+//! Smoke test for the `stms-experiments` driver path: looks plans up by id
+//! and runs them through one campaign, as the binary does, for two cheap
+//! representative targets (`fig4`, `table2`), under the quick
 //! configuration, and checks that each produces non-empty rendered output.
 
-use stms_sim::{experiments, ExperimentConfig};
+use stms_sim::{experiments, Campaign, ExperimentConfig};
 
 #[test]
 fn fig4_and_table2_render_under_quick_config() {
     let cfg = ExperimentConfig::quick().with_accesses(20_000);
+    let ids = ["fig4", "table2"];
+    let plans = ids
+        .iter()
+        .map(|id| experiments::plan_for_id(id, &cfg).expect("known id"))
+        .collect();
+    let figures = Campaign::with_threads(cfg.clone(), 2).run_figures(plans);
 
-    for (expected_id, result) in [
-        ("fig4", experiments::fig4_potential(&cfg)),
-        ("table2", experiments::table2_mlp(&cfg)),
-    ] {
+    for (expected_id, figure) in ids.into_iter().zip(figures) {
+        let result = figure.expect("no job fails");
         assert_eq!(result.id, expected_id);
         assert!(
             result.table.row_count() > 0,

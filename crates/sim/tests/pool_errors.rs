@@ -3,7 +3,7 @@
 //! the whole campaign down with it).
 
 use stms_prefetch::MarkovConfig;
-use stms_sim::{run_matched, run_suite, ExperimentConfig, PrefetcherKind};
+use stms_sim::{Campaign, ExperimentConfig, PrefetcherKind};
 use stms_workloads::presets;
 
 /// A Markov table whose entry count is not a multiple of its associativity:
@@ -21,11 +21,11 @@ fn poisoned_config_yields_a_job_error_instead_of_aborting() {
     // Silence the worker threads' panic backtraces for this test binary.
     std::panic::set_hook(Box::new(|_| {}));
 
-    let cfg = ExperimentConfig::quick().with_accesses(5_000);
+    let campaign = Campaign::with_threads(ExperimentConfig::quick().with_accesses(5_000), 2);
 
     // run_suite: the error names the workload × prefetcher cell that died.
     let specs = vec![presets::web_apache(), presets::dss_qry17()];
-    let err = run_suite(&cfg, &specs, &poisoned_kind()).unwrap_err();
+    let err = campaign.run_suite(&specs, &poisoned_kind()).unwrap_err();
     assert!(err.job.contains("markov"), "job label: {}", err.job);
     assert!(
         err.job.contains("Web Apache") || err.job.contains("DSS DB2"),
@@ -36,15 +36,16 @@ fn poisoned_config_yields_a_job_error_instead_of_aborting() {
 
     // run_matched: healthy kinds in the same batch are unaffected — only the
     // poisoned cell errors, and a follow-up run still works.
-    let err = run_matched(
-        &cfg,
-        &presets::web_apache(),
-        &[PrefetcherKind::Baseline, poisoned_kind()],
-    )
-    .unwrap_err();
+    let err = campaign
+        .run_matched(
+            &presets::web_apache(),
+            &[PrefetcherKind::Baseline, poisoned_kind()],
+        )
+        .unwrap_err();
     assert!(err.to_string().contains("failed"));
 
-    let ok = run_matched(&cfg, &presets::web_apache(), &[PrefetcherKind::Baseline])
+    let ok = campaign
+        .run_matched(&presets::web_apache(), &[PrefetcherKind::Baseline])
         .expect("the pool survives earlier panics");
     assert_eq!(ok.len(), 1);
 

@@ -56,11 +56,6 @@ impl Cdf {
         self.points.is_empty()
     }
 
-    /// Number of distinct values.
-    pub fn distinct_values(&self) -> usize {
-        self.points.len()
-    }
-
     /// Total weight of all samples.
     pub fn total_weight(&self) -> f64 {
         self.total_weight
@@ -93,15 +88,6 @@ impl Cdf {
         }
         self.points.last().expect("non-empty").0
     }
-
-    /// Samples the CDF at the given values, returning `(value, fraction)`
-    /// pairs — convenient for plotting / table output.
-    pub fn sample_at(&self, values: &[u64]) -> Vec<(u64, f64)> {
-        values
-            .iter()
-            .map(|&v| (v, self.fraction_at_or_below(v)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -112,7 +98,6 @@ mod tests {
     #[test]
     fn unweighted_basics() {
         let cdf = Cdf::from_values([5u64, 1, 3, 3]);
-        assert_eq!(cdf.distinct_values(), 3);
         assert_eq!(cdf.total_weight(), 4.0);
         assert_eq!(cdf.fraction_at_or_below(0), 0.0);
         assert_eq!(cdf.fraction_at_or_below(1), 0.25);
@@ -142,14 +127,6 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn percentile_of_empty_panics() {
         let _ = Cdf::from_values(Vec::<u64>::new()).percentile(0.5);
-    }
-
-    #[test]
-    fn sample_at_returns_pairs() {
-        let cdf = Cdf::from_values([1u64, 10, 100]);
-        let samples = cdf.sample_at(&[1, 10, 100]);
-        assert_eq!(samples.len(), 3);
-        assert!((samples[1].1 - 2.0 / 3.0).abs() < 1e-9);
     }
 
     proptest! {

@@ -1,8 +1,7 @@
 //! Plain-text and CSV rendering of experiment results.
 //!
 //! The experiment driver prints every figure and table of the paper as an
-//! aligned text table (and optionally CSV), so results can be diffed and
-//! checked into `EXPERIMENTS.md`.
+//! aligned text table (and optionally CSV), so results can be diffed.
 
 use std::fmt::Write as _;
 
@@ -60,23 +59,6 @@ impl TextTable {
     /// The title line, if one was set.
     pub fn title(&self) -> Option<&str> {
         self.title.as_deref()
-    }
-
-    /// Rebuilds a table from its parts (the inverse of the accessors; used
-    /// when deserializing exported results).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row's width differs from the header width.
-    pub fn from_parts(headers: Vec<String>, rows: Vec<Vec<String>>, title: Option<String>) -> Self {
-        let mut t = TextTable::new(headers);
-        if let Some(title) = title {
-            t = t.with_title(title);
-        }
-        for row in rows {
-            t.add_row(row);
-        }
-        t
     }
 
     /// Appends a row.
@@ -205,18 +187,12 @@ mod tests {
     }
 
     #[test]
-    fn accessors_round_trip_through_from_parts() {
+    fn accessors_return_what_was_built() {
         let mut t = TextTable::new(vec!["a".into(), "b".into()]).with_title("T");
         t.add_row(vec!["1".into(), "2".into()]);
         assert_eq!(t.headers(), ["a", "b"]);
         assert_eq!(t.rows(), [["1", "2"]]);
         assert_eq!(t.title(), Some("T"));
-        let rebuilt = TextTable::from_parts(
-            t.headers().to_vec(),
-            t.rows().to_vec(),
-            t.title().map(String::from),
-        );
-        assert_eq!(rebuilt, t);
     }
 
     #[test]

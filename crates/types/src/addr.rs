@@ -51,11 +51,6 @@ impl PhysAddr {
     pub const fn line_offset(self) -> usize {
         (self.0 & (CACHE_LINE_BYTES as u64 - 1)) as usize
     }
-
-    /// Returns the address advanced by `bytes` bytes.
-    pub const fn add_bytes(self, bytes: u64) -> Self {
-        PhysAddr(self.0 + bytes)
-    }
 }
 
 impl fmt::Display for PhysAddr {

@@ -121,11 +121,6 @@ impl Fingerprinter {
         self.write_bytes(&[value]);
     }
 
-    /// Hashes a `u16` (little-endian).
-    pub fn write_u16(&mut self, value: u16) {
-        self.write_bytes(&value.to_le_bytes());
-    }
-
     /// Hashes a `u32` (little-endian).
     pub fn write_u32(&mut self, value: u32) {
         self.write_bytes(&value.to_le_bytes());
@@ -232,8 +227,8 @@ mod tests {
             fp.write_str("bc");
         });
         assert_ne!(ab_c, a_bc);
-        // Width matters: a u16 and a u32 of the same value differ.
-        assert_ne!(digest(&|fp| fp.write_u16(7)), digest(&|fp| fp.write_u32(7)));
+        // Width matters: a u8 and a u32 of the same value differ.
+        assert_ne!(digest(&|fp| fp.write_u8(7)), digest(&|fp| fp.write_u32(7)));
         // Option presence tag keeps None apart from Some(0).
         assert_ne!(
             digest(&|fp| fp.write_option_u64(None)),

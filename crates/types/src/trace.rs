@@ -120,17 +120,6 @@ impl Trace {
             .filter(|a| a.core == core)
             .collect()
     }
-
-    /// Total number of instructions represented by the trace (memory accesses
-    /// plus compute gaps), used as the numerator of the throughput metric.
-    pub fn instruction_count(&self) -> u64 {
-        self.accesses.len() as u64
-            + self
-                .accesses
-                .iter()
-                .map(|a| a.compute_gap as u64)
-                .sum::<u64>()
-    }
 }
 
 impl Extend<MemAccess> for Trace {
@@ -196,13 +185,6 @@ mod tests {
         assert_eq!(t.per_core(CoreId::new(0)).len(), 2);
         assert_eq!(t.per_core(CoreId::new(1)).len(), 1);
         assert_eq!(t.per_core(CoreId::new(2)).len(), 0);
-    }
-
-    #[test]
-    #[allow(clippy::identity_op)] // one explicit term per access's gap
-    fn instruction_count_includes_gaps() {
-        let t = sample_trace();
-        assert_eq!(t.instruction_count(), 3 + 3 + 0 + 1);
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! This is the workflow for answering "is my workload's miss stream temporal
 //! enough for an address-correlating prefetcher?".
 
-use stms::sim::collect_miss_sequences;
-use stms::sim::{run_matched, ExperimentConfig, PrefetcherKind};
+use stms::sim::{Campaign, ExperimentConfig, PrefetcherKind};
 use stms::stats::{analyze_streams_multi, pct};
 use stms::workloads::{LengthDist, WorkloadClass, WorkloadSpec};
 
@@ -52,13 +51,15 @@ fn analytics_scan() -> WorkloadSpec {
 }
 
 fn main() {
-    let cfg = ExperimentConfig::scaled();
+    let campaign = Campaign::new(ExperimentConfig::scaled());
     for spec in [kv_store(), analytics_scan()] {
         println!("== {} ==", spec.name);
 
         // First, an offline look at the miss stream itself: how much of it is
         // covered by recurring temporal streams, and how long are they?
-        let misses = collect_miss_sequences(&cfg, &spec);
+        let misses = campaign
+            .collect_miss_sequences(&spec)
+            .expect("no simulation panics");
         let analysis = analyze_streams_multi(&misses);
         println!(
             "  temporal-stream analysis: {} off-chip read misses, {} in recurring streams ({}), median followed stream {} blocks",
@@ -69,16 +70,16 @@ fn main() {
         );
 
         // Then the actual prefetcher comparison.
-        let results = run_matched(
-            &cfg,
-            &spec,
-            &[
-                PrefetcherKind::Baseline,
-                PrefetcherKind::ideal(),
-                PrefetcherKind::stms_with_sampling(0.125),
-            ],
-        )
-        .expect("no simulation panics");
+        let results = campaign
+            .run_matched(
+                &spec,
+                &[
+                    PrefetcherKind::Baseline,
+                    PrefetcherKind::ideal(),
+                    PrefetcherKind::stms_with_sampling(0.125),
+                ],
+            )
+            .expect("no simulation panics");
         let (base, ideal, stms) = (&results[0], &results[1], &results[2]);
         println!(
             "  ideal TMS: coverage {}, speedup {:+.1}%    STMS: coverage {}, speedup {:+.1}%, overhead {:.2} bytes/useful byte\n",

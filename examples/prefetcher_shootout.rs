@@ -12,7 +12,7 @@
 
 use stms::mem::SimResult;
 use stms::prefetch::{FixedDepthConfig, MarkovConfig};
-use stms::sim::{run_matched, ExperimentConfig, PrefetcherKind};
+use stms::sim::{Campaign, ExperimentConfig, PrefetcherKind};
 use stms::stats::TextTable;
 use stms::workloads::presets;
 
@@ -34,7 +34,9 @@ fn main() {
         PrefetcherKind::ideal(),
         PrefetcherKind::stms_with_sampling(0.125),
     ];
-    let results = run_matched(&cfg, &spec, &kinds).expect("no simulation panics");
+    let results = Campaign::new(cfg)
+        .run_matched(&spec, &kinds)
+        .expect("no simulation panics");
     let baseline: &SimResult = &results[0];
 
     let mut table = TextTable::new(vec![

@@ -9,7 +9,7 @@
 //! the experiment behind Figure 8 of the paper and the knob a system designer
 //! would tune for their own memory-bandwidth budget.
 
-use stms::sim::{run_matched, ExperimentConfig, PrefetcherKind};
+use stms::sim::{Campaign, ExperimentConfig, PrefetcherKind};
 use stms::stats::TextTable;
 use stms::workloads::presets;
 
@@ -27,7 +27,9 @@ fn main() {
         .iter()
         .map(|&p| PrefetcherKind::stms_with_sampling(p))
         .collect();
-    let results = run_matched(&cfg, &spec, &kinds).expect("no simulation panics");
+    let results = Campaign::new(cfg)
+        .run_matched(&spec, &kinds)
+        .expect("no simulation panics");
 
     let mut table = TextTable::new(vec![
         "sampling".into(),

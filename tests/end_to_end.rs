@@ -4,7 +4,7 @@
 use stms::core::{Stms, StmsConfig};
 use stms::mem::{CmpSimulator, NullPrefetcher, SimResult};
 use stms::prefetch::{IdealTms, IdealTmsConfig, MissTraceCollector};
-use stms::sim::{run_matched, ExperimentConfig, PrefetcherKind};
+use stms::sim::{Campaign, ExperimentConfig, PrefetcherKind};
 use stms::stats::analyze_streams_multi;
 use stms::workloads::{generate, LengthDist, WorkloadClass, WorkloadSpec};
 
@@ -36,19 +36,22 @@ fn cfg() -> ExperimentConfig {
     ExperimentConfig::quick().with_accesses(60_000)
 }
 
-fn run(kind: &PrefetcherKind) -> SimResult {
-    stms::sim::run_workload(&cfg(), &test_spec(), kind)
+/// Replays the test workload under each of `kinds`, on one shared trace.
+fn run_matched(kinds: &[PrefetcherKind]) -> Vec<SimResult> {
+    Campaign::with_threads(cfg(), 2)
+        .run_matched(&test_spec(), kinds)
+        .expect("no simulation panics")
 }
 
 #[test]
 fn accounting_identities_hold_for_every_prefetcher() {
-    for kind in [
+    let kinds = [
         PrefetcherKind::Baseline,
         PrefetcherKind::ideal(),
         PrefetcherKind::stms_with_sampling(0.125),
         PrefetcherKind::stms_with_sampling(1.0),
-    ] {
-        let r = run(&kind);
+    ];
+    for (kind, r) in kinds.iter().zip(run_matched(&kinds)) {
         // Every replayed access is classified exactly once.
         let classified = r.l1_hits
             + r.l2_hits
@@ -82,7 +85,7 @@ fn accounting_identities_hold_for_every_prefetcher() {
 
 #[test]
 fn baseline_never_prefetches_and_stride_only_traffic() {
-    let r = run(&PrefetcherKind::Baseline);
+    let r = &run_matched(&[PrefetcherKind::Baseline])[0];
     assert_eq!(r.prefetches_issued, 0);
     assert_eq!(r.coverage(), 0.0);
     assert_eq!(
@@ -96,16 +99,11 @@ fn baseline_never_prefetches_and_stride_only_traffic() {
 
 #[test]
 fn temporal_prefetchers_cover_the_repetitive_workload() {
-    let results = run_matched(
-        &cfg(),
-        &test_spec(),
-        &[
-            PrefetcherKind::Baseline,
-            PrefetcherKind::ideal(),
-            PrefetcherKind::stms_with_sampling(1.0),
-        ],
-    )
-    .expect("no simulation panics");
+    let results = run_matched(&[
+        PrefetcherKind::Baseline,
+        PrefetcherKind::ideal(),
+        PrefetcherKind::stms_with_sampling(1.0),
+    ]);
     let (base, ideal, stms_full) = (&results[0], &results[1], &results[2]);
     assert!(
         ideal.coverage() > 0.3,
@@ -128,15 +126,10 @@ fn temporal_prefetchers_cover_the_repetitive_workload() {
 
 #[test]
 fn probabilistic_update_trades_little_coverage_for_much_less_traffic() {
-    let results = run_matched(
-        &cfg(),
-        &test_spec(),
-        &[
-            PrefetcherKind::stms_with_sampling(1.0),
-            PrefetcherKind::stms_with_sampling(0.125),
-        ],
-    )
-    .expect("no simulation panics");
+    let results = run_matched(&[
+        PrefetcherKind::stms_with_sampling(1.0),
+        PrefetcherKind::stms_with_sampling(0.125),
+    ]);
     let (full, sampled) = (&results[0], &results[1]);
     let update_reduction =
         full.traffic.meta_update as f64 / sampled.traffic.meta_update.max(1) as f64;
@@ -172,8 +165,8 @@ fn offline_stream_analysis_bounds_are_consistent() {
 
 #[test]
 fn deterministic_results_for_identical_seeds() {
-    let a = run(&PrefetcherKind::stms_with_sampling(0.125));
-    let b = run(&PrefetcherKind::stms_with_sampling(0.125));
+    let kind = [PrefetcherKind::stms_with_sampling(0.125)];
+    let (a, b) = (&run_matched(&kind)[0], &run_matched(&kind)[0]);
     assert_eq!(a, b, "the whole pipeline must be deterministic");
 }
 
