@@ -223,4 +223,50 @@ mod tests {
             res.coverage()
         );
     }
+
+    #[test]
+    fn run_matched_returns_one_result_per_kind() {
+        let cfg = quick();
+        let trace = generate(&presets::sci_ocean().with_accesses(cfg.accesses));
+        let kinds = [PrefetcherKind::Baseline, PrefetcherKind::ideal()];
+        let results: Vec<SimResult> = kinds.iter().map(|k| run_trace(&cfg, &trace, k)).collect();
+        assert_eq!(results.len(), 2);
+        assert!(results[1].coverage() >= results[0].coverage());
+        // Matched runs replay the identical trace: the base miss opportunity
+        // is (approximately) the same.
+        let base = results[0].base_read_misses() as f64;
+        let ideal = results[1].base_read_misses() as f64;
+        assert!(
+            (base - ideal).abs() / base < 0.2,
+            "base {base} vs ideal {ideal}"
+        );
+    }
+
+    #[test]
+    fn run_suite_is_pooled_and_ordered() {
+        let cfg = quick();
+        let specs = vec![presets::web_apache(), presets::dss_qry17()];
+        let results = crate::campaign::Campaign::with_threads(cfg.clone(), 2)
+            .run_suite(&specs, &PrefetcherKind::Baseline)
+            .expect("no panics");
+        assert_eq!(results.len(), 2);
+        assert_eq!(results[0].workload, "Web Apache");
+        assert_eq!(results[1].workload, "DSS DB2");
+        // The pooled replay is the same simulation as a direct one.
+        let direct = generate(&specs[1].clone().with_accesses(cfg.accesses));
+        assert_eq!(
+            results[1],
+            run_trace(&cfg, &direct, &PrefetcherKind::Baseline)
+        );
+    }
+
+    #[test]
+    fn miss_sequences_have_one_entry_per_core() {
+        let cfg = quick();
+        let seqs = crate::campaign::Campaign::with_threads(cfg.clone(), 1)
+            .collect_miss_sequences(&presets::oltp_db2())
+            .expect("no panics");
+        assert_eq!(seqs.len(), cfg.system.cores);
+        assert!(seqs.iter().any(|s| !s.is_empty()));
+    }
 }
