@@ -55,9 +55,6 @@ pub struct OffChipHistory {
     end_marks: Vec<IntHashSet<u64>>,
     pending_writes: Vec<usize>,
     entries_per_block: usize,
-    appended: u64,
-    blocks_written: u64,
-    blocks_read: u64,
 }
 
 impl OffChipHistory {
@@ -77,35 +74,7 @@ impl OffChipHistory {
             end_marks: vec![IntHashSet::default(); cores],
             pending_writes: vec![0; cores],
             entries_per_block,
-            appended: 0,
-            blocks_written: 0,
-            blocks_read: 0,
         }
-    }
-
-    /// Number of cores (history buffers).
-    pub fn cores(&self) -> usize {
-        self.logs.len()
-    }
-
-    /// Total entries appended across all cores.
-    pub fn appended(&self) -> u64 {
-        self.appended
-    }
-
-    /// Number of packed block writes issued.
-    pub fn blocks_written(&self) -> u64 {
-        self.blocks_written
-    }
-
-    /// Number of block reads issued.
-    pub fn blocks_read(&self) -> u64 {
-        self.blocks_read
-    }
-
-    /// The position the next append on `core` will receive.
-    pub fn next_position(&self, core: CoreId) -> u64 {
-        self.logs[core.index()].next_position()
     }
 
     /// Appends one address to `core`'s history, issuing a packed block write
@@ -119,11 +88,9 @@ impl OffChipHistory {
     ) -> u64 {
         let idx = core.index();
         let pos = self.logs[idx].append(line);
-        self.appended += 1;
         self.pending_writes[idx] += 1;
         if self.pending_writes[idx] >= self.entries_per_block {
             dram.access(TrafficClass::MetaRecord, 64, now);
-            self.blocks_written += 1;
             self.pending_writes[idx] = 0;
         }
         pos
@@ -141,7 +108,6 @@ impl OffChipHistory {
     ) -> HistoryBlock {
         let idx = core.index();
         let ready_at = dram.access(TrafficClass::MetaLookup, 64, now);
-        self.blocks_read += 1;
         let (log, marks) = (&self.logs[idx], &self.end_marks[idx]);
         let mut addresses = Vec::with_capacity(self.entries_per_block);
         let mut hit_end_mark = false;
@@ -166,18 +132,12 @@ impl OffChipHistory {
         self.end_marks[core.index()].insert(pos);
     }
 
-    /// Whether `pos` carries an end-of-stream mark.
-    pub fn is_marked(&self, core: CoreId, pos: u64) -> bool {
-        self.end_marks[core.index()].contains(&pos)
-    }
-
     /// Flushes partially-filled write-accumulation buffers (end of
     /// simulation).
     pub fn flush(&mut self, now: Cycle, dram: &mut DramModel) {
         for pending in &mut self.pending_writes {
             if *pending > 0 {
                 dram.access(TrafficClass::MetaRecord, 64, now);
-                self.blocks_written += 1;
                 *pending = 0;
             }
         }
@@ -200,11 +160,10 @@ mod tests {
         for i in 0..23u64 {
             h.append(CoreId::new(0), LineAddr::new(i), Cycle::ZERO, &mut d);
         }
-        assert_eq!(h.blocks_written(), 1, "only one full block so far");
-        assert_eq!(d.traffic().meta_record, 64);
-        h.append(CoreId::new(0), LineAddr::new(99), Cycle::ZERO, &mut d);
-        assert_eq!(h.blocks_written(), 2);
-        assert_eq!(h.appended(), 24);
+        assert_eq!(d.traffic().meta_record, 64, "only one full block so far");
+        let pos = h.append(CoreId::new(0), LineAddr::new(99), Cycle::ZERO, &mut d);
+        assert_eq!(d.traffic().meta_record, 2 * 64);
+        assert_eq!(pos, 23);
     }
 
     #[test]
@@ -213,12 +172,16 @@ mod tests {
         let mut h = OffChipHistory::new(2, 256, 12);
         h.append(CoreId::new(0), LineAddr::new(1), Cycle::ZERO, &mut d);
         h.append(CoreId::new(1), LineAddr::new(2), Cycle::ZERO, &mut d);
-        assert_eq!(h.blocks_written(), 0);
+        assert_eq!(d.traffic().meta_record, 0);
         h.flush(Cycle::ZERO, &mut d);
-        assert_eq!(h.blocks_written(), 2, "one partial block per core");
+        assert_eq!(
+            d.traffic().meta_record,
+            2 * 64,
+            "one partial block per core"
+        );
         // Flushing again writes nothing more.
         h.flush(Cycle::ZERO, &mut d);
-        assert_eq!(h.blocks_written(), 2);
+        assert_eq!(d.traffic().meta_record, 2 * 64);
     }
 
     #[test]
@@ -242,7 +205,6 @@ mod tests {
         assert!(block.ready_at >= Cycle::new(50 + 180));
         assert!(!block.hit_end_mark);
         assert_eq!(d.traffic().meta_lookup, lookups_before + 64);
-        assert_eq!(h.blocks_read(), 1);
     }
 
     #[test]
@@ -253,7 +215,6 @@ mod tests {
             h.append(CoreId::new(0), LineAddr::new(i), Cycle::ZERO, &mut d);
         }
         h.mark_stream_end(CoreId::new(0), 5);
-        assert!(h.is_marked(CoreId::new(0), 5));
         let block = h.read_block(CoreId::new(0), 3, Cycle::ZERO, &mut d);
         assert_eq!(block.addresses, vec![LineAddr::new(3), LineAddr::new(4)]);
         assert!(block.hit_end_mark);
@@ -286,9 +247,10 @@ mod tests {
             h.append(CoreId::new(0), LineAddr::new(3), Cycle::ZERO, &mut d),
             1
         );
-        assert_eq!(h.next_position(CoreId::new(0)), 2);
-        assert_eq!(h.next_position(CoreId::new(1)), 1);
-        assert_eq!(h.cores(), 2);
+        assert_eq!(
+            h.append(CoreId::new(1), LineAddr::new(4), Cycle::ZERO, &mut d),
+            1
+        );
     }
 
     #[test]

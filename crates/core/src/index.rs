@@ -234,9 +234,14 @@ impl HashIndexTable {
         let bucket_idx = self.bucket_of(line);
         // An update is a read-modify-write of the bucket; the read is skipped
         // when the bucket is buffered, the write is deferred until eviction.
+        // Without a buffer the write goes back at once.
         let (_, slot) = self.acquire_bucket(bucket_idx, now, dram, TrafficClass::MetaUpdate);
-        if let Some(slot) = slot {
-            self.buffer[slot].dirty = true;
+        match slot {
+            Some(slot) => self.buffer[slot].dirty = true,
+            None => {
+                dram.access(TrafficClass::MetaUpdate, 64, now);
+                self.stats.writebacks += 1;
+            }
         }
         let entries_per_bucket = self.entries_per_bucket;
         let entries = &mut self.buckets[bucket_idx].entries;
@@ -409,6 +414,18 @@ mod tests {
         idx.update(LineAddr::new(3), ptr(0, 9), Cycle::ZERO, &mut d);
         let (found, _) = idx.lookup(LineAddr::new(3), Cycle::ZERO, &mut d);
         assert_eq!(found, Some(ptr(0, 9)));
+    }
+
+    #[test]
+    fn zero_buffer_update_reads_and_writes_the_bucket() {
+        let mut d = dram();
+        let mut idx = HashIndexTable::new(64, 4, 0);
+        idx.update(LineAddr::new(3), ptr(0, 9), Cycle::ZERO, &mut d);
+        assert_eq!(d.traffic().meta_update, 2 * 64, "one read, one write");
+        assert_eq!(idx.stats().writebacks, 1);
+        // Nothing is left to flush.
+        idx.flush(Cycle::ZERO, &mut d);
+        assert_eq!(d.traffic().meta_update, 2 * 64);
     }
 
     #[test]

@@ -26,8 +26,6 @@ use serde::{Deserialize, Serialize};
 pub struct UpdateSampler {
     probability: f64,
     state: u64,
-    draws: u64,
-    accepted: u64,
 }
 
 impl UpdateSampler {
@@ -44,8 +42,6 @@ impl UpdateSampler {
         UpdateSampler {
             probability,
             state: seed | 1,
-            draws: 0,
-            accepted: 0,
         }
     }
 
@@ -57,9 +53,7 @@ impl UpdateSampler {
     /// Draws the next coin flip: `true` means the index update should be
     /// performed.
     pub fn should_update(&mut self) -> bool {
-        self.draws += 1;
         if self.probability >= 1.0 {
-            self.accepted += 1;
             return true;
         }
         if self.probability <= 0.0 {
@@ -73,30 +67,7 @@ impl UpdateSampler {
         self.state = x;
         let value = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
         let unit = (value >> 11) as f64 / (1u64 << 53) as f64;
-        let accept = unit < self.probability;
-        if accept {
-            self.accepted += 1;
-        }
-        accept
-    }
-
-    /// Number of draws made so far.
-    pub fn draws(&self) -> u64 {
-        self.draws
-    }
-
-    /// Number of accepted (performed) updates so far.
-    pub fn accepted(&self) -> u64 {
-        self.accepted
-    }
-
-    /// Observed acceptance rate so far (0 if no draws were made).
-    pub fn observed_rate(&self) -> f64 {
-        if self.draws == 0 {
-            0.0
-        } else {
-            self.accepted as f64 / self.draws as f64
-        }
+        unit < self.probability
     }
 }
 
@@ -113,15 +84,6 @@ mod tests {
             assert!(all.should_update());
             assert!(!none.should_update());
         }
-        assert_eq!(all.accepted(), 100);
-        assert_eq!(none.accepted(), 0);
-        assert_eq!(all.observed_rate(), 1.0);
-        assert_eq!(none.observed_rate(), 0.0);
-        assert_eq!(
-            UpdateSampler::new(0.5, 1).observed_rate(),
-            0.0,
-            "no draws yet"
-        );
     }
 
     #[test]
@@ -154,12 +116,9 @@ mod tests {
         #[test]
         fn prop_rate_matches_probability(p in 0.05f64..0.95, seed in any::<u64>()) {
             let mut s = UpdateSampler::new(p, seed);
-            let n = 20_000u64;
-            for _ in 0..n {
-                s.should_update();
-            }
-            prop_assert_eq!(s.draws(), n);
-            let rate = s.observed_rate();
+            let n = 20_000;
+            let accepted = (0..n).filter(|_| s.should_update()).count();
+            let rate = accepted as f64 / n as f64;
             prop_assert!((rate - p).abs() < 0.03, "rate {} vs p {}", rate, p);
             prop_assert!((s.probability() - p).abs() < 1e-12);
         }

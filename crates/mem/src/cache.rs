@@ -32,35 +32,6 @@ pub struct Eviction {
     pub dirty: bool,
 }
 
-/// Hit/miss counters for one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Number of lookups that hit.
-    pub hits: u64,
-    /// Number of lookups that missed.
-    pub misses: u64,
-    /// Number of lines filled.
-    pub fills: u64,
-    /// Number of dirty evictions.
-    pub dirty_evictions: u64,
-}
-
-impl CacheStats {
-    /// Total number of lookups.
-    pub fn accesses(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Hit rate in [0, 1]; zero if no accesses were made.
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.accesses() as f64
-        }
-    }
-}
-
 /// A set-associative, write-back, LRU cache.
 ///
 /// # Example
@@ -100,7 +71,6 @@ pub struct SetAssocCache {
     /// by this much.
     set_bits: u32,
     lru_clock: u64,
-    stats: CacheStats,
 }
 
 impl SetAssocCache {
@@ -127,7 +97,6 @@ impl SetAssocCache {
             set_mask: (sets - 1) as u64,
             set_bits: sets.trailing_zeros(),
             lru_clock: 0,
-            stats: CacheStats::default(),
         }
     }
 
@@ -170,14 +139,12 @@ impl SetAssocCache {
         if let Some(w) = self.find(set, tag) {
             self.stamps[w] = self.lru_clock;
             self.dirty[w] |= is_write;
-            self.stats.hits += 1;
             return CacheOutcome::Hit;
         }
-        self.stats.misses += 1;
         CacheOutcome::Miss
     }
 
-    /// Checks presence without updating recency or statistics.
+    /// Checks presence without updating recency.
     pub fn probe(&self, line: LineAddr) -> bool {
         let (set, tag) = self.locate(line);
         self.find(set, tag).is_some()
@@ -197,7 +164,6 @@ impl SetAssocCache {
         let (set_idx, tag) = self.locate(line);
         self.lru_clock += 1;
         let clock = self.lru_clock;
-        self.stats.fills += 1;
         let ways = self.ways(set_idx);
         let tags = &mut self.tags[ways.clone()];
         let stamps = &mut self.stamps[ways.clone()];
@@ -222,9 +188,6 @@ impl SetAssocCache {
         tags[victim] = tag;
         stamps[victim] = clock;
         dirty_bits[victim] = dirty;
-        if eviction.is_some_and(|e| e.dirty) {
-            self.stats.dirty_evictions += 1;
-        }
         (Some(victim), eviction)
     }
 
@@ -239,11 +202,6 @@ impl SetAssocCache {
     /// Number of valid lines currently held.
     pub fn occupancy(&self) -> usize {
         self.stamps.iter().filter(|&&stamp| stamp != 0).count()
-    }
-
-    /// Hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
     }
 }
 
@@ -268,9 +226,6 @@ mod tests {
         assert!(c.fill(l, false).is_none());
         assert_eq!(c.access(l, false), CacheOutcome::Hit);
         assert!(c.probe(l));
-        assert_eq!(c.stats().hits, 1);
-        assert_eq!(c.stats().misses, 1);
-        assert!((c.stats().hit_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -301,7 +256,6 @@ mod tests {
         let ev = c.fill(b, false).expect("direct-mapped conflict");
         assert!(ev.dirty);
         assert_eq!(ev.line, a);
-        assert_eq!(c.stats().dirty_evictions, 1);
     }
 
     #[test]

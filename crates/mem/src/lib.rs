@@ -60,7 +60,7 @@ pub mod result;
 pub mod stream;
 pub mod stride;
 
-pub use cache::{CacheOutcome, CacheStats, Eviction, SetAssocCache};
+pub use cache::{CacheOutcome, Eviction, SetAssocCache};
 pub use config::{CacheConfig, CoreConfig, DramConfig, StrideConfig, SystemConfig};
 pub use dram::{DramModel, TrafficClass, TrafficStats};
 pub use engine::{CmpSimulator, InvalidSimOptions, SimOptions};
@@ -69,4 +69,4 @@ pub use mshr::{MshrEntry, MshrFile};
 pub use prefetcher::{NullPrefetcher, Prefetcher, StreamChunk};
 pub use result::{DecodeResultError, OverheadBreakdown, SimResult, SIM_RESULT_CODEC_VERSION};
 pub use stream::{PrefetchBuffer, PrefetchedBlock, StreamState};
-pub use stride::{StridePrefetcher, StrideStats};
+pub use stride::StridePrefetcher;

@@ -14,8 +14,6 @@ pub struct MshrEntry {
     pub line: LineAddr,
     /// Cycle at which the fill completes.
     pub completes_at: Cycle,
-    /// Number of requests merged into this entry.
-    pub merged: u32,
 }
 
 /// A bounded file of outstanding misses.
@@ -72,18 +70,13 @@ impl MshrFile {
     /// nothing) if the file is full. A request to an already-outstanding line
     /// merges and always succeeds.
     pub fn allocate(&mut self, line: LineAddr, completes_at: Cycle) -> bool {
-        if let Some(entry) = self.entries.iter_mut().find(|e| e.line == line) {
-            entry.merged += 1;
+        if self.lookup(line).is_some() {
             return true;
         }
         if self.is_full() {
             return false;
         }
-        self.entries.push(MshrEntry {
-            line,
-            completes_at,
-            merged: 1,
-        });
+        self.entries.push(MshrEntry { line, completes_at });
         self.earliest = Some(self.earliest.map_or(completes_at, |e| e.min(completes_at)));
         true
     }
@@ -104,12 +97,6 @@ impl MshrFile {
     /// Earliest completion time among outstanding misses.
     pub fn earliest_completion(&self) -> Option<Cycle> {
         self.earliest
-    }
-
-    /// Removes every entry.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.earliest = None;
     }
 }
 
@@ -134,7 +121,6 @@ mod tests {
         assert!(m.allocate(LineAddr::new(1), Cycle::new(10)));
         assert!(m.allocate(LineAddr::new(1), Cycle::new(99)));
         assert_eq!(m.outstanding(), 1);
-        assert_eq!(m.lookup(LineAddr::new(1)).unwrap().merged, 2);
         // The completion time of the original entry is preserved.
         assert_eq!(
             m.lookup(LineAddr::new(1)).unwrap().completes_at,
@@ -160,7 +146,8 @@ mod tests {
         m.allocate(LineAddr::new(1), Cycle::new(50));
         m.allocate(LineAddr::new(2), Cycle::new(40));
         assert_eq!(m.earliest_completion(), Some(Cycle::new(40)));
-        m.clear();
+        assert_eq!(m.retire_completed(Cycle::new(50)), 2);
         assert_eq!(m.outstanding(), 0);
+        assert_eq!(m.earliest_completion(), None);
     }
 }

@@ -17,7 +17,7 @@
 //! the fused engine dropped). The engine tests compare its
 //! [`SimResult::encode`] with those of the live lane and the logged lane.
 
-use crate::cache::{CacheOutcome, CacheStats, Eviction, SetAssocCache};
+use crate::cache::{CacheOutcome, Eviction, SetAssocCache};
 use crate::config::{CacheConfig, StrideConfig, SystemConfig};
 use crate::dram::{DramModel, TrafficClass, TrafficStats};
 use crate::engine::{CmpSimulator, CoreState, SimOptions};
@@ -27,7 +27,7 @@ use crate::mshr::MshrFile;
 use crate::prefetcher::{NullPrefetcher, Prefetcher, StreamChunk};
 use crate::result::SimResult;
 use crate::stream::{PrefetchBuffer, PrefetchedBlock};
-use crate::stride::{entry_key, StridePrefetcher, StrideStats};
+use crate::stride::{entry_key, StridePrefetcher};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -47,7 +47,6 @@ struct NaiveCache {
     sets: Vec<Vec<NaiveWay>>,
     set_mask: u64,
     lru_clock: u64,
-    stats: CacheStats,
 }
 
 impl NaiveCache {
@@ -62,7 +61,6 @@ impl NaiveCache {
             sets: vec![vec![empty; cfg.associativity]; cfg.sets()],
             set_mask: (cfg.sets() - 1) as u64,
             lru_clock: 0,
-            stats: CacheStats::default(),
         }
     }
 
@@ -82,11 +80,9 @@ impl NaiveCache {
             if way.valid && way.tag == tag {
                 way.lru = clock;
                 way.dirty |= is_write;
-                self.stats.hits += 1;
                 return CacheOutcome::Hit;
             }
         }
-        self.stats.misses += 1;
         CacheOutcome::Miss
     }
 
@@ -100,7 +96,6 @@ impl NaiveCache {
         let set_bits = self.set_mask.count_ones();
         self.lru_clock += 1;
         let clock = self.lru_clock;
-        self.stats.fills += 1;
         let fresh = NaiveWay {
             tag,
             valid: true,
@@ -122,9 +117,6 @@ impl NaiveCache {
             line: LineAddr::new((victim.tag << set_bits) | set_idx as u64),
             dirty: victim.dirty,
         };
-        if eviction.dirty {
-            self.stats.dirty_evictions += 1;
-        }
         *victim = fresh;
         Some(eviction)
     }
@@ -160,7 +152,6 @@ struct NaiveStride {
     cfg: StrideConfig,
     entries: Vec<NaiveStrideEntry>,
     clock: u64,
-    stats: StrideStats,
 }
 
 impl NaiveStride {
@@ -178,13 +169,11 @@ impl NaiveStride {
             cfg,
             entries: vec![empty; cfg.streams],
             clock: 0,
-            stats: StrideStats::default(),
         }
     }
 
     fn train(&mut self, core: CoreId, line: LineAddr) -> Vec<LineAddr> {
         self.clock += 1;
-        self.stats.trained += 1;
         let clock = self.clock;
         let region = line.raw() / 64;
         let core_idx = core.index() as u16;
@@ -207,7 +196,6 @@ impl NaiveStride {
             entry.last_line = line;
             if entry.confidence >= self.cfg.confidence && entry.stride != 0 {
                 let stride = entry.stride;
-                self.stats.prefetches += self.cfg.degree as u64;
                 return (1..=self.cfg.degree as i64)
                     .map(|k| line.offset(stride * k))
                     .collect();
@@ -257,7 +245,6 @@ struct OpenAddressStride {
     index_shift: u32,
     newest: u32,
     oldest: u32,
-    stats: StrideStats,
 }
 
 impl OpenAddressStride {
@@ -270,12 +257,10 @@ impl OpenAddressStride {
             index_shift: 64 - slots.trailing_zeros(),
             newest: NIL,
             oldest: NIL,
-            stats: StrideStats::default(),
         }
     }
 
     fn train(&mut self, core: CoreId, line: LineAddr) -> Vec<LineAddr> {
-        self.stats.trained += 1;
         let region = line.raw() / 64;
         let core_idx = core.index() as u16;
         match self.find_slot(region, core_idx) {
@@ -296,7 +281,6 @@ impl OpenAddressStride {
                 entry.last_line = line;
                 if entry.confidence >= self.cfg.confidence && entry.stride != 0 {
                     let stride = entry.stride;
-                    self.stats.prefetches += self.cfg.degree as u64;
                     return (1..=self.cfg.degree as i64)
                         .map(|k| line.offset(stride * k))
                         .collect();
@@ -446,19 +430,18 @@ impl DequePrefetchBuffer {
 #[derive(Debug)]
 struct NaiveMshr {
     capacity: usize,
-    entries: Vec<(LineAddr, Cycle, u32)>,
+    entries: Vec<(LineAddr, Cycle)>,
 }
 
 impl NaiveMshr {
     fn allocate(&mut self, line: LineAddr, completes_at: Cycle) -> bool {
-        if let Some(entry) = self.entries.iter_mut().find(|e| e.0 == line) {
-            entry.2 += 1;
+        if self.entries.iter().any(|e| e.0 == line) {
             return true;
         }
         if self.entries.len() >= self.capacity {
             return false;
         }
-        self.entries.push((line, completes_at, 1));
+        self.entries.push((line, completes_at));
         true
     }
 
@@ -514,7 +497,6 @@ fn cache_matches_reference() {
                     8 => assert_eq!(real.probe(line), naive.probe(line), "{ctx}"),
                     _ => assert_eq!(real.invalidate(line), naive.invalidate(line), "{ctx}"),
                 }
-                assert_eq!(real.stats(), naive.stats, "{ctx}");
                 assert_eq!(real.occupancy(), naive.occupancy(), "{ctx}");
             }
         }
@@ -589,8 +571,6 @@ fn stride_matches_reference() {
                 let ctx = format!("{cfg:?} seed {seed} step {step} {line}");
                 assert_eq!(predicted, naive.train(core, line), "{ctx}");
                 assert_eq!(predicted, open.train(core, line), "{ctx}");
-                assert_eq!(real.stats(), naive.stats, "{ctx}");
-                assert_eq!(real.stats(), open.stats, "{ctx}");
             }
         }
     }
@@ -703,9 +683,14 @@ fn mshr_matches_reference() {
                         );
                     }
                     _ => {
+                        // Now and then retire everything.
                         if rng.gen_range(0..20u32) == 0 {
-                            real.clear();
-                            naive.entries.clear();
+                            let end = Cycle::new(u64::MAX);
+                            assert_eq!(
+                                real.retire_completed(end),
+                                naive.retire_completed(end),
+                                "{ctx}"
+                            );
                         }
                     }
                 }
@@ -720,9 +705,9 @@ fn mshr_matches_reference() {
                     naive.entries.iter().map(|e| e.1).min(),
                     "{ctx}"
                 );
-                for &(line, completes_at, merged) in &naive.entries {
+                for &(line, completes_at) in &naive.entries {
                     let entry = real.lookup(line).expect("outstanding line");
-                    assert_eq!((entry.completes_at, entry.merged), (completes_at, merged));
+                    assert_eq!(entry.completes_at, completes_at);
                 }
             }
         }

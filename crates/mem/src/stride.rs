@@ -47,15 +47,6 @@ impl Linked for StrideEntry {
     }
 }
 
-/// Counters describing stride-prefetcher behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StrideStats {
-    /// Number of training observations (off-chip misses seen).
-    pub trained: u64,
-    /// Number of prefetches issued.
-    pub prefetches: u64,
-}
-
 /// The lines one training observation asks to prefetch: `line + k * stride`
 /// for `k` in `1..=count`, computed on demand so training never allocates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,7 +120,6 @@ pub struct StridePrefetcher {
     /// The entries by recency; the oldest is the victim once the table is
     /// full.
     recency: RecencyList,
-    stats: StrideStats,
 }
 
 impl StridePrefetcher {
@@ -140,14 +130,12 @@ impl StridePrefetcher {
             entries: Vec::with_capacity(cfg.streams),
             lanes: lanes::Lanes::new(cfg.streams),
             recency: RecencyList::default(),
-            stats: StrideStats::default(),
         }
     }
 
     /// Observes an off-chip miss and returns the lines to prefetch (possibly
     /// none).
     pub fn train(&mut self, core: CoreId, line: LineAddr) -> StridePredictions {
-        self.stats.trained += 1;
         let region = line.raw() / REGION_LINES;
         let core_idx = core.index() as u16;
 
@@ -173,24 +161,17 @@ impl StridePrefetcher {
                 }
                 entry.last_line = line;
                 if entry.confidence >= self.cfg.confidence && entry.stride != 0 {
-                    let degree = self.cfg.degree as u64;
-                    self.stats.prefetches += degree;
                     return StridePredictions {
                         line,
                         stride: entry.stride,
                         next: 1,
-                        count: degree,
+                        count: self.cfg.degree as u64,
                     };
                 }
             }
             None => self.allocate(region, core_idx, fp, line),
         }
         StridePredictions::NONE
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> StrideStats {
-        self.stats
     }
 
     /// Installs a new entry for the absent key (region, core), whose
@@ -265,7 +246,6 @@ mod tests {
             total += p.train(core, LineAddr::new(line)).len();
         }
         assert_eq!(total, 0);
-        assert_eq!(p.stats().prefetches, 0);
     }
 
     #[test]

@@ -132,17 +132,6 @@ impl Default for FixedDepthConfig {
     }
 }
 
-/// Counters describing fixed-depth prefetcher behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FixedDepthStats {
-    /// Predictor lookups performed (trigger events).
-    pub lookups: u64,
-    /// Lookups that found an entry.
-    pub lookup_hits: u64,
-    /// Table updates performed.
-    pub updates: u64,
-}
-
 /// A single-table correlation prefetcher with bounded prefetch depth.
 ///
 /// # Example
@@ -170,7 +159,6 @@ pub struct FixedDepthPrefetcher {
     /// Per-core trailing window of recent misses used to fill entries: the
     /// entry for a miss M receives the next `depth` misses that follow M.
     recent: Vec<VecDeque<LineAddr>>,
-    stats: FixedDepthStats,
 }
 
 impl FixedDepthPrefetcher {
@@ -193,13 +181,7 @@ impl FixedDepthPrefetcher {
             recent: (0..cfg.cores)
                 .map(|_| VecDeque::with_capacity(cfg.depth + 1))
                 .collect(),
-            stats: FixedDepthStats::default(),
         }
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> FixedDepthStats {
-        self.stats
     }
 
     /// The configured prefetch depth.
@@ -243,7 +225,6 @@ impl Prefetcher for FixedDepthPrefetcher {
         now: Cycle,
         dram: &mut DramModel,
     ) -> Option<StreamChunk> {
-        self.stats.lookups += 1;
         let ready_at = match self.cfg.placement {
             TablePlacement::OnChip => now,
             TablePlacement::OffChip {
@@ -251,7 +232,6 @@ impl Prefetcher for FixedDepthPrefetcher {
             } => self.charge_meta(lookup_accesses, now, dram, TrafficClass::MetaLookup),
         };
         let successors = self.table.lookup(line)?;
-        self.stats.lookup_hits += 1;
         Some(StreamChunk {
             addresses: successors.to_vec(),
             ready_at,
@@ -278,7 +258,6 @@ impl Prefetcher for FixedDepthPrefetcher {
         }
         // Update traffic: one table update per recorded miss (read-modify-write
         // of the trigger entry) for off-chip placements.
-        self.stats.updates += 1;
         if let TablePlacement::OffChip {
             update_accesses, ..
         } = self.cfg.placement
@@ -367,13 +346,13 @@ mod tests {
 
     #[test]
     fn unknown_trigger_returns_none_but_still_counts_lookup() {
-        let mut p = FixedDepthPrefetcher::new(FixedDepthConfig::on_chip_with_depth(1, 2));
+        let mut p = FixedDepthPrefetcher::new(FixedDepthConfig::ebcp_like(1));
         let mut d = dram();
         assert!(p
             .on_trigger(CoreId::new(0), LineAddr::new(9), Cycle::ZERO, &mut d)
             .is_none());
-        assert_eq!(p.stats().lookups, 1);
-        assert_eq!(p.stats().lookup_hits, 0);
+        // The off-chip table is read whether or not it holds the trigger.
+        assert_eq!(d.traffic().meta_lookup, 64);
     }
 
     #[test]

@@ -37,17 +37,6 @@ impl Default for IdealTmsConfig {
     }
 }
 
-/// Counters describing idealized-prefetcher behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IdealTmsStats {
-    /// Trigger events (off-chip read misses presented to the predictor).
-    pub triggers: u64,
-    /// Triggers for which the index held a pointer.
-    pub index_hits: u64,
-    /// Addresses recorded into the history.
-    pub recorded: u64,
-}
-
 /// Cursor into another (or the same) core's history, used to keep following a
 /// stream across chunks.
 #[derive(Debug, Clone, Copy)]
@@ -85,7 +74,6 @@ pub struct IdealTms {
     /// Bounded LRU index (used when `index_entries` is `Some`).
     index_bounded: Option<LruIndex>,
     cursors: Vec<Option<Cursor>>,
-    stats: IdealTmsStats,
 }
 
 impl IdealTms {
@@ -100,13 +88,7 @@ impl IdealTms {
             index_unbounded: IntHashMap::default(),
             index_bounded: cfg.index_entries.map(LruIndex::new),
             cursors: vec![None; cfg.cores],
-            stats: IdealTmsStats::default(),
         }
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> IdealTmsStats {
-        self.stats
     }
 
     /// Number of index entries currently stored.
@@ -174,9 +156,7 @@ impl Prefetcher for IdealTms {
         now: Cycle,
         _dram: &mut DramModel,
     ) -> Option<StreamChunk> {
-        self.stats.triggers += 1;
         let (src_core, pos) = self.index_get(line)?;
-        self.stats.index_hits += 1;
         // Follow the sequence of misses that followed `line` last time.
         self.cursors[core.index()] = Some(Cursor {
             src_core,
@@ -209,7 +189,6 @@ impl Prefetcher for IdealTms {
         _now: Cycle,
         _dram: &mut DramModel,
     ) {
-        self.stats.recorded += 1;
         let pos = self.histories[core.index()].append(line);
         self.index_insert(line, core.index(), pos);
     }
@@ -241,8 +220,7 @@ mod tests {
         assert!(tms
             .on_trigger(CoreId::new(0), LineAddr::new(5), Cycle::ZERO, &mut d)
             .is_none());
-        assert_eq!(tms.stats().triggers, 1);
-        assert_eq!(tms.stats().index_hits, 0);
+        assert_eq!(d.traffic().total(), 0);
     }
 
     #[test]
@@ -331,7 +309,6 @@ mod tests {
         });
         assert_eq!(tms.name(), "ideal-tms");
         record_seq(&mut tms, CoreId::new(0), &[1, 2]);
-        assert_eq!(tms.stats().recorded, 2);
         assert_eq!(tms.index_len(), 2);
     }
 

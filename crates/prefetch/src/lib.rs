@@ -29,8 +29,8 @@ pub mod lru_index;
 pub mod markov;
 
 pub use collector::MissTraceCollector;
-pub use fixed_depth::{FixedDepthConfig, FixedDepthPrefetcher, FixedDepthStats, TablePlacement};
+pub use fixed_depth::{FixedDepthConfig, FixedDepthPrefetcher, TablePlacement};
 pub use history::HistoryLog;
-pub use ideal::{IdealTms, IdealTmsConfig, IdealTmsStats};
+pub use ideal::{IdealTms, IdealTmsConfig};
 pub use lru_index::LruIndex;
 pub use markov::{MarkovConfig, MarkovPrefetcher};

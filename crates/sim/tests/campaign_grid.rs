@@ -1,10 +1,16 @@
 //! End-to-end checks of the campaign orchestration layer: the full figure
 //! grid (`experiments::all_plans` in one campaign) generates each workload trace exactly once and drops it after its
 //! last job, every figure renders through the job layer with the expected
-//! shape, and the cached-trace path reproduces the regeneration path
-//! bit-for-bit.
+//! shape and the committed text, and the cached-trace path reproduces the
+//! regeneration path bit-for-bit.
+//!
+//! `tests/fixtures/grid_8000.txt` is the rendered grid, the stdout of
+//! `stms-experiments --quick --accesses 8000 --figures all`. A change that
+//! alters a figure on purpose replaces it with the text the failing test
+//! writes under the test target's temporary directory.
 
 use std::collections::HashSet;
+use std::path::Path;
 use stms_sim::campaign::Campaign;
 use stms_sim::experiments::{self, FIGURES};
 use stms_sim::ExperimentConfig;
@@ -20,12 +26,25 @@ fn full_grid_generates_each_workload_trace_exactly_once() {
     let campaign = Campaign::with_threads(cfg.clone(), 2);
     let figures = campaign.run_figures(experiments::all_plans(&cfg));
 
-    // All 14 experiments render through the job layer, in FIGURES order.
+    // All 14 experiments render through the job layer, in FIGURES order,
+    // to the committed text.
     assert_eq!(figures.len(), FIGURES.len());
+    let mut rendered = String::new();
     for (figure, &(id, _)) in figures.iter().zip(FIGURES) {
         let figure = figure.as_ref().expect("no job fails on the tiny grid");
         assert_eq!(figure.id, id);
-        assert!(!figure.render().trim().is_empty(), "{id}: empty output");
+        let text = figure.render();
+        assert!(!text.trim().is_empty(), "{id}: empty output");
+        rendered.push_str(&text);
+        rendered.push('\n');
+    }
+    if rendered != include_str!("fixtures/grid_8000.txt") {
+        let actual = Path::new(env!("CARGO_TARGET_TMPDIR")).join("grid_8000.txt");
+        std::fs::write(&actual, &rendered).expect("write the rendered grid");
+        panic!(
+            "the rendered grid differs from tests/fixtures/grid_8000.txt; it is in {}",
+            actual.display()
+        );
     }
 
     // The distinct workload specs the grid can touch: the paper suite and

@@ -90,21 +90,6 @@ impl StreamPool {
         let idx = rng.gen_range(0..self.streams.len());
         Some(Arc::clone(&self.streams[idx]))
     }
-
-    /// Draws a random stream biased towards recently-added streams (smaller
-    /// reuse distances), which commercial workloads exhibit for their hottest
-    /// data structures.
-    pub fn pick_recent_biased<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<SharedStream> {
-        if self.streams.is_empty() {
-            return None;
-        }
-        // Square the uniform variate: indices near the back (recent) are more
-        // likely.
-        let u: f64 = rng.gen_range(0.0..1.0);
-        let biased = 1.0 - u * u;
-        let idx = ((biased * self.streams.len() as f64) as usize).min(self.streams.len() - 1);
-        Some(Arc::clone(&self.streams[idx]))
-    }
 }
 
 #[cfg(test)]
@@ -135,7 +120,6 @@ mod tests {
         let pool = StreamPool::new(4);
         let mut rng = StdRng::seed_from_u64(7);
         assert!(pool.pick(&mut rng).is_none());
-        assert!(pool.pick_recent_biased(&mut rng).is_none());
     }
 
     #[test]
@@ -149,26 +133,6 @@ mod tests {
             pool.total_blocks(),
             3,
             "blocks of the evicted stream are not counted"
-        );
-    }
-
-    #[test]
-    fn recent_bias_prefers_newer_streams() {
-        let mut pool = StreamPool::new(100);
-        for i in 0..100u64 {
-            pool.add(lines(&[i]));
-        }
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut newer = 0;
-        for _ in 0..2000 {
-            let s = pool.pick_recent_biased(&mut rng).unwrap();
-            if s[0].raw() >= 50 {
-                newer += 1;
-            }
-        }
-        assert!(
-            newer > 1200,
-            "recent-biased picks should favour newer streams, got {newer}/2000"
         );
     }
 
