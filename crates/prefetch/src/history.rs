@@ -64,12 +64,6 @@ impl HistoryLog {
         self.buf.is_empty()
     }
 
-    /// Total number of entries ever appended (the position the next append
-    /// will receive).
-    pub fn next_position(&self) -> u64 {
-        self.next_pos
-    }
-
     /// Oldest position still retained.
     pub fn oldest_position(&self) -> u64 {
         self.next_pos.saturating_sub(self.buf.len() as u64)
@@ -125,8 +119,7 @@ mod tests {
         assert_eq!(log.len(), 2);
         assert_eq!(log.get(0), Some(LineAddr::new(10)));
         assert_eq!(log.get(1), Some(LineAddr::new(11)));
-        assert_eq!(log.get(2), None);
-        assert_eq!(log.next_position(), 2);
+        assert_eq!(log.get(2), None, "position 2 is the write point");
         assert_eq!(log.oldest_position(), 0);
     }
 
@@ -179,14 +172,15 @@ mod tests {
                 log.append(LineAddr::new(l));
             }
             let oldest = log.oldest_position();
-            for pos in oldest..log.next_position() {
+            let write_point = lines.len() as u64;
+            for pos in oldest..write_point {
                 prop_assert_eq!(log.get(pos), Some(LineAddr::new(lines[pos as usize])));
             }
             // Nothing before the horizon or at/after the write point resolves.
             if oldest > 0 {
                 prop_assert_eq!(log.get(oldest - 1), None);
             }
-            prop_assert_eq!(log.get(log.next_position()), None);
+            prop_assert_eq!(log.get(write_point), None);
             prop_assert_eq!(log.len(), capacity.min(lines.len()));
         }
 

@@ -79,7 +79,7 @@ enum Format {
     Json,
 }
 
-/// Upper bound on `--threads`: each is an OS thread started up front.
+/// Upper bound on `--threads`: a batch starts up to this many OS threads.
 const MAX_THREADS: usize = 1024;
 
 /// The known experiment ids, comma-separated, in presentation order.

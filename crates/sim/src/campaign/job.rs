@@ -3,9 +3,9 @@
 //! A [`JobSpec`] names one simulation the campaign must run — a workload
 //! trace replayed under one prefetcher configuration, or a baseline
 //! miss-sequence capture — without saying *when* or *where* it runs. The
-//! campaign schedules jobs from every figure onto one [`super::JobPool`], so
-//! cells of different figures interleave, and resolves each job's trace
-//! through the shared [`super::TraceStore`].
+//! campaign runs the jobs of every figure as one batch on its
+//! [`super::JobPool`], so cells of different figures interleave, and
+//! resolves each job's trace through the shared [`super::TraceStore`].
 
 use crate::runner::PrefetcherKind;
 use crate::system::ExperimentConfig;

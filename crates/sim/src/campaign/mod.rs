@@ -8,15 +8,15 @@
 //! 1. **Generation** — the [`TraceStore`] generates each distinct workload
 //!    trace once per batch, shares it as a [`stms_types::SharedTrace`], and
 //!    drops it after its last job;
-//! 2. **Scheduling** — the [`JobPool`] replays figure cells on a bounded
-//!    set of worker threads, trace by trace and in plan order within a
-//!    trace, with panic-safe, per-job error reporting; jobs with equal
-//!    fingerprints in one batch run once;
+//! 2. **Scheduling** — the [`JobPool`] replays a batch's figure cells on
+//!    a bounded number of scoped worker threads, trace by trace and in
+//!    plan order within a trace, with panic-safe, per-job error
+//!    reporting; jobs with equal fingerprints in one batch run once;
 //! 3. **Aggregation** — each figure is a declarative [`FigurePlan`]: a list
 //!    of [`JobSpec`]s plus a render stage that folds the job outputs into a
-//!    [`FigureResult`]. [`Campaign::run_figures`] enqueues the jobs of
-//!    *every* requested figure up front, so independent cells from
-//!    different figures interleave on the same pool.
+//!    [`FigureResult`]. [`Campaign::run_figures`] runs the jobs of
+//!    *every* requested figure as one batch, so independent cells from
+//!    different figures interleave on the same workers.
 //!
 //! On top of the per-campaign sharing, a *persistent* result cache
 //! (enabled with [`Campaign::with_caches`]) extends the sharing across
@@ -53,7 +53,7 @@ mod result_store;
 mod trace_store;
 
 pub use job::{job_fingerprint, DecodeJobOutputError, JobError, JobOutput, JobSpec, JobTask};
-pub use pool::{BatchHandle, JobPanic, JobPool};
+pub use pool::{JobPanic, JobPool};
 pub use result_store::{
     ResultStore, ResultStoreStats, DEFAULT_MEMO_BUDGET_BYTES, JOB_OUTPUT_CODEC_VERSION,
 };
@@ -244,21 +244,18 @@ pub struct FlightStats {
     pub shared: u64,
 }
 
-/// The live counters behind [`FlightStats`], shared with the job tasks.
-#[derive(Debug, Default)]
-struct FlightCounters {
-    executed: AtomicU64,
-    shared: AtomicU64,
-}
-
 /// One experiment campaign: a configuration, a shared trace store, an
 /// optional persistent result memo, and a bounded job pool.
+///
+/// A campaign is `Sync`: several threads may run batches on it at once.
 #[derive(Debug)]
 pub struct Campaign {
-    cfg: Arc<ExperimentConfig>,
-    store: Arc<TraceStore>,
-    results: Option<Arc<ResultStore>>,
-    flights: Arc<FlightCounters>,
+    cfg: ExperimentConfig,
+    store: TraceStore,
+    results: Option<ResultStore>,
+    /// The live [`FlightStats`] counters.
+    executed: AtomicU64,
+    shared: AtomicU64,
     pool: JobPool,
 }
 
@@ -306,16 +303,16 @@ impl Campaign {
         threads: usize,
         caches: CampaignCaches,
     ) -> std::io::Result<Self> {
-        let store = TraceStore::new();
         let results = match &caches.result_dir {
-            Some(dir) => Some(Arc::new(ResultStore::open(dir)?.with_verify(caches.verify))),
+            Some(dir) => Some(ResultStore::open(dir)?.with_verify(caches.verify)),
             None => None,
         };
         Ok(Campaign {
-            cfg: Arc::new(cfg),
-            store: Arc::new(store),
+            cfg,
+            store: TraceStore::new(),
             results,
-            flights: Arc::new(FlightCounters::default()),
+            executed: AtomicU64::new(0),
+            shared: AtomicU64::new(0),
             pool: JobPool::new(threads),
         })
     }
@@ -333,7 +330,7 @@ impl Campaign {
 
     /// The persistent result memo, when one is configured.
     pub fn result_store(&self) -> Option<&ResultStore> {
-        self.results.as_deref()
+        self.results.as_ref()
     }
 
     /// Combined cache counters (for run summaries).
@@ -348,8 +345,8 @@ impl Campaign {
     /// many took a duplicate's output instead.
     pub fn flight_stats(&self) -> FlightStats {
         FlightStats {
-            executed: self.flights.executed.load(Ordering::Relaxed),
-            shared: self.flights.shared.load(Ordering::Relaxed),
+            executed: self.executed.load(Ordering::Relaxed),
+            shared: self.shared.load(Ordering::Relaxed),
         }
     }
 
@@ -363,12 +360,13 @@ impl Campaign {
     /// `Err(JobError)` in its slot (carrying the job's stable fingerprint).
     pub fn run_jobs(&self, jobs: Vec<JobSpec>) -> Vec<Result<JobOutput, JobError>> {
         let idents = self.job_idents(&jobs);
-        let fingerprints: Vec<Fingerprint> = idents.iter().map(|(_, fp)| *fp).collect();
-        self.submit_jobs(jobs, &fingerprints, None)
-            .run_to_completion()
+        let mut outcomes: Vec<Option<_>> = (0..jobs.len()).map(|_| None).collect();
+        self.run_batch(jobs, &idents, None, |i, outcome| {
+            outcomes[i] = Some(outcome)
+        });
+        outcomes
             .into_iter()
-            .zip(&idents)
-            .map(|(outcome, ident)| job_outcome(ident, outcome))
+            .map(|outcome| outcome.expect("every job delivered"))
             .collect()
     }
 
@@ -379,15 +377,14 @@ impl Campaign {
             .collect()
     }
 
-    /// Enqueues a batch trace by trace without waiting (the streaming
-    /// primitive behind [`Campaign::run_figures`]).
+    /// Runs a batch trace by trace, handing `deliver` each job's outcome,
+    /// by batch position, as soon as its task completes.
     ///
-    /// Jobs with equal fingerprints (`fingerprints[i]` belongs to
-    /// `jobs[i]`) run once: only the first is enqueued, and its outcome is
-    /// delivered to every duplicate, so a duplicate never holds a worker.
-    /// A task whose trace no other task of the batch replays simulates the
-    /// caches live instead of recording a hierarchy log it would replay
-    /// only once.
+    /// Jobs with equal fingerprints (`idents[i]` belongs to `jobs[i]`) run
+    /// once: only the first becomes a task, and its outcome is delivered
+    /// to every duplicate, so a duplicate never holds a worker. A task
+    /// whose trace no other task of the batch replays simulates the caches
+    /// live instead of recording a hierarchy log it would replay only once.
     ///
     /// The tasks go to the pool ordered by their trace's first use, in
     /// batch order within a trace. The tasks on a trace share one claim
@@ -396,86 +393,130 @@ impl Campaign {
     ///
     /// `figures[i]`, when given, labels `jobs[i]`'s phase timings with its
     /// figure id in the telemetry registry; the phase clock itself always
-    /// runs — queue wait is measured from this enqueue to the moment a
-    /// worker picks the task up, run time from pickup to output.
-    fn submit_jobs(
+    /// runs — queue wait is measured from the batch's start to the moment
+    /// a worker picks the task up, run time from pickup to output.
+    fn run_batch(
         &self,
         jobs: Vec<JobSpec>,
-        fingerprints: &[Fingerprint],
-        figures: Option<Vec<Arc<str>>>,
-    ) -> JobBatch {
-        let mut figures = figures.map(Vec::into_iter);
+        idents: &[(String, Fingerprint)],
+        figures: Option<&[&str]>,
+        mut deliver: impl FnMut(usize, Result<JobOutput, JobError>),
+    ) {
+        // One task per distinct fingerprint, answering for every batch
+        // position that carries it, its own first; the tasks grouped by
+        // trace, in order of the trace's first use.
         let mut task_of: HashMap<Fingerprint, usize> = HashMap::with_capacity(jobs.len());
-        let mut members: Vec<Vec<usize>> = Vec::new();
-        let mut leaders = Vec::new();
-        for (i, (job, &fingerprint)) in jobs.into_iter().zip(fingerprints).enumerate() {
-            let figure = figures.as_mut().and_then(Iterator::next);
-            match task_of.entry(fingerprint) {
-                std::collections::hash_map::Entry::Occupied(task) => members[*task.get()].push(i),
-                std::collections::hash_map::Entry::Vacant(task) => {
-                    task.insert(members.len());
-                    members.push(vec![i]);
-                    leaders.push((job, fingerprint, figure));
-                }
+        let mut positions: Vec<Vec<usize>> = Vec::new();
+        let mut group_of: HashMap<WorkloadSpec, usize> = HashMap::new();
+        let mut groups = Vec::new();
+        for (i, (job, &(_, fingerprint))) in jobs.into_iter().zip(idents).enumerate() {
+            if let Some(&task) = task_of.get(&fingerprint) {
+                positions[task].push(i);
+                continue;
             }
+            task_of.insert(fingerprint, positions.len());
+            let group = *group_of.entry(job.workload.clone()).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[group].push((positions.len(), job, fingerprint, figures.map(|f| f[i])));
+            positions.push(vec![i]);
         }
-        // Each trace by the rank of its first use: one claim shared by its
-        // tasks, and their number.
-        let mut rank_of: HashMap<&WorkloadSpec, usize> = HashMap::new();
-        let (mut claims, mut tasks_on) = (Vec::new(), Vec::new());
-        let ranks: Vec<usize> = leaders
-            .iter()
-            .map(|(job, _, _)| {
-                let rank = *rank_of.entry(&job.workload).or_insert_with(|| {
-                    claims.push(Arc::new(self.store.claim(&job.workload, self.cfg.accesses)));
-                    tasks_on.push(0usize);
-                    claims.len() - 1
-                });
-                tasks_on[rank] += 1;
-                rank
-            })
-            .collect();
-        let mut order: Vec<_> = ranks.into_iter().zip(leaders).zip(members).collect();
-        order.sort_by_key(|((rank, _), _)| *rank);
-        let mut members = Vec::with_capacity(order.len());
-        let tasks: Vec<_> = order
-            .into_iter()
-            .map(|((rank, (job, fingerprint, figure)), positions)| {
-                members.push(positions);
-                let shared_trace = tasks_on[rank] > 1;
-                let claim = Arc::clone(&claims[rank]);
-                let cfg = Arc::clone(&self.cfg);
-                let store = Arc::clone(&self.store);
-                let results = self.results.clone();
-                let flights = Arc::clone(&self.flights);
+        let (mut members, mut tasks) = (Vec::new(), Vec::new());
+        for group in groups {
+            let claim = Arc::new(self.store.claim(&group[0].1.workload, self.cfg.accesses));
+            let shared_trace = group.len() > 1;
+            for (task, job, fingerprint, figure) in group {
+                members.push(std::mem::take(&mut positions[task]));
+                let claim = Arc::clone(&claim);
                 let enqueued = std::time::Instant::now();
-                move || {
+                tasks.push(move || {
                     // Dropped last, also when the job panics: the last
                     // task on the trace releases it.
                     let _claim = claim;
                     let queue_ns = elapsed_ns(enqueued);
                     let started = std::time::Instant::now();
-                    let output = execute_job(
-                        &cfg,
-                        &store,
-                        results.as_deref(),
-                        &flights,
-                        fingerprint,
-                        shared_trace,
-                        job,
-                    );
-                    note_job_phases(figure.as_deref(), queue_ns, elapsed_ns(started));
+                    let output = self.execute_job(fingerprint, shared_trace, &job);
+                    note_job_phases(figure, queue_ns, elapsed_ns(started));
                     output
-                }
-            })
-            .collect();
-        // From here the tasks hold the only handles on the claims.
-        drop(claims);
-        JobBatch {
-            handle: self.pool.submit_batch(tasks),
-            members,
-            flights: Arc::clone(&self.flights),
+                });
+            }
         }
+        self.pool.for_each(tasks, |task, outcome| {
+            let (&leader, duplicates) = members[task]
+                .split_first()
+                .expect("every task answers for its own job");
+            if !duplicates.is_empty() && outcome.is_ok() {
+                let shared = duplicates.len() as u64;
+                self.shared.fetch_add(shared, Ordering::Relaxed);
+                stms_obs::counter("flight.shared").add(shared);
+            }
+            // A captured panic becomes each job's error, under its own
+            // label and stable fingerprint.
+            let for_job = |i: usize, outcome: Result<JobOutput, JobPanic>| {
+                outcome.map_err(|panic| JobError {
+                    job: idents[i].0.clone(),
+                    fingerprint: Some(idents[i].1),
+                    message: panic.message().to_string(),
+                })
+            };
+            for &duplicate in duplicates {
+                deliver(duplicate, for_job(duplicate, outcome.clone()));
+            }
+            deliver(leader, for_job(leader, outcome));
+        });
+    }
+
+    /// Runs one job on the calling worker: a result-memo hit when one is
+    /// configured, otherwise the simulation, whose output is then memoized.
+    /// `fingerprint` is the job's [`job_fingerprint`], which is also its
+    /// memo key.
+    ///
+    /// On a `shared_trace` (other jobs of the batch replay it too), the
+    /// trace's L1/L2/stride outcomes are recorded once and shared by every
+    /// job on it, and the job replays only its own lane. A job alone on its
+    /// trace simulates the caches live: recording costs about as much as a
+    /// live replay, so a log replayed once saves nothing.
+    fn execute_job(
+        &self,
+        fingerprint: Fingerprint,
+        shared_trace: bool,
+        job: &JobSpec,
+    ) -> JobOutput {
+        let Campaign { cfg, store, .. } = self;
+        // A memoized output short-circuits everything, including trace
+        // resolution: a fully warm campaign touches no generator and no
+        // engine.
+        let memo = self.results.as_ref();
+        if let Some(output) = memo.and_then(|memo| memo.get(fingerprint, cfg, job)) {
+            return output;
+        }
+        let (trace, log) = if shared_trace {
+            store.get_or_generate_logged(&job.workload, cfg.accesses, &cfg.system)
+        } else {
+            (store.get_or_generate(&job.workload, cfg.accesses), None)
+        };
+        let replay = |prefetcher: &mut dyn Prefetcher| {
+            let engine = CmpSimulator::new(&cfg.system, cfg.sim);
+            match &log {
+                Some(log) => engine.run_logged(&trace, log, prefetcher),
+                None => engine.run(&trace, prefetcher),
+            }
+        };
+        let output = match &job.task {
+            JobTask::Replay(kind) => JobOutput::Sim(replay(kind.build(cfg.system.cores).as_mut())),
+            JobTask::CollectMisses => {
+                let mut collector = MissTraceCollector::new(cfg.system.cores);
+                replay(&mut collector);
+                JobOutput::MissSequences(collector.all_cores())
+            }
+        };
+        if let Some(memo) = memo {
+            memo.put(fingerprint, &output);
+        }
+        self.executed.fetch_add(1, Ordering::Relaxed);
+        stms_obs::counter("flight.executed").incr();
+        output
     }
 
     /// Runs every workload of a suite with the same prefetcher
@@ -534,7 +575,7 @@ impl Campaign {
 
     /// Runs many figures as one interleaved batch.
     ///
-    /// All jobs of all plans are enqueued up front, so the pool drains one
+    /// All jobs of all plans form one batch, so the workers drain one
     /// flat grid — a slow cell of one figure never serializes the cells of
     /// another. Each figure then renders from its own slice of the outputs;
     /// figures whose jobs all succeeded render even when other figures
@@ -561,109 +602,43 @@ impl Campaign {
     where
         F: FnMut(Result<FigureResult, CampaignError>),
     {
-        let (jobs, parts) = flatten_plans(plans);
-        let mut figure_of = vec![0usize; jobs.len()];
-        for (figure, part) in parts.iter().enumerate() {
-            for job in part.range.clone() {
-                figure_of[job] = figure;
-            }
+        let (mut jobs, mut figure_of, mut parts) = (Vec::new(), Vec::new(), Vec::new());
+        for (figure, plan) in plans.into_iter().enumerate() {
+            let start = jobs.len();
+            figure_of.extend(plan.jobs.iter().map(|_| figure));
+            jobs.extend(plan.jobs);
+            parts.push(FigurePart {
+                id: plan.id,
+                range: start..jobs.len(),
+                render: plan.render,
+            });
         }
+        let ids: Vec<String> = parts.iter().map(|part| part.id.clone()).collect();
+        let labels: Vec<&str> = figure_of.iter().map(|&f| ids[f].as_str()).collect();
         let mut outstanding: Vec<usize> = parts.iter().map(|p| p.range.len()).collect();
-        // One shared label per figure, cloned into each of its job tasks.
-        let mut labels: Vec<Arc<str>> = Vec::with_capacity(jobs.len());
-        for part in &parts {
-            let label: Arc<str> = Arc::from(part.id.as_str());
-            labels.extend(part.range.clone().map(|_| Arc::clone(&label)));
-        }
-        let mut parts: Vec<Option<FigurePart>> = parts.into_iter().map(Some).collect();
+        let mut pending = parts.into_iter().enumerate().peekable();
         let idents = self.job_idents(&jobs);
-        let fingerprints: Vec<Fingerprint> = idents.iter().map(|(_, fp)| *fp).collect();
-        let batch = self.submit_jobs(jobs, &fingerprints, Some(labels));
         let mut outputs: Vec<Option<Result<JobOutput, JobError>>> =
             (0..idents.len()).map(|_| None).collect();
 
-        // Emit every figure that is already complete (no-job figures at the
-        // head render before any simulation finishes).
-        let mut next = 0;
-        let emit_ready = |next: &mut usize,
-                          parts: &mut Vec<Option<FigurePart>>,
-                          outputs: &mut Vec<Option<Result<JobOutput, JobError>>>,
-                          outstanding: &[usize],
-                          emit: &mut F| {
-            while *next < parts.len() && outstanding[*next] == 0 {
-                let part = parts[*next].take().expect("each figure emitted once");
-                emit(finish_figure(&self.cfg, part, outputs));
-                *next += 1;
+        // Records one job's outcome, if any, then emits every figure whose
+        // jobs are all done, in plan order (no-job figures at the head
+        // render before any simulation finishes).
+        let mut deliver = |job: Option<(usize, Result<JobOutput, JobError>)>| {
+            if let Some((i, outcome)) = job {
+                outputs[i] = Some(outcome);
+                outstanding[figure_of[i]] -= 1;
+            }
+            while let Some((_, part)) = pending.next_if(|(f, _)| outstanding[*f] == 0) {
+                emit(finish_figure(&self.cfg, part, &mut outputs));
             }
         };
-        emit_ready(&mut next, &mut parts, &mut outputs, &outstanding, &mut emit);
-        batch.for_each(|i, outcome| {
-            outputs[i] = Some(job_outcome(&idents[i], outcome));
-            outstanding[figure_of[i]] -= 1;
-            emit_ready(&mut next, &mut parts, &mut outputs, &outstanding, &mut emit);
+        deliver(None);
+        self.run_batch(jobs, &idents, Some(&labels), |i, outcome| {
+            deliver(Some((i, outcome)));
         });
-        debug_assert_eq!(next, parts.len(), "every figure emitted");
+        debug_assert!(pending.next().is_none(), "every figure emitted");
     }
-}
-
-/// A submitted batch whose duplicate jobs share one task (see
-/// [`Campaign::submit_jobs`]).
-struct JobBatch {
-    handle: BatchHandle<JobOutput>,
-    /// The batch positions each task answers for, its own first.
-    members: Vec<Vec<usize>>,
-    flights: Arc<FlightCounters>,
-}
-
-impl JobBatch {
-    /// Hands `deliver` every job's outcome, by batch position, as soon as
-    /// its task completes.
-    fn for_each(self, mut deliver: impl FnMut(usize, Result<JobOutput, JobPanic>)) {
-        let JobBatch {
-            handle,
-            members,
-            flights,
-        } = self;
-        for (task, outcome) in handle {
-            let (&leader, duplicates) = members[task]
-                .split_first()
-                .expect("every task answers for its own job");
-            if !duplicates.is_empty() && outcome.is_ok() {
-                let shared = duplicates.len() as u64;
-                flights.shared.fetch_add(shared, Ordering::Relaxed);
-                stms_obs::counter("flight.shared").add(shared);
-            }
-            for &duplicate in duplicates {
-                deliver(duplicate, outcome.clone());
-            }
-            deliver(leader, outcome);
-        }
-    }
-
-    /// Every job's outcome, in batch order.
-    fn run_to_completion(self) -> Vec<Result<JobOutput, JobPanic>> {
-        let jobs = self.members.iter().map(Vec::len).sum();
-        let mut outcomes: Vec<Option<_>> = (0..jobs).map(|_| None).collect();
-        self.for_each(|job, outcome| outcomes[job] = Some(outcome));
-        outcomes
-            .into_iter()
-            .map(|outcome| outcome.expect("every job delivered"))
-            .collect()
-    }
-}
-
-/// Converts one pool outcome into the campaign's per-job result, attaching
-/// the job's label and stable fingerprint to a captured panic.
-fn job_outcome(
-    ident: &(String, Fingerprint),
-    outcome: Result<JobOutput, JobPanic>,
-) -> Result<JobOutput, JobError> {
-    let (label, fingerprint) = ident;
-    outcome.map_err(|panic| JobError {
-        job: label.clone(),
-        fingerprint: Some(*fingerprint),
-        message: panic.message().to_string(),
-    })
 }
 
 /// Nanoseconds since `started`, saturating at `u64::MAX`.
@@ -693,22 +668,6 @@ struct FigurePart {
     id: String,
     range: Range<usize>,
     render: RenderFn,
-}
-
-/// Flattens many plans into one ordered job list plus per-figure slices.
-fn flatten_plans(plans: Vec<FigurePlan>) -> (Vec<JobSpec>, Vec<FigurePart>) {
-    let mut all_jobs = Vec::new();
-    let mut parts = Vec::new();
-    for plan in plans {
-        let start = all_jobs.len();
-        all_jobs.extend(plan.jobs);
-        parts.push(FigurePart {
-            id: plan.id,
-            range: start..all_jobs.len(),
-            render: plan.render,
-        });
-    }
-    (all_jobs, parts)
 }
 
 /// Consumes one figure's outputs and renders it (attaching the raw metric
@@ -753,68 +712,6 @@ fn collect_sims(
         .into_iter()
         .map(|r| r.map(JobOutput::into_sim))
         .collect()
-}
-
-/// Runs one job on the calling worker: a result-memo hit when one is
-/// configured, otherwise the simulation, whose output is then memoized.
-/// `fingerprint` is the job's [`job_fingerprint`], which is also its memo
-/// key; `shared_trace` says whether other jobs of its batch replay its
-/// trace (see [`run_job_uncached`]).
-fn execute_job(
-    cfg: &ExperimentConfig,
-    store: &TraceStore,
-    results: Option<&ResultStore>,
-    flights: &FlightCounters,
-    fingerprint: Fingerprint,
-    shared_trace: bool,
-    job: JobSpec,
-) -> JobOutput {
-    // A memoized output short-circuits everything, including trace
-    // resolution: a fully warm campaign touches no generator and no engine.
-    if let Some(output) = results.and_then(|memo| memo.get(fingerprint, cfg, &job)) {
-        return output;
-    }
-    let output = run_job_uncached(cfg, store, &job, shared_trace);
-    if let Some(memo) = results {
-        memo.put(fingerprint, &output);
-    }
-    flights.executed.fetch_add(1, Ordering::Relaxed);
-    stms_obs::counter("flight.executed").incr();
-    output
-}
-
-/// The actual generate/replay work of one job, no caching layers involved.
-///
-/// On a `shared_trace`, the trace's L1/L2/stride outcomes are recorded once
-/// and shared by every job on it, and the job replays only its own lane. A
-/// job alone on its trace simulates the caches live: recording costs about
-/// as much as a live replay, so a log replayed once saves nothing.
-fn run_job_uncached(
-    cfg: &ExperimentConfig,
-    store: &TraceStore,
-    job: &JobSpec,
-    shared_trace: bool,
-) -> JobOutput {
-    let (trace, log) = if shared_trace {
-        store.get_or_generate_logged(&job.workload, cfg.accesses, &cfg.system)
-    } else {
-        (store.get_or_generate(&job.workload, cfg.accesses), None)
-    };
-    let replay = |prefetcher: &mut dyn Prefetcher| {
-        let engine = CmpSimulator::new(&cfg.system, cfg.sim);
-        match &log {
-            Some(log) => engine.run_logged(&trace, log, prefetcher),
-            None => engine.run(&trace, prefetcher),
-        }
-    };
-    match job.task {
-        JobTask::Replay(ref kind) => JobOutput::Sim(replay(kind.build(cfg.system.cores).as_mut())),
-        JobTask::CollectMisses => {
-            let mut collector = MissTraceCollector::new(cfg.system.cores);
-            replay(&mut collector);
-            JobOutput::MissSequences(collector.all_cores())
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1002,6 +899,49 @@ mod tests {
             (2, 2),
             "the first batch dropped the trace after its last job"
         );
+    }
+
+    #[test]
+    fn threads_sharing_one_campaign_each_get_the_batch_outputs() {
+        let jobs = vec![
+            JobSpec::replay(presets::web_apache(), PrefetcherKind::Baseline),
+            JobSpec::replay(presets::web_apache(), PrefetcherKind::ideal()),
+            JobSpec::replay(presets::oltp_db2(), PrefetcherKind::Baseline),
+            JobSpec::collect_misses(presets::sci_ocean()),
+        ];
+        let encode = |outputs: Vec<Result<JobOutput, JobError>>| -> Vec<Vec<u8>> {
+            outputs
+                .into_iter()
+                .map(|output| output.expect("no job fails").encode())
+                .collect()
+        };
+        let batch = encode(Campaign::with_threads(quick(), 2).run_jobs(jobs.clone()));
+        // Several callers run one job each on one shared campaign at once.
+        let shared = Campaign::with_threads(quick(), 2);
+        let outputs: Vec<Vec<u8>> = std::thread::scope(|scope| {
+            let callers: Vec<_> = jobs
+                .iter()
+                .map(|job| scope.spawn(|| encode(shared.run_jobs(vec![job.clone()]))))
+                .collect();
+            callers
+                .into_iter()
+                .flat_map(|caller| caller.join().expect("run_jobs catches job panics"))
+                .collect()
+        });
+        assert_eq!(outputs, batch);
+        assert!(shared.store().is_empty(), "every caller released its trace");
+    }
+
+    #[test]
+    fn more_workers_than_jobs_render_the_same_figure() {
+        let render = |threads: usize| -> String {
+            let campaign = Campaign::with_threads(quick(), threads);
+            let plan = crate::experiments::plan_for_id("table2", campaign.cfg()).expect("known id");
+            assert_eq!(plan.job_count(), 8);
+            let figure = campaign.run_figures(vec![plan]).pop().expect("one figure");
+            figure.expect("no job fails").render()
+        };
+        assert_eq!(render(16), render(1));
     }
 
     #[test]

@@ -1,18 +1,14 @@
-//! A bounded worker pool for simulation jobs.
+//! Panic-safe parallel execution of one batch of simulation jobs.
 //!
-//! The seed driver spawned one OS thread per workload for every figure cell
-//! (`std::thread::scope` in the old `run_suite`/`run_matched`) and aborted
-//! the whole process when any simulation panicked. [`JobPool`] replaces that
-//! with a fixed set of worker threads fed from a shared queue: batch size is
-//! decoupled from thread count, independent batches interleave on the same
-//! workers, and a panicking job is captured and surfaced as a per-job
-//! [`JobPanic`] instead of tearing the campaign down.
+//! [`JobPool::for_each`] runs a batch on scoped worker threads that borrow
+//! the caller's state and end with the batch, so batch size is decoupled
+//! from thread count and a panicking job is captured and surfaced as a
+//! per-job [`JobPanic`] instead of tearing the campaign down.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::mpsc::channel;
+use std::sync::{Mutex, PoisonError};
 
 /// A captured panic from one pool job.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,53 +32,43 @@ impl fmt::Display for JobPanic {
 
 impl std::error::Error for JobPanic {}
 
-type Runnable = Box<dyn FnOnce() + Send + 'static>;
+/// Runs `task`, capturing a panic as a [`JobPanic`].
+fn run_caught<T>(task: impl FnOnce() -> T) -> Result<T, JobPanic> {
+    catch_unwind(AssertUnwindSafe(task)).map_err(|payload| {
+        let message = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        JobPanic { message }
+    })
+}
 
-/// A fixed-size worker pool executing batches of jobs from a shared queue.
+/// A bounded worker count for running batches of jobs.
 ///
 /// # Example
 ///
 /// ```
 /// use stms_sim::campaign::JobPool;
 ///
-/// let pool = JobPool::new(2);
-/// let results = pool.run_batch((0..8).map(|i| move || i * i).collect::<Vec<_>>());
-/// let squares: Vec<i32> = results.into_iter().map(Result::unwrap).collect();
+/// let mut squares = vec![0; 8];
+/// JobPool::new(2).for_each((0..8).map(|i| move || i * i).collect(), |i, square| {
+///     squares[i] = square.unwrap();
+/// });
 /// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 /// ```
+#[derive(Debug, Clone, Copy)]
 pub struct JobPool {
-    queue: Option<Sender<Runnable>>,
-    workers: Vec<JoinHandle<()>>,
     threads: usize,
 }
 
-impl fmt::Debug for JobPool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("JobPool")
-            .field("threads", &self.threads)
-            .finish_non_exhaustive()
-    }
-}
-
 impl JobPool {
-    /// Creates a pool with `threads` workers (clamped to at least one).
+    /// A pool of `threads` workers (clamped to at least one).
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let (tx, rx) = channel::<Runnable>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..threads)
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("stms-job-{i}"))
-                    .spawn(move || worker_loop(&rx))
-                    .expect("spawn job-pool worker thread")
-            })
-            .collect();
         JobPool {
-            queue: Some(tx),
-            workers,
-            threads,
+            threads: threads.max(1),
         }
     }
 
@@ -99,146 +85,46 @@ impl JobPool {
         self.threads
     }
 
-    /// Runs a batch of jobs and returns their results in submission order.
+    /// Runs a batch of jobs, handing `deliver` each `(submission index,
+    /// result)` pair on the calling thread *in completion order*, and
+    /// returns once every job has finished.
     ///
-    /// The calling thread blocks until every job of the batch has finished;
-    /// jobs of concurrently-submitted batches interleave on the same workers.
-    /// A job that panics yields `Err(JobPanic)` in its slot without affecting
-    /// the other jobs or the pool.
-    pub fn run_batch<T, F>(&self, tasks: Vec<F>) -> Vec<Result<T, JobPanic>>
+    /// The batch runs on `min(threads, tasks)` scoped workers, which take
+    /// the tasks in submission order; a one-worker batch runs on the
+    /// calling thread. A job that panics yields `Err(JobPanic)` without
+    /// affecting the other jobs.
+    pub fn for_each<T, F>(&self, tasks: Vec<F>, mut deliver: impl FnMut(usize, Result<T, JobPanic>))
     where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
+        T: Send,
+        F: FnOnce() -> T + Send,
     {
-        self.submit_batch(tasks).run_to_completion()
-    }
-
-    /// Enqueues a batch of jobs without waiting for them, returning a handle
-    /// that yields `(submission index, result)` pairs *in completion order*.
-    ///
-    /// This is the streaming primitive behind
-    /// [`Campaign::run_figures`](crate::campaign::Campaign::run_figures):
-    /// the caller can start consuming (and rendering) early results while
-    /// later jobs are still running. Dropping the handle before draining it
-    /// is safe — outstanding jobs still run to completion on the workers and
-    /// their results are discarded.
-    pub fn submit_batch<T, F>(&self, tasks: Vec<F>) -> BatchHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        type Slot<T> = (usize, Result<T, JobPanic>);
-        let count = tasks.len();
-        let (result_tx, result_rx): (Sender<Slot<T>>, Receiver<Slot<T>>) = channel();
-        let queue = self
-            .queue
-            .as_ref()
-            .expect("job pool queue alive until drop");
-        for (i, task) in tasks.into_iter().enumerate() {
-            let result_tx = result_tx.clone();
-            let job: Runnable = Box::new(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(task)).map_err(|payload| {
-                    let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                        (*s).to_string()
-                    } else if let Some(s) = payload.downcast_ref::<String>() {
-                        s.clone()
-                    } else {
-                        "non-string panic payload".to_string()
-                    };
-                    JobPanic { message }
+        let workers = self.threads.min(tasks.len());
+        if workers <= 1 {
+            for (i, task) in tasks.into_iter().enumerate() {
+                deliver(i, run_caught(task));
+            }
+            return;
+        }
+        let queue = Mutex::new(tasks.into_iter().enumerate());
+        let (result_tx, result_rx) = channel();
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                let (queue, result_tx) = (&queue, result_tx.clone());
+                scope.spawn(move || loop {
+                    // Hold the queue lock only while dequeuing, never while
+                    // running.
+                    let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                    let Some((i, task)) = next else { break };
+                    if result_tx.send((i, run_caught(task))).is_err() {
+                        break; // the caller is unwinding out of `deliver`
+                    }
                 });
-                // The batch submitter may have given up (dropped the
-                // handle); a dead receiver must not kill the worker.
-                let _ = result_tx.send((i, outcome));
-            });
-            queue.send(job).expect("job pool workers alive");
-        }
-        BatchHandle {
-            rx: result_rx,
-            remaining: count,
-        }
-    }
-}
-
-/// In-flight batch returned by [`JobPool::submit_batch`]: an iterator over
-/// `(submission index, result)` pairs in completion order.
-#[derive(Debug)]
-pub struct BatchHandle<T> {
-    rx: Receiver<(usize, Result<T, JobPanic>)>,
-    remaining: usize,
-}
-
-impl<T> BatchHandle<T> {
-    /// Jobs of the batch that have not been yielded yet.
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-
-    /// Blocks until every job of the batch has finished and returns the
-    /// results in submission order (the behaviour of
-    /// [`JobPool::run_batch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if some results were already consumed through the iterator —
-    /// collect a batch either entirely by streaming or entirely here.
-    pub fn run_to_completion(self) -> Vec<Result<T, JobPanic>> {
-        let count = self.remaining;
-        let mut results: Vec<Option<Result<T, JobPanic>>> = (0..count).map(|_| None).collect();
-        for (i, outcome) in self {
-            results[i] = Some(outcome);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every slot filled"))
-            .collect()
-    }
-}
-
-impl<T> Iterator for BatchHandle<T> {
-    type Item = (usize, Result<T, JobPanic>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        Some(self.rx.recv().expect("every job reports exactly once"))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl<T> ExactSizeIterator for BatchHandle<T> {
-    fn len(&self) -> usize {
-        self.remaining
-    }
-}
-
-impl Drop for JobPool {
-    fn drop(&mut self) {
-        // Closing the queue ends every worker's recv loop; join so no worker
-        // outlives the pool.
-        self.queue.take();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_loop(rx: &Mutex<Receiver<Runnable>>) {
-    loop {
-        // Hold the queue lock only while dequeuing, never while running.
-        let job = {
-            let guard = rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            guard.recv()
-        };
-        match job {
-            Ok(job) => job(),
-            Err(_) => break, // queue closed: pool is being dropped
-        }
+            }
+            drop(result_tx);
+            for (i, outcome) in result_rx {
+                deliver(i, outcome);
+            }
+        });
     }
 }
 
@@ -247,9 +133,18 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Every result of a batch, in submission order.
+    fn collect<T: Send, F: FnOnce() -> T + Send>(
+        pool: JobPool,
+        tasks: Vec<F>,
+    ) -> Vec<Result<T, JobPanic>> {
+        let mut results: Vec<Option<_>> = (0..tasks.len()).map(|_| None).collect();
+        pool.for_each(tasks, |i, outcome| results[i] = Some(outcome));
+        results.into_iter().map(Option::unwrap).collect()
+    }
+
     #[test]
     fn results_come_back_in_submission_order() {
-        let pool = JobPool::new(4);
         let tasks: Vec<_> = (0..32)
             .map(|i| {
                 move || {
@@ -261,26 +156,24 @@ mod tests {
                 }
             })
             .collect();
-        let results = pool.run_batch(tasks);
-        let values: Vec<i32> = results.into_iter().map(Result::unwrap).collect();
-        assert_eq!(values, (0..32).collect::<Vec<_>>());
+        assert_eq!(
+            collect(JobPool::new(4), tasks),
+            (0..32).map(Ok).collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn thread_count_is_bounded_and_clamped() {
-        let pool = JobPool::new(0);
-        assert_eq!(pool.threads(), 1);
+        assert_eq!(JobPool::new(0).threads(), 1);
 
         // With 2 workers and 8 jobs, at most 2 jobs run at once.
         let pool = JobPool::new(2);
         assert_eq!(pool.threads(), 2);
-        let running = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
+        let running = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
         let tasks: Vec<_> = (0..8)
             .map(|_| {
-                let running = Arc::clone(&running);
-                let peak = Arc::clone(&peak);
-                move || {
+                || {
                     let now = running.fetch_add(1, Ordering::SeqCst) + 1;
                     peak.fetch_max(now, Ordering::SeqCst);
                     std::thread::sleep(std::time::Duration::from_millis(2));
@@ -288,11 +181,21 @@ mod tests {
                 }
             })
             .collect();
-        for r in pool.run_batch(tasks) {
+        for r in collect(pool, tasks) {
             r.unwrap();
         }
         assert!(peak.load(Ordering::SeqCst) <= 2);
         assert!(JobPool::default_threads() >= 1);
+
+        // A one-worker batch runs on the calling thread.
+        let caller = std::thread::current().id();
+        let on_caller = |pool: JobPool, tasks: usize| {
+            let tasks = (0..tasks).map(|_| move || std::thread::current().id() == caller);
+            collect(pool, tasks.collect())
+        };
+        assert_eq!(on_caller(JobPool::new(1), 3), vec![Ok(true); 3]);
+        assert_eq!(on_caller(JobPool::new(8), 1), vec![Ok(true)]);
+        assert_eq!(on_caller(JobPool::new(2), 4), vec![Ok(false); 4]);
     }
 
     #[test]
@@ -301,11 +204,12 @@ mod tests {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let pool = JobPool::new(2);
-        let results = pool.run_batch(vec![
-            Box::new(|| 1) as Box<dyn FnOnce() -> i32 + Send>,
+        let tasks: Vec<Box<dyn FnOnce() -> i32 + Send>> = vec![
+            Box::new(|| 1),
             Box::new(|| panic!("boom {}", 42)),
             Box::new(|| 3),
-        ]);
+        ];
+        let results = collect(pool, tasks);
         std::panic::set_hook(prev);
 
         assert_eq!(results.len(), 3);
@@ -316,65 +220,50 @@ mod tests {
         assert_eq!(*results[2].as_ref().unwrap(), 3);
 
         // The pool still works after a panic.
-        let again = pool.run_batch(vec![|| "ok"]);
+        let again = collect(pool, vec![|| "ok", || "again"]);
         assert_eq!(*again[0].as_ref().unwrap(), "ok");
     }
 
     #[test]
-    fn submit_batch_streams_results_in_completion_order() {
-        let pool = JobPool::new(2);
-        // One slow job submitted first; fast jobs must be yielded before it
-        // finishes even though it was submitted first.
+    fn for_each_streams_results_in_completion_order() {
+        // The job submitted first finishes only after another job's result
+        // has been delivered, so delivery cannot wait for submission order.
+        let (delivered, first_delivery) = std::sync::mpsc::channel::<()>();
         let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![
-            Box::new(|| {
-                std::thread::sleep(std::time::Duration::from_millis(50));
+            Box::new(move || {
+                first_delivery.recv().unwrap();
                 0
             }),
             Box::new(|| 1),
             Box::new(|| 2),
             Box::new(|| 3),
         ];
-        let mut handle = pool.submit_batch(tasks);
-        assert_eq!(handle.remaining(), 4);
-        let (first_index, first) = handle.next().expect("four results");
-        assert_ne!(first_index, 0, "the slow job cannot complete first");
-        assert_eq!(*first.as_ref().unwrap(), first_index);
-        let mut seen: Vec<usize> = vec![first_index];
-        seen.extend(handle.map(|(i, r)| {
+        let mut seen = Vec::new();
+        JobPool::new(2).for_each(tasks, |i, r| {
             assert_eq!(r.unwrap(), i);
-            i
-        }));
+            seen.push(i);
+            let _ = delivered.send(());
+        });
+        assert_ne!(seen[0], 0, "the slow job cannot complete first");
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3]);
     }
 
     #[test]
-    fn dropping_a_batch_handle_leaves_the_pool_usable() {
-        let pool = JobPool::new(1);
-        drop(pool.submit_batch((0..4).map(|i| move || i).collect::<Vec<_>>()));
-        let results = pool.run_batch(vec![|| 7]);
-        assert_eq!(*results[0].as_ref().unwrap(), 7);
-    }
-
-    #[test]
-    fn batches_from_multiple_threads_interleave_on_one_pool() {
-        let pool = Arc::new(JobPool::new(2));
-        let handles: Vec<_> = (0..3)
-            .map(|batch| {
-                let pool = Arc::clone(&pool);
-                std::thread::spawn(move || {
-                    let tasks: Vec<_> = (0..5).map(|i| move || batch * 10 + i).collect();
-                    pool.run_batch(tasks)
-                        .into_iter()
-                        .map(Result::unwrap)
-                        .collect::<Vec<i32>>()
+    fn batches_from_multiple_threads_share_one_pool() {
+        let pool = JobPool::new(2);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..3)
+                .map(|batch| {
+                    scope.spawn(move || {
+                        collect(pool, (0..5).map(|i| move || batch * 10 + i).collect())
+                    })
                 })
-            })
-            .collect();
-        for (batch, handle) in handles.into_iter().enumerate() {
-            let values = handle.join().unwrap();
-            let expect: Vec<i32> = (0..5).map(|i| batch as i32 * 10 + i).collect();
-            assert_eq!(values, expect);
-        }
+                .collect();
+            for (batch, handle) in handles.into_iter().enumerate() {
+                let expect: Vec<_> = (0..5).map(|i| Ok(batch as i32 * 10 + i)).collect();
+                assert_eq!(handle.join().unwrap(), expect);
+            }
+        });
     }
 }

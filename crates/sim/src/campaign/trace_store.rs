@@ -275,7 +275,7 @@ impl TraceStore {
 
     /// Claims the trace for `spec` at `accesses`: the store releases it
     /// once every claim on it is dropped.
-    pub(crate) fn claim(self: &Arc<Self>, spec: &WorkloadSpec, accesses: usize) -> TraceClaim {
+    pub(crate) fn claim(&self, spec: &WorkloadSpec, accesses: usize) -> TraceClaim<'_> {
         let key = spec.clone().with_accesses(accesses);
         *self
             .claims
@@ -283,10 +283,7 @@ impl TraceStore {
             .unwrap_or_else(PoisonError::into_inner)
             .entry(key.clone())
             .or_default() += 1;
-        TraceClaim {
-            store: Arc::clone(self),
-            key,
-        }
+        TraceClaim { store: self, key }
     }
 
     /// Number of distinct traces currently cached in memory (including any
@@ -323,12 +320,12 @@ impl TraceStore {
 /// whether it finished, panicked or never ran; the last claim on a trace
 /// releases it.
 #[derive(Debug)]
-pub(crate) struct TraceClaim {
-    store: Arc<TraceStore>,
+pub(crate) struct TraceClaim<'a> {
+    store: &'a TraceStore,
     key: WorkloadSpec,
 }
 
-impl Drop for TraceClaim {
+impl Drop for TraceClaim<'_> {
     fn drop(&mut self) {
         // The release happens under the claims lock, so a claim taken
         // concurrently either keeps the trace or finds it already gone.

@@ -10,9 +10,10 @@
 //! * [`campaign`] — the orchestration layer, whose [`Campaign`] runs every
 //!   batch of simulation jobs: a [`campaign::TraceStore`]
 //!   generating each workload trace once per batch and dropping it after
-//!   its last job, a bounded [`campaign::JobPool`] with panic-safe per-job
-//!   errors, declarative [`campaign::FigurePlan`]s whose cells go to one
-//!   pool trace by trace, and an optional persistent
+//!   its last job, a [`campaign::JobPool`] running each batch on a bounded
+//!   number of scoped workers with panic-safe per-job errors, declarative
+//!   [`campaign::FigurePlan`]s whose cells run as one batch trace by
+//!   trace, and an optional persistent
 //!   [`campaign::ResultStore`];
 //! * [`runner`] — the prefetcher configurations under study
 //!   ([`PrefetcherKind`]) and [`run_trace`], which replays one trace;

@@ -1,7 +1,9 @@
 //! Drives the real `stms-experiments` binary and checks that `--format json`
-//! emits a document that round-trips through `serde_json`.
+//! emits a document that round-trips through `serde_json`, and that
+//! `--csv DIR` writes each figure's table.
 
 use std::process::Command;
+use stms_sim::{experiments, Campaign, ExperimentConfig};
 
 fn run_cli(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_stms-experiments"))
@@ -136,4 +138,45 @@ fn text_mode_renders_selected_figures_only() {
     ]);
     assert!(repeated.status.success());
     assert_eq!(repeated.stdout, once.stdout);
+}
+
+#[test]
+fn csv_files_hold_the_in_process_tables() {
+    let dir = std::env::temp_dir().join(format!("stms-cli-csv-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out_dir = dir.join("out");
+    let out_arg = out_dir.to_str().expect("utf-8 temp path");
+    let args = ["--quick", "--accesses", "4000", "--figures", "table2,fig4"];
+    let out = run_cli(&[&args[..], &["--csv", out_arg]].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+
+    let campaign = Campaign::with_threads(ExperimentConfig::quick().with_accesses(4_000), 2);
+    let plans = ["table2", "fig4"]
+        .iter()
+        .map(|id| experiments::plan_for_id(id, campaign.cfg()).expect("known id"))
+        .collect();
+    for figure in campaign.run_figures(plans) {
+        let figure = figure.expect("no job fails");
+        let written = std::fs::read_to_string(out_dir.join(format!("{}.csv", figure.id)))
+            .expect("the CLI wrote the figure's csv");
+        assert_eq!(written, figure.table.to_csv(), "{}", figure.id);
+    }
+
+    // A directory under a regular file cannot be created.
+    let file = out_dir.join("table2.csv").join("sub");
+    let out = run_cli(&[
+        "--quick",
+        "--figures",
+        "table1",
+        "--csv",
+        file.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("cannot create csv output directory"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

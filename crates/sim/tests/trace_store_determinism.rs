@@ -9,23 +9,24 @@ use stms_workloads::{generate, presets};
 
 const ACCESSES: usize = 6_000;
 
+/// Runs `tasks` on a pool of `threads` workers; results in task order.
+fn run_batch<F: FnOnce() -> SharedTrace + Send>(threads: usize, tasks: Vec<F>) -> Vec<SharedTrace> {
+    let mut traces: Vec<Option<SharedTrace>> = vec![None; tasks.len()];
+    JobPool::new(threads).for_each(tasks, |i, trace| {
+        traces[i] = Some(trace.expect("generation never panics"));
+    });
+    traces.into_iter().map(Option::unwrap).collect()
+}
+
 #[test]
 fn concurrent_requests_for_one_spec_share_one_bit_identical_trace() {
-    let store = Arc::new(TraceStore::new());
-    let pool = JobPool::new(8);
+    let store = TraceStore::new();
     let requests = 16;
 
     let tasks: Vec<_> = (0..requests)
-        .map(|_| {
-            let store = Arc::clone(&store);
-            move || store.get_or_generate(&presets::web_apache(), ACCESSES)
-        })
+        .map(|_| || store.get_or_generate(&presets::web_apache(), ACCESSES))
         .collect();
-    let traces: Vec<SharedTrace> = pool
-        .run_batch(tasks)
-        .into_iter()
-        .map(|r| r.expect("generation never panics"))
-        .collect();
+    let traces = run_batch(8, tasks);
 
     // Every worker got the same allocation — not merely an equal trace.
     for trace in &traces[1..] {
@@ -44,8 +45,7 @@ fn concurrent_requests_for_one_spec_share_one_bit_identical_trace() {
 
 #[test]
 fn distinct_specs_never_alias_a_cache_entry() {
-    let store = Arc::new(TraceStore::new());
-    let pool = JobPool::new(4);
+    let store = TraceStore::new();
 
     // 4 distinct keys requested twice each, interleaved: different workloads,
     // a reseeded twin, and a different trace length of the same workload.
@@ -57,16 +57,11 @@ fn distinct_specs_never_alias_a_cache_entry() {
     ];
     let tasks: Vec<_> = (0..2 * specs.len())
         .map(|i| {
-            let store = Arc::clone(&store);
-            let (spec, accesses) = specs[i % specs.len()].clone();
-            move || store.get_or_generate(&spec, accesses)
+            let (spec, accesses) = &specs[i % specs.len()];
+            || store.get_or_generate(spec, *accesses)
         })
         .collect();
-    let traces: Vec<SharedTrace> = pool
-        .run_batch(tasks)
-        .into_iter()
-        .map(|r| r.expect("generation never panics"))
-        .collect();
+    let traces = run_batch(4, tasks);
 
     // Same key -> same allocation; different key -> different allocation.
     for (i, a) in traces.iter().enumerate() {

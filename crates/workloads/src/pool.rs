@@ -35,7 +35,6 @@ pub type SharedStream = Arc<Vec<LineAddr>>;
 pub struct StreamPool {
     streams: VecDeque<SharedStream>,
     capacity: usize,
-    total_blocks: u64,
 }
 
 impl StreamPool {
@@ -49,7 +48,6 @@ impl StreamPool {
         StreamPool {
             streams: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
-            total_blocks: 0,
         }
     }
 
@@ -63,20 +61,12 @@ impl StreamPool {
         self.streams.is_empty()
     }
 
-    /// Total number of blocks across retained streams.
-    pub fn total_blocks(&self) -> u64 {
-        self.total_blocks
-    }
-
     /// Adds a newly-created stream, evicting the oldest stream if the pool is
     /// full. Returns a shared handle to the added stream.
     pub fn add(&mut self, stream: Vec<LineAddr>) -> SharedStream {
         let shared: SharedStream = Arc::new(stream);
-        self.total_blocks += shared.len() as u64;
         if self.streams.len() >= self.capacity {
-            if let Some(old) = self.streams.pop_front() {
-                self.total_blocks -= old.len() as u64;
-            }
+            self.streams.pop_front();
         }
         self.streams.push_back(Arc::clone(&shared));
         shared
@@ -109,7 +99,6 @@ mod tests {
         pool.add(lines(&[1, 2, 3]));
         pool.add(lines(&[4, 5]));
         assert_eq!(pool.len(), 2);
-        assert_eq!(pool.total_blocks(), 5);
         let mut rng = StdRng::seed_from_u64(7);
         let s = pool.pick(&mut rng).unwrap();
         assert!(!s.is_empty());
@@ -129,11 +118,11 @@ mod tests {
         pool.add(lines(&[5, 6]));
         pool.add(lines(&[7]));
         assert_eq!(pool.len(), 2);
-        assert_eq!(
-            pool.total_blocks(),
-            3,
-            "blocks of the evicted stream are not counted"
-        );
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..64 {
+            let s = pool.pick(&mut rng).unwrap();
+            assert_ne!(s.len(), 4, "the evicted stream never comes back");
+        }
     }
 
     #[test]
