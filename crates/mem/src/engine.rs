@@ -48,9 +48,14 @@ pub struct SimOptions {
     /// asks the prefetcher for the next chunk.
     pub refill_threshold: usize,
     /// Fraction of the trace used to warm caches and predictor meta-data
-    /// before statistics are collected.
+    /// before statistics are collected, at most 0.95.
     pub warmup_fraction: f64,
 }
+
+/// The largest warm-up fraction the engine honours: it leaves at least 5%
+/// of every trace measured. [`SimOptions::validate`] refuses a larger one
+/// and the replay loops clamp to it.
+pub(crate) const MAX_WARMUP_FRACTION: f64 = 0.95;
 
 impl Default for SimOptions {
     fn default() -> Self {
@@ -115,17 +120,17 @@ impl SimOptions {
     ///
     /// The engine itself assumes these invariants: a zero-capacity prefetch
     /// buffer silently drops every prefetched line, a zero refill threshold
-    /// never asks the prefetcher for addresses, and a warm-up fraction at or
-    /// above `1.0` leaves no measured region (division by zero in the final
-    /// metrics).
+    /// never asks the prefetcher for addresses, and the replay clamps a
+    /// warm-up fraction above 0.95, so a larger one would silently run as
+    /// 0.95.
     ///
     /// # Errors
     ///
     /// Returns [`InvalidSimOptions`] naming the first offending field.
     pub fn validate(&self) -> Result<(), InvalidSimOptions> {
-        if !self.warmup_fraction.is_finite() || !(0.0..1.0).contains(&self.warmup_fraction) {
+        if !(0.0..=MAX_WARMUP_FRACTION).contains(&self.warmup_fraction) {
             return Err(InvalidSimOptions(format!(
-                "warmup_fraction must be in [0, 1), got {}",
+                "warmup_fraction must be in [0, {MAX_WARMUP_FRACTION}], got {}",
                 self.warmup_fraction
             )));
         }
@@ -284,8 +289,8 @@ impl<'a> CmpSimulator<'a> {
         self.res.workload = trace.meta().workload.clone();
         check_cores(trace, self.cores.len());
         let accesses = trace.accesses();
-        let warmup_end =
-            ((accesses.len() as f64) * self.opts.warmup_fraction.clamp(0.0, 0.95)) as usize;
+        let warmup = self.opts.warmup_fraction.clamp(0.0, MAX_WARMUP_FRACTION);
+        let warmup_end = ((accesses.len() as f64) * warmup) as usize;
 
         for (idx, access) in accesses.iter().enumerate() {
             if idx == warmup_end {
@@ -710,12 +715,12 @@ mod tests {
             stream_lookahead: 7,
             ..Default::default()
         }
-        .try_with_warmup(0.999)
+        .try_with_warmup(0.95)
         .expect("valid warm-up");
         assert_eq!(kept.stream_lookahead, 7, "other fields pass through");
-        assert_eq!(kept.warmup_fraction, 0.999);
+        assert_eq!(kept.warmup_fraction, 0.95);
 
-        for bad in [1.0, 1.5, -0.1, f64::NAN, f64::INFINITY] {
+        for bad in [0.96, 0.999, 1.0, 1.5, -0.1, f64::NAN, f64::INFINITY] {
             let err = SimOptions::default().try_with_warmup(bad).unwrap_err();
             assert!(err.to_string().contains("warmup_fraction"), "{err}");
         }

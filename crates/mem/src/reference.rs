@@ -20,7 +20,7 @@
 use crate::cache::{CacheOutcome, Eviction, SetAssocCache};
 use crate::config::{CacheConfig, StrideConfig, SystemConfig};
 use crate::dram::{DramModel, TrafficClass, TrafficStats};
-use crate::engine::{CmpSimulator, CoreState, SimOptions};
+use crate::engine::{CmpSimulator, CoreState, SimOptions, MAX_WARMUP_FRACTION};
 use crate::hierarchy::HierarchyLog;
 use crate::lanes;
 use crate::mshr::MshrFile;
@@ -752,7 +752,8 @@ impl<'a> FusedSimulator<'a> {
         self.res.prefetcher = prefetcher.name().to_string();
         self.res.workload = trace.meta().workload.clone();
         let total = trace.len();
-        let warmup_end = ((total as f64) * self.opts.warmup_fraction.clamp(0.0, 0.95)) as usize;
+        let warmup_end =
+            ((total as f64) * self.opts.warmup_fraction.clamp(0.0, MAX_WARMUP_FRACTION)) as usize;
         for (idx, access) in trace.accesses().iter().enumerate() {
             if idx == warmup_end {
                 self.end_warmup();

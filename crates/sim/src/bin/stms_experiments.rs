@@ -4,8 +4,7 @@
 //! ```text
 //! stms-experiments [--quick] [--accesses N] [--threads N] [--warmup F]
 //!                  [--figures ID[,ID...]] [--format text|json] [--csv DIR]
-//!                  [--result-cache DIR] [--cache-verify] [--metrics-out FILE]
-//!                  [EXPERIMENT ...]
+//!                  [--metrics-out FILE] [EXPERIMENT ...]
 //! ```
 //!
 //! With no selection every figure/table is produced. Experiments are
@@ -22,20 +21,17 @@
 //! Each distinct trace is generated once per run, held in memory and
 //! shared by every job that replays it, together with one recorded
 //! hierarchy log (its L1, L2 and stride outcomes) per trace, and dropped
-//! after its last job; traces are never written to disk. `--result-cache DIR`
-//! memoizes finished job outputs across runs (processes sharing the
-//! directory reuse each other's outputs); `--cache-verify` cross-checks
-//! every loaded output against its requesting job and replays on mismatch.
-//! A warm run renders byte-identical stdout while skipping all trace
-//! generation and replay; the cache counters are reported in a
-//! `run summary:` block on stderr.
+//! after its last job. Nothing is written to disk or read back from an
+//! earlier run: every run simulates every distinct job. A run with jobs
+//! reports its dedup and trace counters in a `run summary:` block on
+//! stderr.
 //!
 //! # Telemetry
 //!
 //! Every run records into the process-wide `stms_obs` metrics registry:
 //! per-job queue/run/total phase histograms (also keyed per figure),
-//! trace generation and hierarchy-log recording times, cache tier
-//! hit/miss/evict latencies, and batch dedup counters. The
+//! trace generation and hierarchy-log recording times, trace-store
+//! hit/miss latencies, and batch dedup counters. The
 //! snapshot is rendered as a `telemetry:` block at the end of the stderr
 //! run summary, and `--metrics-out FILE` additionally writes it as a
 //! versioned JSON document (`"stms-metrics/v1"`). Telemetry never writes
@@ -58,7 +54,7 @@
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use stms_sim::campaign::{push_cache_reports, Campaign, CampaignCaches};
+use stms_sim::campaign::{push_cache_reports, Campaign};
 use stms_sim::experiments::{self, FIGURES};
 use stms_sim::{ExperimentConfig, FigureResult};
 use stms_stats::{RunSummary, TelemetryReport};
@@ -69,7 +65,6 @@ struct Options {
     selected: Vec<String>,
     format: Format,
     csv_dir: Option<String>,
-    caches: CampaignCaches,
     metrics_out: Option<PathBuf>,
 }
 
@@ -92,8 +87,7 @@ fn usage() -> String {
     format!(
         "usage: stms-experiments [--quick] [--accesses N] [--threads N] [--warmup F]\n\
          \x20                       [--figures ID[,ID...]] [--format text|json] [--csv DIR]\n\
-         \x20                       [--result-cache DIR] [--cache-verify] [--metrics-out FILE]\n\
-         \x20                       [EXPERIMENT ...]\n\
+         \x20                       [--metrics-out FILE] [EXPERIMENT ...]\n\
          experiments: {} (or `all`)",
         known_ids()
     )
@@ -107,7 +101,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut csv_dir: Option<String> = None;
     let mut warmup: Option<f64> = None;
     let mut accesses: Option<usize> = None;
-    let mut caches = CampaignCaches::default();
     let mut metrics_out: Option<PathBuf> = None;
 
     let mut i = 0;
@@ -175,10 +168,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 };
             }
             "--csv" => csv_dir = Some(value_of(&mut i, "--csv")?),
-            "--result-cache" => {
-                caches.result_dir = Some(value_of(&mut i, "--result-cache")?.into());
-            }
-            "--cache-verify" => caches.verify = true,
             "--metrics-out" => {
                 metrics_out = Some(value_of(&mut i, "--metrics-out")?.into());
             }
@@ -201,13 +190,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             .map_err(|e| e.to_string())?;
     }
     cfg.sim.validate().map_err(|e| e.to_string())?;
-
-    // Verification reads back cached outputs; without a cache there is
-    // nothing to verify, and silently accepting the flag would suggest
-    // otherwise.
-    if caches.verify && caches.result_dir.is_none() {
-        return Err("--cache-verify has no effect without --result-cache DIR".into());
-    }
 
     // Every id is checked, also beside an `all` that would replace it.
     if let Some(id) = selected
@@ -234,7 +216,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         selected,
         format,
         csv_dir,
-        caches,
         metrics_out,
     })
 }
@@ -351,26 +332,20 @@ fn main() -> ExitCode {
         }
     }
 
-    let campaign = match Campaign::with_caches(opts.cfg.clone(), opts.threads, opts.caches.clone())
-    {
-        Ok(campaign) => campaign,
-        Err(e) => {
-            eprintln!("error: cannot open cache directory: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let campaign = Campaign::with_threads(opts.cfg.clone(), opts.threads);
 
     let mut sink = FigureSink::new(&opts);
     // Figures stream out as their jobs complete.
     campaign.run_figures_streaming(plans, |figure| sink.accept(figure));
     let failed = sink.finish();
-    // Cache accounting and telemetry go to stderr so a warm run's stdout
-    // stays byte-identical to the cold run that populated the cache — and
-    // an instrumented run's stdout identical to a registry-disabled one.
+    // Cache accounting and telemetry go to stderr so an instrumented run's
+    // stdout stays identical to a registry-disabled one.
     let mut summary = RunSummary::new();
     push_cache_reports(&mut summary, &campaign);
     let metrics_ok = finish_telemetry(&mut summary, opts.metrics_out.as_deref());
-    // A plain run keeps stderr summary-free (the quiet-default contract).
+    // Only a selection with no jobs (say `table1`) leaves the summary
+    // empty; any run with jobs reports `job flights`, `traces` and
+    // `telemetry`.
     if !summary.is_empty() {
         eprint!("{}", summary.render());
     }

@@ -251,8 +251,8 @@ pub struct JobError {
     pub job: String,
     /// Stable [`job_fingerprint`] of the failed job, when the caller had a
     /// configuration to derive it from. Rendered in the `Display` output
-    /// so a failure in a CI log names the exact result-cache entry to look
-    /// for.
+    /// so a failure in a CI log identifies the exact configuration that
+    /// failed.
     pub fingerprint: Option<Fingerprint>,
     /// The captured panic message.
     pub message: String,

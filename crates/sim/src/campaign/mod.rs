@@ -18,16 +18,8 @@
 //!    *every* requested figure as one batch, so independent cells from
 //!    different figures interleave on the same workers.
 //!
-//! On top of the per-campaign sharing, a *persistent* result cache
-//! (enabled with [`Campaign::with_caches`]) extends the sharing across
-//! campaign processes, mirroring how the paper's own meta-data earns its
-//! keep by living off-chip and persisting across program runs: the
-//! [`ResultStore`] memoizes every finished [`JobOutput`] keyed by the
-//! fingerprint of `(spec, trace length, task, system, engine options)`, so
-//! a warm re-run (say, after a render-stage tweak) replays nothing. It
-//! treats every unreadable, stale or corrupt file as a miss — evict and
-//! replay — so a cache directory can never poison a result. Traces are
-//! not persisted: regenerating one is cheaper than reading it back.
+//! Traces are not persisted: regenerating one is cheaper than reading it
+//! back.
 //!
 //! # Example
 //!
@@ -54,9 +46,7 @@ mod trace_store;
 
 pub use job::{job_fingerprint, DecodeJobOutputError, JobError, JobOutput, JobSpec, JobTask};
 pub use pool::{JobPanic, JobPool};
-pub use result_store::{
-    ResultStore, ResultStoreStats, DEFAULT_MEMO_BUDGET_BYTES, JOB_OUTPUT_CODEC_VERSION,
-};
+pub use result_store::{ResultStore, ResultStoreStats};
 pub use trace_store::{TraceStore, TraceStoreStats};
 
 use crate::experiments::FigureResult;
@@ -161,26 +151,17 @@ impl std::error::Error for CampaignError {}
 ///
 /// The default has no persistence: every campaign replays from scratch.
 /// Point `result_dir` at a directory to share job outputs across campaign
-/// processes. Traces are never persisted; each campaign regenerates the
-/// ones its executing jobs need.
+/// processes; only the benchmark's `grid-warm` workload does. Traces are
+/// never persisted; each campaign regenerates the ones its executing jobs
+/// need.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignCaches {
-    /// Directory of the [`ResultStore`] (`--result-cache`).
+    /// Directory of the [`ResultStore`].
     pub result_dir: Option<std::path::PathBuf>,
-    /// Deep verification of decoded results (`--cache-verify`): cross-check
-    /// each loaded output against the job that requested it and replay on
-    /// mismatch, instead of trusting the sealed envelope.
+    /// Deep verification of decoded results: cross-check each loaded output
+    /// against the job that requested it and replay on mismatch, instead of
+    /// trusting the sealed envelope.
     pub verify: bool,
-}
-
-impl CampaignCaches {
-    /// A result cache on `dir`.
-    pub fn in_dir(dir: impl Into<std::path::PathBuf>) -> Self {
-        CampaignCaches {
-            result_dir: Some(dir.into()),
-            ..Self::default()
-        }
-    }
 }
 
 /// Combined cache counters of one campaign (see [`Campaign::cache_stats`]).
@@ -192,25 +173,14 @@ pub struct CampaignCacheStats {
     pub result: Option<ResultStoreStats>,
 }
 
-/// Appends the result-cache line to a stderr `run summary:` block, and,
-/// once jobs ran, how many executed and how many shared a duplicate's
-/// output (`job flights`), how many requests found their trace in the
-/// store (`traces`, with the traces released and the most held at once),
-/// and how many jobs replayed a recorded hierarchy log (`hierarchy logs`,
-/// with the logs' total size).
+/// Appends to a stderr `run summary:` block, once jobs ran, how many
+/// executed and how many shared a duplicate's output (`job flights`), how
+/// many requests found their trace in the store (`traces`, with the traces
+/// released and the most held at once), and how many jobs replayed a
+/// recorded hierarchy log (`hierarchy logs`, with the logs' total size).
 pub fn push_cache_reports(summary: &mut stms_stats::RunSummary, campaign: &Campaign) {
     use stms_stats::CacheReport;
-    let stats = campaign.cache_stats();
-    let trace = stats.trace;
-    if let Some(result) = stats.result {
-        summary.push(
-            CacheReport::new("result cache", result.total_hits(), result.misses)
-                .with_detail("replayed", result.misses)
-                .with_detail("disk hits", result.disk_hits)
-                .with_detail("stores", result.stores)
-                .with_detail("corrupt", result.corrupt),
-        );
-    }
+    let trace = campaign.store.stats();
     let flights = campaign.flight_stats();
     if flights.executed + flights.shared > 0 {
         summary.push(CacheReport::new(
@@ -245,7 +215,8 @@ pub struct FlightStats {
 }
 
 /// One experiment campaign: a configuration, a shared trace store, an
-/// optional persistent result memo, and a bounded job pool.
+/// optional persistent result memo (see [`CampaignCaches`]), and a bounded
+/// job pool.
 ///
 /// A campaign is `Sync`: several threads may run batches on it at once.
 #[derive(Debug)]
@@ -280,18 +251,19 @@ impl Campaign {
     ///
     /// let dir = std::env::temp_dir().join("stms-doc-campaign-with-caches");
     /// std::fs::remove_dir_all(&dir).ok(); // start cold
+    /// let caches = CampaignCaches {
+    ///     result_dir: Some(dir.clone()),
+    ///     ..CampaignCaches::default()
+    /// };
     /// let cfg = ExperimentConfig::quick().with_accesses(2_000);
+    /// let kinds = [PrefetcherKind::Baseline];
     ///
-    /// // Cold campaign: generates and replays, then persists the outputs.
-    /// let cold = Campaign::with_caches(cfg.clone(), 2, CampaignCaches::in_dir(&dir)).unwrap();
-    /// cold.run_matched(&presets::web_apache(), &[PrefetcherKind::Baseline]).unwrap();
-    /// assert_eq!(cold.store().stats().generated, 1);
-    ///
-    /// // Warm campaign (a "new process"): replays nothing at all.
-    /// let warm = Campaign::with_caches(cfg, 2, CampaignCaches::in_dir(&dir)).unwrap();
-    /// warm.run_matched(&presets::web_apache(), &[PrefetcherKind::Baseline]).unwrap();
+    /// // Cold, then warm: the second campaign replays nothing at all.
+    /// let cold = Campaign::with_caches(cfg.clone(), 2, caches.clone()).unwrap();
+    /// cold.run_matched(&presets::web_apache(), &kinds).unwrap();
+    /// let warm = Campaign::with_caches(cfg, 2, caches).unwrap();
+    /// warm.run_matched(&presets::web_apache(), &kinds).unwrap();
     /// assert_eq!(warm.store().stats().generated, 0);
-    /// assert_eq!(warm.result_store().unwrap().stats().disk_hits, 1);
     /// std::fs::remove_dir_all(&dir).ok();
     /// ```
     ///
@@ -326,11 +298,6 @@ impl Campaign {
     /// see the generation-sharing at work).
     pub fn store(&self) -> &TraceStore {
         &self.store
-    }
-
-    /// The persistent result memo, when one is configured.
-    pub fn result_store(&self) -> Option<&ResultStore> {
-        self.results.as_ref()
     }
 
     /// Combined cache counters (for run summaries).

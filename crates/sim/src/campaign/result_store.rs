@@ -1,16 +1,14 @@
 //! A persistent memo of finished job outputs.
 //!
-//! Replays are deterministic given `(spec, accesses, prefetcher kind,
-//! system, sim options)` — the exact key the paper's own meta-data argument
-//! rests on: the artifact is a pure function of its generating
-//! configuration, so it can live off to the side and be reused. A
-//! [`ResultStore`] memoizes every [`JobOutput`] (a [`stms_mem::SimResult`]
+//! A [`ResultStore`] memoizes every [`JobOutput`] (a [`stms_mem::SimResult`]
 //! for replay jobs, per-core miss sequences for collection jobs) by the
-//! stable [`stms_types::Fingerprint`] of that tuple, in a memory tier for
-//! repeated cells within one campaign and a disk tier for cells across
-//! campaign *processes*. Re-rendering one figure after a render-stage tweak
-//! then replays nothing at all: every job output is served from
-//! `result-<fingerprint>.stms` files.
+//! stable [`stms_types::Fingerprint`] of `(spec, accesses, task, system,
+//! sim options)`, in a memory tier for repeated cells within one campaign
+//! and a disk tier of `result-<fingerprint>.stms` files across campaign
+//! processes. Only the benchmark's `grid-warm` workload opens one (through
+//! [`super::Campaign::with_caches`]); the `stms-experiments` binary does
+//! not, because the key cannot see engine changes: a file written by an
+//! older engine is served as if it were current.
 //!
 //! Entries are sealed in the versioned [`stms_types::blob`] envelope; any
 //! stale, truncated or corrupt file fails the checks, is evicted, and the
@@ -45,7 +43,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use stms_types::{blob, Fingerprint};
 
 /// Version of the [`JobOutput`] *container* layout (variant tags, the
@@ -56,7 +54,7 @@ const JOB_OUTPUT_CONTAINER_VERSION: u16 = 1;
 /// version in the high byte composed with the embedded
 /// [`stms_mem::SIM_RESULT_CODEC_VERSION`] in the low byte, so a change to
 /// *either* layer turns every old file into a clean version-mismatch miss.
-pub const JOB_OUTPUT_CODEC_VERSION: u16 =
+const JOB_OUTPUT_CODEC_VERSION: u16 =
     (JOB_OUTPUT_CONTAINER_VERSION << 8) | stms_mem::SIM_RESULT_CODEC_VERSION;
 
 /// File-name prefix of persisted job outputs.
@@ -117,12 +115,6 @@ fn write_sealed(
     }
 }
 
-/// Default byte budget of the in-memory memo tier (encoded-output bytes).
-/// Generous enough that a one-shot campaign never evicts — job outputs are
-/// kilobytes each — while bounding the tier on an unbounded stream of
-/// distinct cells.
-pub const DEFAULT_MEMO_BUDGET_BYTES: u64 = 64 << 20;
-
 /// Counters describing how a [`ResultStore`] was used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResultStoreStats {
@@ -137,11 +129,6 @@ pub struct ResultStoreStats {
     pub corrupt: u64,
     /// Result files written by this store.
     pub stores: u64,
-    /// Memory-tier entries evicted to respect the memo byte budget (the
-    /// disk tier still holds them).
-    pub memo_evictions: u64,
-    /// Encoded bytes currently resident in the memory tier.
-    pub memo_bytes: u64,
 }
 
 impl ResultStoreStats {
@@ -151,91 +138,20 @@ impl ResultStoreStats {
     }
 }
 
-/// The bounded in-memory memo tier: an LRU keyed by job fingerprint whose
-/// resident size (encoded-output bytes) never exceeds its budget. Recency
-/// is a logical clock bumped on every touch; eviction scans for the
-/// smallest stamp, which is O(entries) but runs only when an insert pushes
-/// the tier over budget — entry counts here are job counts, not accesses.
-#[derive(Debug)]
-struct MemoTier {
-    entries: HashMap<Fingerprint, MemoEntry>,
-    budget: u64,
-    resident_bytes: u64,
-    clock: u64,
-}
-
-#[derive(Debug)]
-struct MemoEntry {
-    output: JobOutput,
-    bytes: u64,
-    last_used: u64,
-}
-
-impl MemoTier {
-    fn new(budget: u64) -> Self {
-        MemoTier {
-            entries: HashMap::new(),
-            budget,
-            resident_bytes: 0,
-            clock: 0,
-        }
-    }
-
-    fn get(&mut self, key: Fingerprint) -> Option<JobOutput> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.entries.get_mut(&key).map(|entry| {
-            entry.last_used = clock;
-            entry.output.clone()
-        })
-    }
-
-    /// Inserts (or refreshes) an entry, then evicts least-recently-used
-    /// entries until the tier fits its budget again. The just-inserted
-    /// entry is never evicted: an output larger than the whole budget still
-    /// memoizes, the tier just holds that one entry. Returns the eviction
-    /// count.
-    fn insert(&mut self, key: Fingerprint, output: JobOutput, bytes: u64) -> u64 {
-        self.clock += 1;
-        let entry = MemoEntry {
-            output,
-            bytes,
-            last_used: self.clock,
-        };
-        if let Some(old) = self.entries.insert(key, entry) {
-            self.resident_bytes -= old.bytes;
-        }
-        self.resident_bytes += bytes;
-        let mut evicted = 0;
-        while self.resident_bytes > self.budget && self.entries.len() > 1 {
-            let oldest = self
-                .entries
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-                .expect("more than one entry resident");
-            let gone = self.entries.remove(&oldest).expect("key from this map");
-            self.resident_bytes -= gone.bytes;
-            evicted += 1;
-        }
-        evicted
-    }
-}
-
 /// A two-tier (memory + disk) memo of job outputs keyed by stable
-/// fingerprints (see the module-level docs above).
+/// fingerprints (see the module-level docs above). The memory tier never
+/// evicts: the 293 distinct outputs of the 120,000-access figure grid
+/// encode to 244,429 bytes.
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
     verify: bool,
-    memory: Mutex<MemoTier>,
+    memory: Mutex<HashMap<Fingerprint, JobOutput>>,
     hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
     corrupt: AtomicU64,
     stores: AtomicU64,
-    memo_evictions: AtomicU64,
 }
 
 impl ResultStore {
@@ -251,13 +167,12 @@ impl ResultStore {
         Ok(ResultStore {
             dir,
             verify: false,
-            memory: Mutex::new(MemoTier::new(DEFAULT_MEMO_BUDGET_BYTES)),
+            memory: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
             stores: AtomicU64::new(0),
-            memo_evictions: AtomicU64::new(0),
         })
     }
 
@@ -267,18 +182,6 @@ impl ResultStore {
     /// whose content predates a generator or labelling change.
     pub fn with_verify(mut self, verify: bool) -> Self {
         self.verify = verify;
-        self
-    }
-
-    /// Returns a copy with the memory tier bounded to `bytes` of encoded
-    /// output (default [`DEFAULT_MEMO_BUDGET_BYTES`]). Least-recently-used
-    /// entries are evicted when an insert pushes the tier over budget; they
-    /// remain loadable from disk.
-    pub fn with_memory_budget(self, bytes: u64) -> Self {
-        self.memory
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .budget = bytes;
         self
     }
 
@@ -300,26 +203,18 @@ impl ResultStore {
         cfg: &ExperimentConfig,
         job: &JobSpec,
     ) -> Option<JobOutput> {
-        let started = super::trace_store::obs_started();
-        {
-            let mut memory = self.memory.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(output) = memory.get(key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                drop(memory);
-                super::trace_store::record_elapsed("cache.result.hit_ns", started);
-                return Some(output);
-            }
+        if let Some(output) = self.memory().get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Some(output.clone());
         }
         match self.load_from_disk(key, cfg, job) {
-            Some((output, bytes)) => {
+            Some(output) => {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                self.memo_insert(key, output.clone(), bytes);
-                super::trace_store::record_elapsed("cache.result.disk_hit_ns", started);
+                self.memory().insert(key, output.clone());
                 Some(output)
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                super::trace_store::record_elapsed("cache.result.miss_ns", started);
                 None
             }
         }
@@ -330,26 +225,11 @@ impl ResultStore {
     /// dependency.
     pub fn put(&self, key: Fingerprint, output: &JobOutput) {
         let encoded = output.encode();
-        self.memo_insert(key, output.clone(), encoded.len() as u64);
+        self.memory().insert(key, output.clone());
         let path = self.result_path(key);
         if write_sealed(&self.dir, &path, JOB_OUTPUT_CODEC_VERSION, key, &encoded) {
             self.stores.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Inserts into the bounded memory tier and accounts for any evictions
-    /// the insert forced (store counter, global telemetry counter and
-    /// resident-bytes gauge).
-    fn memo_insert(&self, key: Fingerprint, output: JobOutput, bytes: u64) {
-        let (evicted, resident) = {
-            let mut memory = self.memory.lock().unwrap_or_else(PoisonError::into_inner);
-            (memory.insert(key, output, bytes), memory.resident_bytes)
-        };
-        if evicted > 0 {
-            self.memo_evictions.fetch_add(evicted, Ordering::Relaxed);
-            stms_obs::counter("cache.result.memo_evictions").add(evicted);
-        }
-        stms_obs::gauge("cache.result.memo_bytes").set(resident);
     }
 
     /// Usage counters.
@@ -360,13 +240,11 @@ impl ResultStore {
             misses: self.misses.load(Ordering::Relaxed),
             corrupt: self.corrupt.load(Ordering::Relaxed),
             stores: self.stores.load(Ordering::Relaxed),
-            memo_evictions: self.memo_evictions.load(Ordering::Relaxed),
-            memo_bytes: self
-                .memory
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .resident_bytes,
         }
+    }
+
+    fn memory(&self) -> MutexGuard<'_, HashMap<Fingerprint, JobOutput>> {
+        self.memory.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn result_path(&self, key: Fingerprint) -> PathBuf {
@@ -376,14 +254,13 @@ impl ResultStore {
         ))
     }
 
-    /// Loads one output from the disk tier, returning it with its encoded
-    /// payload size (the memory tier's accounting unit).
+    /// Loads one output from the disk tier.
     fn load_from_disk(
         &self,
         key: Fingerprint,
         cfg: &ExperimentConfig,
         job: &JobSpec,
-    ) -> Option<(JobOutput, u64)> {
+    ) -> Option<JobOutput> {
         let path = self.result_path(key);
         let payload = match read_sealed(&path, JOB_OUTPUT_CODEC_VERSION, key) {
             Ok(Some(payload)) => payload,
@@ -399,7 +276,7 @@ impl ResultStore {
         if output.is_none() {
             self.evict_corrupt(&path);
         }
-        output.map(|output| (output, payload.len() as u64))
+        output
     }
 
     fn evict_corrupt(&self, path: &std::path::Path) {
@@ -610,81 +487,6 @@ mod tests {
         let other = ResultStore::open(&other_dir).unwrap();
         assert!(other.get(key, &cfg, &job).is_none());
         let _ = fs::remove_dir_all(&other_dir);
-    }
-
-    #[test]
-    fn memory_tier_evicts_least_recently_used_past_its_byte_budget() {
-        let dir = temp_dir("memo-lru");
-        let cfg = ExperimentConfig::quick();
-        let jobs: Vec<JobSpec> = [
-            presets::web_apache(),
-            presets::oltp_db2(),
-            presets::web_zeus(),
-        ]
-        .into_iter()
-        .map(|spec| JobSpec::replay(spec, PrefetcherKind::Baseline))
-        .collect();
-        let outputs: Vec<JobOutput> = jobs.iter().map(sample_output).collect();
-        let one_entry = outputs[0].encode().len() as u64;
-        // Budget fits two entries but not three.
-        let store = ResultStore::open(&dir)
-            .unwrap()
-            .with_memory_budget(one_entry * 5 / 2);
-        let keys: Vec<Fingerprint> = jobs.iter().map(|job| store.job_key(&cfg, job)).collect();
-
-        store.put(keys[0], &outputs[0]);
-        store.put(keys[1], &outputs[1]);
-        assert_eq!(store.stats().memo_evictions, 0);
-        // Touch key 0 so key 1 is the least recently used…
-        assert!(store.get(keys[0], &cfg, &jobs[0]).is_some());
-        // …then overflow: key 1 must go, keys 0 and 2 must stay.
-        store.put(keys[2], &outputs[2]);
-        let stats = store.stats();
-        assert_eq!(stats.memo_evictions, 1);
-        assert!(stats.memo_bytes <= one_entry * 5 / 2);
-        assert!(store.get(keys[0], &cfg, &jobs[0]).is_some());
-        assert!(store.get(keys[2], &cfg, &jobs[2]).is_some());
-        assert_eq!(store.stats().disk_hits, 0, "survivors hit in memory");
-        assert!(store.get(keys[1], &cfg, &jobs[1]).is_some());
-        assert_eq!(
-            store.stats().disk_hits,
-            1,
-            "the evicted entry comes from disk"
-        );
-
-        // An entry larger than the whole budget still memoizes (the tier
-        // never evicts the entry it just inserted).
-        let tiny = ResultStore::open(&dir).unwrap().with_memory_budget(1);
-        tiny.put(keys[0], &outputs[0]);
-        assert!(tiny.get(keys[0], &cfg, &jobs[0]).is_some());
-        assert_eq!(tiny.stats().hits, 1, "served from memory");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disk_tier_backfills_entries_the_memory_tier_evicted() {
-        let dir = temp_dir("memo-backfill");
-        let cfg = ExperimentConfig::quick();
-        let jobs: Vec<JobSpec> = [presets::web_apache(), presets::oltp_db2()]
-            .into_iter()
-            .map(|spec| JobSpec::replay(spec, PrefetcherKind::Baseline))
-            .collect();
-        let outputs: Vec<JobOutput> = jobs.iter().map(sample_output).collect();
-        let one_entry = outputs[0].encode().len() as u64;
-        // Room for one entry only: the second put evicts the first.
-        let store = ResultStore::open(&dir)
-            .unwrap()
-            .with_memory_budget(one_entry * 3 / 2);
-        let keys: Vec<Fingerprint> = jobs.iter().map(|job| store.job_key(&cfg, job)).collect();
-        store.put(keys[0], &outputs[0]);
-        store.put(keys[1], &outputs[1]);
-        assert_eq!(store.stats().memo_evictions, 1);
-        // The evicted output is still served — from disk — and re-promoted.
-        assert!(store.get(keys[0], &cfg, &jobs[0]).is_some());
-        let stats = store.stats();
-        assert_eq!(stats.disk_hits, 1);
-        assert_eq!(stats.misses, 0, "the disk tier subsumes the eviction");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

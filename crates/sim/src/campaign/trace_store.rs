@@ -1,9 +1,7 @@
 //! A memory cache of generated workload traces.
 //!
 //! Every figure of the paper replays some subset of the same eight workload
-//! traces, but the seed driver regenerated the trace inside each figure cell
-//! (once per `(figure, sweep point, workload)` — dozens of regenerations per
-//! campaign). [`TraceStore`] keys generated traces by the full
+//! traces. [`TraceStore`] keys generated traces by the full
 //! [`WorkloadSpec`] identity (every generator parameter, including trace
 //! length and seed) and hands out [`SharedTrace`] handles, so each distinct
 //! trace is generated once per batch, and dropped after its last job, no
@@ -126,16 +124,16 @@ fn counter_add(counter: &AtomicU64, n: u64) {
 }
 
 /// `Instant::now()` gated on telemetry being enabled; pair with
-/// [`record_elapsed`]. Cache paths take their clock reads through this so a
+/// [`record_elapsed`]. Store paths take their clock reads through this so a
 /// disabled registry costs them nothing at all.
-pub(crate) fn obs_started() -> Option<std::time::Instant> {
+fn obs_started() -> Option<std::time::Instant> {
     stms_obs::is_enabled().then(std::time::Instant::now)
 }
 
 /// Records the nanoseconds elapsed since `started` into the named global
 /// histogram; a `None` start (telemetry disabled at the time) records
 /// nothing.
-pub(crate) fn record_elapsed(name: &str, started: Option<std::time::Instant>) {
+fn record_elapsed(name: &str, started: Option<std::time::Instant>) {
     if let Some(started) = started {
         let nanos = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         stms_obs::histogram(name).record(nanos);

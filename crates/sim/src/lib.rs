@@ -13,14 +13,14 @@
 //!   its last job, a [`campaign::JobPool`] running each batch on a bounded
 //!   number of scoped workers with panic-safe per-job errors, declarative
 //!   [`campaign::FigurePlan`]s whose cells run as one batch trace by
-//!   trace, and an optional persistent
-//!   [`campaign::ResultStore`];
+//!   trace, and an optional persistent [`campaign::ResultStore`] that only
+//!   the benchmark opens;
 //! * [`runner`] — the prefetcher configurations under study
 //!   ([`PrefetcherKind`]) and [`run_trace`], which replays one trace;
 //! * [`experiments`] — one plan per table/figure of the paper (§5), all
 //!   declared in [`experiments::FIGURES`];
 //! * the `stms-experiments` binary — command-line front end
-//!   (`--figures`, `--threads`, `--format text|json`, `--result-cache DIR`,
+//!   (`--figures`, `--threads`, `--format text|json`, `--csv DIR`,
 //!   `--metrics-out FILE`).
 //!
 //! # Example

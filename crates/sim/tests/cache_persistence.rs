@@ -1,10 +1,11 @@
-//! The persistent result cache across campaign "processes": a warm
-//! campaign renders byte-identical figures while skipping all trace
-//! generation and replay, survives corrupt cache files, and shares one
-//! directory between concurrent pool workers.
+//! The persistent result cache across campaign "processes", as the
+//! benchmark's `grid-warm` workload uses it: a warm campaign renders
+//! byte-identical figures while skipping all trace generation and replay,
+//! survives corrupt cache files, and shares one directory between
+//! concurrent pool workers.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use stms_sim::campaign::{Campaign, CampaignCaches};
 use stms_sim::{experiments, ExperimentConfig};
 use stms_workloads::presets;
@@ -22,12 +23,19 @@ fn quick() -> ExperimentConfig {
     ExperimentConfig::quick().with_accesses(6_000)
 }
 
+/// Caches with a result directory on `dir`.
+fn in_dir(dir: &Path) -> CampaignCaches {
+    CampaignCaches {
+        result_dir: Some(dir.to_path_buf()),
+        ..CampaignCaches::default()
+    }
+}
+
 /// Renders a figure selection through a fresh campaign on `dir`, returning
 /// the rendered text and the campaign for stats inspection.
-fn run(dir: &PathBuf, ids: &[&str]) -> (Vec<String>, Campaign, usize) {
+fn run(dir: &Path, ids: &[&str]) -> (Vec<String>, Campaign, usize) {
     let cfg = quick();
-    let campaign =
-        Campaign::with_caches(cfg.clone(), 2, CampaignCaches::in_dir(dir)).expect("open caches");
+    let campaign = Campaign::with_caches(cfg.clone(), 2, in_dir(dir)).expect("open caches");
     let plans: Vec<_> = ids
         .iter()
         .map(|id| experiments::plan_for_id(id, campaign.cfg()).expect("known id"))
@@ -128,7 +136,7 @@ fn concurrent_workers_and_stores_share_one_cache_dir() {
 
     // Many pool workers racing on the same cold keys: each trace must be
     // generated exactly once.
-    let campaign = Campaign::with_caches(quick(), 4, CampaignCaches::in_dir(&dir)).unwrap();
+    let campaign = Campaign::with_caches(quick(), 4, in_dir(&dir)).unwrap();
     let plans = ["table2", "fig4"]
         .iter()
         .map(|id| experiments::plan_for_id(id, campaign.cfg()).expect("known id"))
@@ -149,7 +157,6 @@ fn memory_only_campaigns_are_unchanged() {
     // No cache directories: behavior (and stats shape) matches the old
     // purely in-memory campaign.
     let campaign = Campaign::with_threads(quick(), 2);
-    assert!(campaign.result_store().is_none());
     let results = campaign
         .run_matched(
             &presets::web_apache(),

@@ -83,15 +83,17 @@ fn unknown_figure_and_invalid_options_exit_with_usage_error() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("warmup_fraction"));
 
+    // The engine caps the warm-up at 0.95, so a larger fraction would
+    // silently run as 0.95: it is refused, naming the bound.
+    let out = run_cli(&["--quick", "--warmup", "0.96", "--figures", "table2"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("0.95"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+
     let out = run_cli(&["--format", "yaml"]);
     assert_eq!(out.status.code(), Some(2));
-
-    // Verification without a cache to verify is refused, not ignored.
-    let out = run_cli(&["--quick", "--figures", "table1", "--cache-verify"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--cache-verify"), "{stderr}");
-    assert!(stderr.contains("usage:"), "{stderr}");
 
     // Removed flags fail loudly instead of being ignored, also beside an
     // otherwise valid run, which then renders nothing.
@@ -107,7 +109,10 @@ fn unknown_figure_and_invalid_options_exit_with_usage_error() {
         &["--retry-failed", "m.stms"],
         &["--calibrate-from", "d"],
         &["--stream-traces"],
+        &["--result-cache", "DIR"],
+        &["--cache-verify"],
         &["--quick", "--figures", "table2", "--stream-traces"],
+        &["--quick", "--figures", "table1", "--cache-verify"],
     ] {
         let out = run_cli(removed);
         assert_eq!(out.status.code(), Some(2), "{removed:?}");
@@ -116,6 +121,13 @@ fn unknown_figure_and_invalid_options_exit_with_usage_error() {
         assert!(stderr.contains("unknown flag"), "{removed:?}: {stderr}");
         assert!(stderr.contains("usage:"), "{removed:?}: {stderr}");
     }
+}
+
+#[test]
+fn a_selection_without_jobs_prints_no_summary() {
+    let out = run_cli(&["--quick", "--accesses", "4000", "--figures", "table1"]);
+    assert!(out.status.success());
+    assert!(!String::from_utf8_lossy(&out.stderr).contains("run summary:"));
 }
 
 #[test]

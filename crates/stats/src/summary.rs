@@ -1,10 +1,10 @@
 //! Run summaries: compact cache-hit reporting for campaign drivers.
 //!
-//! The campaign layer's caches (memoized job outputs, shared job flights,
-//! hierarchy logs) each expose raw counters; this module renders them as the short
-//! per-run block the `stms-experiments` binary prints to stderr, so a user
-//! can see at a glance whether a run was served from cache ("warm") or had
-//! to simulate ("cold") — and CI can assert on the same lines.
+//! The campaign layer's sharing (traces, job flights, hierarchy logs) each
+//! expose raw counters; this module renders them as the short per-run
+//! block the `stms-experiments` binary prints to stderr, so a user can see
+//! at a glance how much of a run was shared and how much it had to
+//! simulate — and CI can assert on the same lines.
 //!
 //! # Example
 //!
@@ -13,13 +13,13 @@
 //!
 //! let mut summary = RunSummary::new();
 //! summary.push(
-//!     CacheReport::new("result cache", 13, 0)
-//!         .with_detail("replayed", 0)
-//!         .with_detail("disk hits", 8),
+//!     CacheReport::new("traces", 13, 8)
+//!         .with_detail("released", 8)
+//!         .with_detail("max resident", 2),
 //! );
 //! let text = summary.render();
 //! assert!(text.starts_with("run summary:"));
-//! assert!(text.contains("result cache: 13 hits, 0 misses (100.0% hit rate, replayed 0, disk hits 8)"));
+//! assert!(text.contains("traces: 13 hits, 8 misses (61.9% hit rate, released 8, max resident 2)"));
 //! ```
 
 use std::fmt::Write as _;
@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 /// Counters of one cache tier, plus optional named detail counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheReport {
-    /// Tier name, e.g. `"traces"` or `"results"`.
+    /// Tier name, e.g. `"traces"` or `"job flights"`.
     pub name: String,
     /// Lookups served without doing the work.
     pub hits: u64,
