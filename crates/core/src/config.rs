@@ -1,14 +1,12 @@
 //! STMS configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the Sampled Temporal Memory Streaming prefetcher.
 ///
 /// The defaults mirror the paper's design points: 64-byte index-table buckets
 /// holding 12 `{address, history pointer}` pairs, history-buffer writes
 /// packed 12 entries per block, an 8 KB on-chip bucket buffer and a 12.5%
 /// index-update sampling probability (§4.3–§5.5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StmsConfig {
     /// Number of cores (one private history buffer per core; the index table
     /// is shared).
@@ -32,10 +30,12 @@ pub struct StmsConfig {
     pub sampling_seed: u64,
 }
 
-// Stable fingerprint so STMS design points can key on-disk memoized
-// results in the campaign result cache.
-impl stms_types::Fingerprintable for StmsConfig {
-    fn fingerprint_into(&self, fp: &mut stms_types::Fingerprinter) {
+// Floats compare with `==` and hash through `hash_f64`; the exhaustive
+// destructuring fails to compile until a new field is hashed.
+impl Eq for StmsConfig {}
+
+impl std::hash::Hash for StmsConfig {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         let StmsConfig {
             cores,
             history_entries_per_core,
@@ -46,15 +46,14 @@ impl stms_types::Fingerprintable for StmsConfig {
             sampling_probability,
             sampling_seed,
         } = self;
-        fp.write_str("StmsConfig/v1");
-        fp.write_usize(*cores);
-        fp.write_usize(*history_entries_per_core);
-        fp.write_usize(*entries_per_history_block);
-        fp.write_usize(*index_buckets);
-        fp.write_usize(*entries_per_bucket);
-        fp.write_usize(*bucket_buffer_blocks);
-        fp.write_f64(*sampling_probability);
-        fp.write_u64(*sampling_seed);
+        cores.hash(state);
+        history_entries_per_core.hash(state);
+        entries_per_history_block.hash(state);
+        index_buckets.hash(state);
+        entries_per_bucket.hash(state);
+        bucket_buffer_blocks.hash(state);
+        stms_types::hash::hash_f64(*sampling_probability, state);
+        sampling_seed.hash(state);
     }
 }
 

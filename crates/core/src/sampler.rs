@@ -6,8 +6,6 @@
 //! slowly because long streams get an entry a few blocks in and short streams
 //! recur often enough to be indexed eventually.
 
-use serde::{Deserialize, Serialize};
-
 /// A deterministic Bernoulli sampler driven by an xorshift64* sequence.
 ///
 /// Determinism matters for reproducible experiments: two runs with the same
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let accepted = (0..10_000).filter(|_| sampler.should_update()).count();
 /// assert!((accepted as f64 - 1250.0).abs() < 200.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UpdateSampler {
     probability: f64,
     state: u64,

@@ -1,10 +1,11 @@
 //! System model configuration (the paper's Table 1).
 
-use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
+use stms_types::hash::hash_f64;
 use stms_types::Cycle;
 
 /// Geometry and latency of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: usize,
@@ -29,7 +30,7 @@ impl CacheConfig {
 }
 
 /// Main-memory (DRAM channel) configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
     /// Uncontended access latency in core cycles.
     pub latency_cycles: u64,
@@ -37,6 +38,24 @@ pub struct DramConfig {
     pub bytes_per_cycle: f64,
     /// Transfer granularity in bytes (one cache line).
     pub transfer_bytes: usize,
+}
+
+// `DramConfig` and `CoreConfig` hold floats, which compare with `==` and
+// hash through `hash_f64`; the exhaustive destructuring fails to compile
+// until a new field is hashed.
+impl Eq for DramConfig {}
+
+impl Hash for DramConfig {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let DramConfig {
+            latency_cycles,
+            bytes_per_cycle,
+            transfer_bytes,
+        } = self;
+        latency_cycles.hash(state);
+        hash_f64(*bytes_per_cycle, state);
+        transfer_bytes.hash(state);
+    }
 }
 
 impl DramConfig {
@@ -47,7 +66,7 @@ impl DramConfig {
 }
 
 /// Per-core out-of-order window parameters used by the timing model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreConfig {
     /// Reorder-buffer size in instructions; off-chip misses more than this
     /// many instructions apart cannot overlap.
@@ -58,8 +77,23 @@ pub struct CoreConfig {
     pub freq_ghz: f64,
 }
 
+impl Eq for CoreConfig {}
+
+impl Hash for CoreConfig {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let CoreConfig {
+            rob_size,
+            mshrs,
+            freq_ghz,
+        } = self;
+        rob_size.hash(state);
+        mshrs.hash(state);
+        hash_f64(*freq_ghz, state);
+    }
+}
+
 /// Stride-prefetcher configuration for the baseline system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StrideConfig {
     /// Number of concurrently tracked strided streams.
     pub streams: usize,
@@ -79,7 +113,7 @@ pub struct StrideConfig {
 /// assert_eq!(cfg.cores, 4);
 /// assert_eq!(cfg.dram.latency_cycles, 180); // 45 ns at 4 GHz
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SystemConfig {
     /// Number of cores on the chip.
     pub cores: usize,
@@ -93,61 +127,6 @@ pub struct SystemConfig {
     pub core: CoreConfig,
     /// Baseline stride prefetcher.
     pub stride: StrideConfig,
-}
-
-// Stable fingerprints so a system model can key on-disk cache entries (the
-// campaign result cache memoizes SimResults by, among other things, the full
-// SystemConfig). Exhaustive destructuring: adding a field will not compile
-// until it is fingerprinted.
-impl stms_types::Fingerprintable for SystemConfig {
-    fn fingerprint_into(&self, fp: &mut stms_types::Fingerprinter) {
-        let SystemConfig {
-            cores,
-            l1,
-            l2,
-            dram,
-            core,
-            stride,
-        } = self;
-        fp.write_str("SystemConfig/v1");
-        fp.write_usize(*cores);
-        for cache in [l1, l2] {
-            let CacheConfig {
-                capacity_bytes,
-                associativity,
-                line_bytes,
-                hit_latency,
-            } = cache;
-            fp.write_usize(*capacity_bytes);
-            fp.write_usize(*associativity);
-            fp.write_usize(*line_bytes);
-            fp.write_u64(*hit_latency);
-        }
-        let DramConfig {
-            latency_cycles,
-            bytes_per_cycle,
-            transfer_bytes,
-        } = dram;
-        fp.write_u64(*latency_cycles);
-        fp.write_f64(*bytes_per_cycle);
-        fp.write_usize(*transfer_bytes);
-        let CoreConfig {
-            rob_size,
-            mshrs,
-            freq_ghz,
-        } = core;
-        fp.write_u64(*rob_size);
-        fp.write_usize(*mshrs);
-        fp.write_f64(*freq_ghz);
-        let StrideConfig {
-            streams,
-            degree,
-            confidence,
-        } = stride;
-        fp.write_usize(*streams);
-        fp.write_usize(*degree);
-        fp.write_u32(*confidence);
-    }
 }
 
 impl SystemConfig {

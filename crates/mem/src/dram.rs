@@ -11,13 +11,12 @@
 //! partially-covered misses).
 
 use crate::config::DramConfig;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use stms_types::Cycle;
 
 /// Classification of memory traffic, used both for scheduling priority and
 /// for the traffic-overhead breakdown of Figure 7.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficClass {
     /// Demand cache-line fetch triggered by an off-chip miss.
     DemandFill,
@@ -74,7 +73,7 @@ impl fmt::Display for TrafficClass {
 }
 
 /// Byte counters per traffic class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TrafficStats {
     /// Bytes transferred for demand fills.
     pub demand_fill: u64,

@@ -32,12 +32,11 @@ use crate::mshr::MshrFile;
 use crate::prefetcher::Prefetcher;
 use crate::result::SimResult;
 use crate::stream::{PrefetchBuffer, StreamState};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use stms_types::{AccessKind, Cycle, MemAccess, Trace};
 
 /// Tunables of the simulation engine that are not part of the system model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimOptions {
     /// Capacity of each core's prefetch buffer in lines (2 KB = 32 lines).
     pub prefetch_buffer_lines: usize,
@@ -68,20 +67,23 @@ impl Default for SimOptions {
     }
 }
 
-// Stable fingerprint so engine options can key on-disk memoized results.
-impl stms_types::Fingerprintable for SimOptions {
-    fn fingerprint_into(&self, fp: &mut stms_types::Fingerprinter) {
+// Floats compare with `==` and hash through `hash_f64`, so a `-0.0`
+// warm-up is the same job as `0.0`; the exhaustive destructuring fails to
+// compile until a new field is hashed.
+impl Eq for SimOptions {}
+
+impl std::hash::Hash for SimOptions {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         let SimOptions {
             prefetch_buffer_lines,
             stream_lookahead,
             refill_threshold,
             warmup_fraction,
         } = self;
-        fp.write_str("SimOptions/v1");
-        fp.write_usize(*prefetch_buffer_lines);
-        fp.write_usize(*stream_lookahead);
-        fp.write_usize(*refill_threshold);
-        fp.write_f64(*warmup_fraction);
+        prefetch_buffer_lines.hash(state);
+        stream_lookahead.hash(state);
+        refill_threshold.hash(state);
+        stms_types::hash::hash_f64(*warmup_fraction, state);
     }
 }
 

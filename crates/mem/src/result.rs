@@ -1,12 +1,11 @@
 //! Results produced by one simulation run.
 
 use crate::dram::TrafficStats;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Counters and derived metrics from a single simulation of one trace with
 /// one prefetcher configuration.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimResult {
     /// Name of the prefetcher that was simulated.
     pub prefetcher: String,
@@ -385,7 +384,7 @@ const COUNTER_NAMES: [&str; SimResult::COUNTER_FIELDS] = [
 ];
 
 /// Per-source overhead traffic, normalized to useful data bytes (Figure 7).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OverheadBreakdown {
     /// History-buffer recording traffic.
     pub record: f64,

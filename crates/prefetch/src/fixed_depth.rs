@@ -15,7 +15,7 @@ use stms_mem::{DramModel, Prefetcher, StreamChunk, TrafficClass};
 use stms_types::{CoreId, Cycle, LineAddr};
 
 /// Where the correlation table lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TablePlacement {
     /// Idealized on-chip table: zero lookup latency, no meta-data traffic.
     OnChip,
@@ -29,26 +29,8 @@ pub enum TablePlacement {
     },
 }
 
-// Stable fingerprint so fixed-depth design points can key on-disk memoized
-// results.
-impl stms_types::Fingerprintable for TablePlacement {
-    fn fingerprint_into(&self, fp: &mut stms_types::Fingerprinter) {
-        match *self {
-            TablePlacement::OnChip => fp.write_u8(0),
-            TablePlacement::OffChip {
-                lookup_accesses,
-                update_accesses,
-            } => {
-                fp.write_u8(1);
-                fp.write_u32(lookup_accesses);
-                fp.write_u32(update_accesses);
-            }
-        }
-    }
-}
-
 /// Configuration of a fixed-depth correlation prefetcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FixedDepthConfig {
     /// Number of cores.
     pub cores: usize,
@@ -60,24 +42,6 @@ pub struct FixedDepthConfig {
     pub depth: usize,
     /// Table placement.
     pub placement: TablePlacement,
-}
-
-impl stms_types::Fingerprintable for FixedDepthConfig {
-    fn fingerprint_into(&self, fp: &mut stms_types::Fingerprinter) {
-        let FixedDepthConfig {
-            cores,
-            entries,
-            associativity,
-            depth,
-            placement,
-        } = self;
-        fp.write_str("FixedDepthConfig/v1");
-        fp.write_usize(*cores);
-        fp.write_usize(*entries);
-        fp.write_usize(*associativity);
-        fp.write_usize(*depth);
-        placement.fingerprint_into(fp);
-    }
 }
 
 impl FixedDepthConfig {

@@ -11,7 +11,7 @@ use stms_mem::{DramModel, Prefetcher, StreamChunk};
 use stms_types::{CoreId, Cycle, LineAddr};
 
 /// Configuration of the Markov prefetcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MarkovConfig {
     /// Number of cores (for per-core last-miss tracking).
     pub cores: usize,
@@ -21,24 +21,6 @@ pub struct MarkovConfig {
     pub associativity: usize,
     /// Successors stored (and prefetched) per entry.
     pub successors: usize,
-}
-
-// Stable fingerprint so Markov design points can key on-disk memoized
-// results.
-impl stms_types::Fingerprintable for MarkovConfig {
-    fn fingerprint_into(&self, fp: &mut stms_types::Fingerprinter) {
-        let MarkovConfig {
-            cores,
-            entries,
-            associativity,
-            successors,
-        } = self;
-        fp.write_str("MarkovConfig/v1");
-        fp.write_usize(*cores);
-        fp.write_usize(*entries);
-        fp.write_usize(*associativity);
-        fp.write_usize(*successors);
-    }
 }
 
 impl Default for MarkovConfig {

@@ -10,11 +10,12 @@
 use crate::runner::PrefetcherKind;
 use crate::system::ExperimentConfig;
 use std::fmt;
+use std::hash::Hash;
 use stms_mem::SimResult;
-use stms_types::{Fingerprint, Fingerprintable, Fingerprinter, LineAddr};
+use stms_types::{Fingerprint, Fingerprinter, LineAddr};
 
 /// What one job computes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum JobTask {
     /// Replay the workload's trace with this prefetcher configuration.
     Replay(PrefetcherKind),
@@ -23,22 +24,11 @@ pub enum JobTask {
     CollectMisses,
 }
 
-// Stable fingerprint so a task can contribute to a persistent result-cache
-// key (replay tasks include the full prefetcher design point).
-impl Fingerprintable for JobTask {
-    fn fingerprint_into(&self, fp: &mut stms_types::Fingerprinter) {
-        match self {
-            JobTask::Replay(kind) => {
-                fp.write_u8(0);
-                kind.fingerprint_into(fp);
-            }
-            JobTask::CollectMisses => fp.write_u8(1),
-        }
-    }
-}
-
 /// One schedulable unit: a workload crossed with a task.
-#[derive(Debug, Clone)]
+///
+/// `Hash`/`Eq` are the job's identity: a campaign runs equal jobs once,
+/// after setting each spec's trace length to the campaign's.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct JobSpec {
     /// The workload whose trace the job replays.
     pub workload: stms_workloads::WorkloadSpec,
@@ -73,22 +63,16 @@ impl JobSpec {
     }
 }
 
-/// The stable identity of one job under one campaign configuration: the
-/// fingerprint of `(spec at the campaign trace length, system model, engine
-/// options, task)`. Two jobs produce bit-identical outputs exactly when
-/// their fingerprints agree, which is what lets the same value key the
-/// persistent [`super::ResultStore`] and dedup repeated jobs within one
-/// campaign batch.
+/// The 128-bit key of one job under one campaign configuration: a
+/// [`Fingerprinter`] over the `Hash` of `(spec at the campaign trace
+/// length, system model, engine options, task)`. Two jobs produce
+/// bit-identical outputs when their keys agree. The [`super::ResultStore`]
+/// stores outputs under it and a [`JobError`] names its job by it; it is
+/// stable within one binary, not across builds.
 pub fn job_fingerprint(cfg: &ExperimentConfig, job: &JobSpec) -> Fingerprint {
     let mut fp = Fingerprinter::new();
-    fp.write_str("stms-job-output/v1");
-    job.workload
-        .clone()
-        .with_accesses(cfg.accesses)
-        .fingerprint_into(&mut fp);
-    cfg.system.fingerprint_into(&mut fp);
-    cfg.sim.fingerprint_into(&mut fp);
-    job.task.fingerprint_into(&mut fp);
+    let workload = job.workload.clone().with_accesses(cfg.accesses);
+    (&workload, &cfg.system, &cfg.sim, &job.task).hash(&mut fp);
     fp.finish()
 }
 
@@ -249,7 +233,7 @@ impl std::error::Error for DecodeJobOutputError {}
 pub struct JobError {
     /// `JobSpec::label()` of the failed job.
     pub job: String,
-    /// Stable [`job_fingerprint`] of the failed job, when the caller had a
+    /// The [`job_fingerprint`] of the failed job, when the caller had a
     /// configuration to derive it from. Rendered in the `Display` output
     /// so a failure in a CI log identifies the exact configuration that
     /// failed.

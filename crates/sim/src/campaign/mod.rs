@@ -11,7 +11,7 @@
 //! 2. **Scheduling** — the [`JobPool`] replays a batch's figure cells on
 //!    a bounded number of scoped worker threads, trace by trace and in
 //!    plan order within a trace, with panic-safe, per-job error
-//!    reporting; jobs with equal fingerprints in one batch run once;
+//!    reporting; equal jobs in one batch run once;
 //! 3. **Aggregation** — each figure is a declarative [`FigurePlan`]: a list
 //!    of [`JobSpec`]s plus a render stage that folds the job outputs into a
 //!    [`FigureResult`]. [`Campaign::run_figures`] runs the jobs of
@@ -58,7 +58,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use stms_mem::{CmpSimulator, Prefetcher};
 use stms_prefetch::MissTraceCollector;
-use stms_types::Fingerprint;
 use stms_workloads::WorkloadSpec;
 
 /// The render stage of a [`FigurePlan`]: folds the plan's job outputs
@@ -122,7 +121,7 @@ impl FigurePlan {
 pub struct CampaignError {
     /// Id of the affected figure.
     pub figure: String,
-    /// Every failed job, each carrying its stable job fingerprint when one
+    /// Every failed job, each carrying its job fingerprint when one
     /// could be derived.
     pub failures: Vec<JobError>,
 }
@@ -209,8 +208,8 @@ pub fn push_cache_reports(summary: &mut stms_stats::RunSummary, campaign: &Campa
 pub struct FlightStats {
     /// Jobs this campaign actually simulated (result-cache hits excluded).
     pub executed: u64,
-    /// Jobs that took the output of an equal-fingerprint job earlier in the
-    /// same batch instead of replaying.
+    /// Jobs that took the output of an equal job earlier in the same batch
+    /// instead of replaying.
     pub shared: u64,
 }
 
@@ -324,34 +323,26 @@ impl Campaign {
 
     /// Runs a batch of jobs on the pool, resolving traces through the shared
     /// store. Results come back in job order; a panicking simulation yields
-    /// `Err(JobError)` in its slot (carrying the job's stable fingerprint).
+    /// `Err(JobError)` in its slot (carrying the job's fingerprint).
     pub fn run_jobs(&self, jobs: Vec<JobSpec>) -> Vec<Result<JobOutput, JobError>> {
-        let idents = self.job_idents(&jobs);
         let mut outcomes: Vec<Option<_>> = (0..jobs.len()).map(|_| None).collect();
-        self.run_batch(jobs, &idents, None, |i, outcome| {
-            outcomes[i] = Some(outcome)
-        });
+        self.run_batch(jobs, None, |i, outcome| outcomes[i] = Some(outcome));
         outcomes
             .into_iter()
             .map(|outcome| outcome.expect("every job delivered"))
             .collect()
     }
 
-    /// Labels and stable fingerprints of a job batch, in job order.
-    fn job_idents(&self, jobs: &[JobSpec]) -> Vec<(String, Fingerprint)> {
-        jobs.iter()
-            .map(|job| (job.label(), job_fingerprint(&self.cfg, job)))
-            .collect()
-    }
-
     /// Runs a batch trace by trace, handing `deliver` each job's outcome,
     /// by batch position, as soon as its task completes.
     ///
-    /// Jobs with equal fingerprints (`idents[i]` belongs to `jobs[i]`) run
-    /// once: only the first becomes a task, and its outcome is delivered
-    /// to every duplicate, so a duplicate never holds a worker. A task
-    /// whose trace no other task of the batch replays simulates the caches
-    /// live instead of recording a hierarchy log it would replay only once.
+    /// Each spec's trace length is first set to the campaign's, the length
+    /// the store generates, so that equal jobs run once and the tasks on
+    /// one trace form one group. Only the first of equal jobs becomes a
+    /// task, and its outcome is delivered to every duplicate, so a
+    /// duplicate never holds a worker. A task whose trace no other task of
+    /// the batch replays simulates the caches live instead of recording a
+    /// hierarchy log it would replay only once.
     ///
     /// The tasks go to the pool ordered by their trace's first use, in
     /// batch order within a trace. The tasks on a trace share one claim
@@ -364,36 +355,38 @@ impl Campaign {
     /// a worker picks the task up, run time from pickup to output.
     fn run_batch(
         &self,
-        jobs: Vec<JobSpec>,
-        idents: &[(String, Fingerprint)],
+        mut jobs: Vec<JobSpec>,
         figures: Option<&[&str]>,
         mut deliver: impl FnMut(usize, Result<JobOutput, JobError>),
     ) {
-        // One task per distinct fingerprint, answering for every batch
-        // position that carries it, its own first; the tasks grouped by
-        // trace, in order of the trace's first use.
-        let mut task_of: HashMap<Fingerprint, usize> = HashMap::with_capacity(jobs.len());
+        for job in &mut jobs {
+            job.workload.accesses = self.cfg.accesses;
+        }
+        // One task per distinct job, answering for every batch position
+        // that carries it, its own first; the tasks grouped by trace, in
+        // order of the trace's first use.
+        let mut task_of: HashMap<&JobSpec, usize> = HashMap::with_capacity(jobs.len());
         let mut positions: Vec<Vec<usize>> = Vec::new();
-        let mut group_of: HashMap<WorkloadSpec, usize> = HashMap::new();
+        let mut group_of: HashMap<&WorkloadSpec, usize> = HashMap::new();
         let mut groups = Vec::new();
-        for (i, (job, &(_, fingerprint))) in jobs.into_iter().zip(idents).enumerate() {
-            if let Some(&task) = task_of.get(&fingerprint) {
+        for (i, job) in jobs.iter().enumerate() {
+            if let Some(&task) = task_of.get(job) {
                 positions[task].push(i);
                 continue;
             }
-            task_of.insert(fingerprint, positions.len());
-            let group = *group_of.entry(job.workload.clone()).or_insert_with(|| {
+            task_of.insert(job, positions.len());
+            let group = *group_of.entry(&job.workload).or_insert_with(|| {
                 groups.push(Vec::new());
                 groups.len() - 1
             });
-            groups[group].push((positions.len(), job, fingerprint, figures.map(|f| f[i])));
+            groups[group].push((positions.len(), job, figures.map(|f| f[i])));
             positions.push(vec![i]);
         }
         let (mut members, mut tasks) = (Vec::new(), Vec::new());
         for group in groups {
             let claim = Arc::new(self.store.claim(&group[0].1.workload, self.cfg.accesses));
             let shared_trace = group.len() > 1;
-            for (task, job, fingerprint, figure) in group {
+            for (task, job, figure) in group {
                 members.push(std::mem::take(&mut positions[task]));
                 let claim = Arc::clone(&claim);
                 let enqueued = std::time::Instant::now();
@@ -403,7 +396,7 @@ impl Campaign {
                     let _claim = claim;
                     let queue_ns = elapsed_ns(enqueued);
                     let started = std::time::Instant::now();
-                    let output = self.execute_job(fingerprint, shared_trace, &job);
+                    let output = self.execute_job(shared_trace, job);
                     note_job_phases(figure, queue_ns, elapsed_ns(started));
                     output
                 });
@@ -419,11 +412,11 @@ impl Campaign {
                 stms_obs::counter("flight.shared").add(shared);
             }
             // A captured panic becomes each job's error, under its own
-            // label and stable fingerprint.
+            // label and fingerprint.
             let for_job = |i: usize, outcome: Result<JobOutput, JobPanic>| {
                 outcome.map_err(|panic| JobError {
-                    job: idents[i].0.clone(),
-                    fingerprint: Some(idents[i].1),
+                    job: jobs[i].label(),
+                    fingerprint: Some(job_fingerprint(&self.cfg, &jobs[i])),
                     message: panic.message().to_string(),
                 })
             };
@@ -435,27 +428,24 @@ impl Campaign {
     }
 
     /// Runs one job on the calling worker: a result-memo hit when one is
-    /// configured, otherwise the simulation, whose output is then memoized.
-    /// `fingerprint` is the job's [`job_fingerprint`], which is also its
-    /// memo key.
+    /// configured, otherwise the simulation, whose output is then memoized
+    /// under the job's [`job_fingerprint`].
     ///
     /// On a `shared_trace` (other jobs of the batch replay it too), the
     /// trace's L1/L2/stride outcomes are recorded once and shared by every
     /// job on it, and the job replays only its own lane. A job alone on its
     /// trace simulates the caches live: recording costs about as much as a
     /// live replay, so a log replayed once saves nothing.
-    fn execute_job(
-        &self,
-        fingerprint: Fingerprint,
-        shared_trace: bool,
-        job: &JobSpec,
-    ) -> JobOutput {
+    fn execute_job(&self, shared_trace: bool, job: &JobSpec) -> JobOutput {
         let Campaign { cfg, store, .. } = self;
         // A memoized output short-circuits everything, including trace
         // resolution: a fully warm campaign touches no generator and no
         // engine.
-        let memo = self.results.as_ref();
-        if let Some(output) = memo.and_then(|memo| memo.get(fingerprint, cfg, job)) {
+        let memo = self
+            .results
+            .as_ref()
+            .map(|memo| (memo, job_fingerprint(cfg, job)));
+        if let Some(output) = memo.and_then(|(memo, key)| memo.get(key, cfg, job)) {
             return output;
         }
         let (trace, log) = if shared_trace {
@@ -478,8 +468,8 @@ impl Campaign {
                 JobOutput::MissSequences(collector.all_cores())
             }
         };
-        if let Some(memo) = memo {
-            memo.put(fingerprint, &output);
+        if let Some((memo, key)) = memo {
+            memo.put(key, &output);
         }
         self.executed.fetch_add(1, Ordering::Relaxed);
         stms_obs::counter("flight.executed").incr();
@@ -584,9 +574,8 @@ impl Campaign {
         let labels: Vec<&str> = figure_of.iter().map(|&f| ids[f].as_str()).collect();
         let mut outstanding: Vec<usize> = parts.iter().map(|p| p.range.len()).collect();
         let mut pending = parts.into_iter().enumerate().peekable();
-        let idents = self.job_idents(&jobs);
         let mut outputs: Vec<Option<Result<JobOutput, JobError>>> =
-            (0..idents.len()).map(|_| None).collect();
+            (0..jobs.len()).map(|_| None).collect();
 
         // Records one job's outcome, if any, then emits every figure whose
         // jobs are all done, in plan order (no-job figures at the head
@@ -601,7 +590,7 @@ impl Campaign {
             }
         };
         deliver(None);
-        self.run_batch(jobs, &idents, Some(&labels), |i, outcome| {
+        self.run_batch(jobs, Some(&labels), |i, outcome| {
             deliver(Some((i, outcome)));
         });
         debug_assert!(pending.next().is_none(), "every figure emitted");
@@ -788,6 +777,55 @@ mod tests {
                 alone[0].as_ref().expect("no job fails").encode()
             );
         }
+    }
+
+    #[test]
+    fn specs_differing_only_in_trace_length_share_one_trace_and_log() {
+        // The store generates every spec at the campaign's trace length, so
+        // a spec's own `accesses` must not split its trace's group.
+        let web = |accesses| presets::web_apache().with_accesses(accesses);
+        let jobs = vec![
+            JobSpec::replay(web(1_000), PrefetcherKind::Baseline),
+            JobSpec::replay(web(2_000), PrefetcherKind::ideal()),
+            // The first job again, at a third length: a duplicate.
+            JobSpec::replay(web(3_000), PrefetcherKind::Baseline),
+        ];
+        let campaign = Campaign::with_threads(quick(), 1);
+        let batch = campaign.run_jobs(jobs);
+        assert!(batch.iter().all(Result::is_ok));
+        let traces = campaign.store().stats();
+        assert_eq!((traces.generated, traces.logs_recorded), (1, 1));
+        assert_eq!(
+            campaign.flight_stats(),
+            FlightStats {
+                executed: 2,
+                shared: 1
+            }
+        );
+    }
+
+    #[test]
+    fn negative_zero_warmup_is_the_same_job_as_zero() {
+        let with_warmup = |warmup_fraction| {
+            let mut cfg = quick();
+            cfg.sim.warmup_fraction = warmup_fraction;
+            cfg
+        };
+        let (pos, neg) = (with_warmup(0.0), with_warmup(-0.0));
+        let job = JobSpec::replay(presets::web_apache(), PrefetcherKind::Baseline);
+        assert_eq!(job_fingerprint(&pos, &job), job_fingerprint(&neg, &job));
+        let run = |cfg: ExperimentConfig| {
+            let campaign = Campaign::with_threads(cfg, 1);
+            let outputs: Vec<Vec<u8>> = campaign
+                .run_jobs(vec![job.clone(), job.clone()])
+                .into_iter()
+                .map(|output| output.expect("no job fails").encode())
+                .collect();
+            (outputs, campaign.flight_stats())
+        };
+        let (pos_run, neg_run) = (run(pos), run(neg));
+        assert_eq!(pos_run, neg_run);
+        assert_eq!(pos_run.1.shared, 1, "the duplicate shares the flight");
     }
 
     #[test]

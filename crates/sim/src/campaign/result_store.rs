@@ -1,11 +1,12 @@
 //! A persistent memo of finished job outputs.
 //!
 //! A [`ResultStore`] memoizes every [`JobOutput`] (a [`stms_mem::SimResult`]
-//! for replay jobs, per-core miss sequences for collection jobs) by the
-//! stable [`stms_types::Fingerprint`] of `(spec, accesses, task, system,
-//! sim options)`, in a memory tier for repeated cells within one campaign
-//! and a disk tier of `result-<fingerprint>.stms` files across campaign
-//! processes. Only the benchmark's `grid-warm` workload opens one (through
+//! for replay jobs, per-core miss sequences for collection jobs) by its
+//! [`super::job_fingerprint`], in a memory tier for repeated cells within
+//! one campaign and a disk tier of `result-<fingerprint>.stms` files across
+//! campaign processes of the same binary: the fingerprint hashes the `Hash`
+//! stream, which a later build may change. Only the benchmark's `grid-warm`
+//! workload opens one (through
 //! [`super::Campaign::with_caches`]); the `stms-experiments` binary does
 //! not, because the key cannot see engine changes: a file written by an
 //! older engine is served as if it were current.
@@ -138,7 +139,7 @@ impl ResultStoreStats {
     }
 }
 
-/// A two-tier (memory + disk) memo of job outputs keyed by stable
+/// A two-tier (memory + disk) memo of job outputs keyed by job
 /// fingerprints (see the module-level docs above). The memory tier never
 /// evicts: the 293 distinct outputs of the 120,000-access figure grid
 /// encode to 244,429 bytes.
@@ -185,10 +186,10 @@ impl ResultStore {
         self
     }
 
-    /// The stable cache key of one job under one campaign configuration
-    /// (see [`super::job::job_fingerprint`] — batch dedup keys on the same
-    /// value). Two campaigns share an entry exactly when a replay would be
-    /// bit-identical.
+    /// The cache key of one job under one campaign configuration: its
+    /// [`super::job::job_fingerprint`], a 128-bit hash of the values that
+    /// batch dedup compares with `Eq`. Two campaigns of one binary share an
+    /// entry exactly when those values are equal.
     pub fn job_key(&self, cfg: &ExperimentConfig, job: &JobSpec) -> Fingerprint {
         super::job::job_fingerprint(cfg, job)
     }

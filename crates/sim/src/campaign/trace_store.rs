@@ -48,7 +48,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use stms_mem::{HierarchyLog, SystemConfig};
-use stms_types::{Fingerprint, Fingerprintable, SharedTrace};
+use stms_types::SharedTrace;
 use stms_workloads::{generate, WorkloadSpec};
 
 /// Counters describing how a [`TraceStore`] was used.
@@ -96,9 +96,9 @@ pub struct TraceStore {
     hits: AtomicU64,
     misses: AtomicU64,
     generated: AtomicU64,
-    /// Hierarchy logs by trace key and system-model fingerprint; the cell
-    /// holds `None` when the system's geometry does not fit a log.
-    logs: Mutex<HashMap<(WorkloadSpec, Fingerprint), LogCell>>,
+    /// Hierarchy logs by trace key and system model; the cell holds `None`
+    /// when the system's geometry does not fit a log.
+    logs: Mutex<HashMap<(WorkloadSpec, SystemConfig), LogCell>>,
     logs_recorded: AtomicU64,
     log_hits: AtomicU64,
     log_bytes: AtomicU64,
@@ -216,7 +216,7 @@ impl TraceStore {
         system: &SystemConfig,
     ) -> (SharedTrace, Option<Arc<HierarchyLog>>) {
         let trace = self.get_or_generate(spec, accesses);
-        let key = (spec.clone().with_accesses(accesses), system.fingerprint());
+        let key = (spec.clone().with_accesses(accesses), system.clone());
         let cell = {
             let mut logs = self.logs.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(cell) = logs.get(&key) {

@@ -12,7 +12,7 @@ use stms_prefetch::{
 use stms_types::Trace;
 
 /// The prefetcher configurations the experiments compare.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum PrefetcherKind {
     /// The base system (stride prefetcher only).
     Baseline,
@@ -29,38 +29,6 @@ pub enum PrefetcherKind {
     FixedDepth(FixedDepthConfig),
     /// The pair-wise correlating Markov prefetcher.
     Markov(MarkovConfig),
-}
-
-// Stable fingerprint so a prefetcher design point can key on-disk memoized
-// results. Each variant writes a tag byte before its payload so design
-// points of different families can never alias.
-impl stms_types::Fingerprintable for PrefetcherKind {
-    fn fingerprint_into(&self, fp: &mut stms_types::Fingerprinter) {
-        fp.write_str("PrefetcherKind/v1");
-        match self {
-            PrefetcherKind::Baseline => fp.write_u8(0),
-            PrefetcherKind::IdealTms {
-                index_entries,
-                history_entries,
-            } => {
-                fp.write_u8(1);
-                fp.write_option_u64(index_entries.map(|n| n as u64));
-                fp.write_usize(*history_entries);
-            }
-            PrefetcherKind::Stms(cfg) => {
-                fp.write_u8(2);
-                cfg.fingerprint_into(fp);
-            }
-            PrefetcherKind::FixedDepth(cfg) => {
-                fp.write_u8(3);
-                cfg.fingerprint_into(fp);
-            }
-            PrefetcherKind::Markov(cfg) => {
-                fp.write_u8(4);
-                cfg.fingerprint_into(fp);
-            }
-        }
-    }
 }
 
 impl PrefetcherKind {

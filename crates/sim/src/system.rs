@@ -9,7 +9,6 @@
 //! L2 capacity, history size vs reuse distance, index size vs distinct miss
 //! addresses, meta-data traffic vs demand traffic) are preserved.
 
-use serde::{Deserialize, Serialize};
 use stms_mem::{SimOptions, SystemConfig};
 
 /// Scale factor applied to capacity axes when reporting "paper-equivalent"
@@ -19,7 +18,7 @@ use stms_mem::{SimOptions, SystemConfig};
 pub const CAPACITY_SCALE: u64 = 16;
 
 /// Configuration of one experiment campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// The simulated system (caches, DRAM, cores).
     pub system: SystemConfig,
@@ -27,23 +26,6 @@ pub struct ExperimentConfig {
     pub sim: SimOptions,
     /// Trace length (accesses across all cores) for each workload.
     pub accesses: usize,
-}
-
-// Stable fingerprint so a campaign configuration can key persistent cache
-// entries: two campaigns share memoized results exactly when system model,
-// engine options and trace length all agree.
-impl stms_types::Fingerprintable for ExperimentConfig {
-    fn fingerprint_into(&self, fp: &mut stms_types::Fingerprinter) {
-        let ExperimentConfig {
-            system,
-            sim,
-            accesses,
-        } = self;
-        fp.write_str("ExperimentConfig/v1");
-        system.fingerprint_into(fp);
-        sim.fingerprint_into(fp);
-        fp.write_usize(*accesses);
-    }
 }
 
 impl ExperimentConfig {

@@ -11,7 +11,7 @@
 
 use std::collections::HashSet;
 use std::path::Path;
-use stms_sim::campaign::Campaign;
+use stms_sim::campaign::{Campaign, FlightStats};
 use stms_sim::experiments::{self, FIGURES};
 use stms_sim::ExperimentConfig;
 use stms_workloads::{presets, WorkloadSpec};
@@ -55,7 +55,22 @@ fn full_grid_generates_each_workload_trace_exactly_once() {
         .map(|s| s.with_accesses(cfg.accesses))
         .collect();
 
+    // 350 jobs, 57 of them equal to an earlier one, on 8 traces that each
+    // carry several distinct jobs and so record one hierarchy log.
+    let jobs: usize = experiments::all_plans(&cfg)
+        .iter()
+        .map(|plan| plan.job_count())
+        .sum();
+    assert_eq!(jobs, 350);
+    assert_eq!(
+        campaign.flight_stats(),
+        FlightStats {
+            executed: 293,
+            shared: 57
+        }
+    );
     let stats = campaign.store().stats();
+    assert_eq!(stats.logs_recorded, 8);
     assert_eq!(
         stats.generated,
         distinct.len() as u64,

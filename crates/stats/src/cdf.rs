@@ -3,8 +3,6 @@
 //! Used for the temporal-stream-length distribution of Figure 6 (left) and
 //! for reporting sweeps.
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical cumulative distribution over `u64` values, optionally
 /// weighted.
 ///
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cdf.fraction_at_or_below(2), 0.75);
 /// assert_eq!(cdf.percentile(0.5), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Cdf {
     /// Sorted (value, cumulative weight) points.
     points: Vec<(u64, f64)>,

@@ -2,11 +2,10 @@
 //! by the memory-hierarchy simulator.
 
 use crate::{CoreId, LineAddr};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of a memory access.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A data load.
     #[default]
@@ -51,7 +50,7 @@ impl fmt::Display for AccessKind {
 /// assert_eq!(a.compute_gap, 10);
 /// assert!(a.kind.is_read());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemAccess {
     /// The core that issues the access.
     pub core: CoreId,

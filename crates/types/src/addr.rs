@@ -6,7 +6,6 @@
 //! distinct so byte-granular trace generation cannot be accidentally mixed
 //! with line-granular predictor state.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Size of a cache line / memory transfer unit, in bytes (Table 1: 64-byte
@@ -26,9 +25,7 @@ pub const CACHE_LINE_SHIFT: u32 = CACHE_LINE_BYTES.trailing_zeros();
 /// let a = PhysAddr::new(0x1234);
 /// assert_eq!(a.raw(), 0x1234);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhysAddr(u64);
 
 impl PhysAddr {
@@ -90,9 +87,7 @@ impl From<PhysAddr> for u64 {
 /// assert_eq!(line, LineAddr::new(2));
 /// assert_eq!(line.next(), LineAddr::new(3));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LineAddr(u64);
 
 impl LineAddr {

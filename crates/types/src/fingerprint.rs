@@ -1,59 +1,44 @@
-//! Stable content fingerprints for cache keys that outlive a process.
+//! 128-bit fingerprints for keys consumed within one binary.
 //!
-//! The campaign layer's in-memory [`std::collections::HashMap`] tiers key on
-//! [`std::hash::Hash`], whose output is explicitly *not* stable across Rust
-//! releases, builds, or platforms — fine for one process, useless as an
-//! on-disk cache key. This module provides the stable alternative: a
-//! [`Fingerprinter`] that hashes a canonical little-endian byte encoding of a
-//! value with 128-bit FNV-1a, and a [`Fingerprintable`] trait that each
-//! cache-key type implements field by field (so adding a field to a config
-//! struct forces a conscious decision about its fingerprint, via the
-//! exhaustive destructuring idiom used for `Hash` in `stms-workloads`).
+//! A [`Fingerprinter`] is a [`std::hash::Hasher`] that runs 128-bit FNV-1a
+//! over the bytes a value's [`std::hash::Hash`] impl writes, so a value's
+//! [`Fingerprint`] is a thin hash of the same stream that keys the
+//! campaign's hash maps, and `Hash`/`Eq` stay the one identity of a job.
 //!
-//! Two values produce the same [`Fingerprint`] exactly when they would
-//! generate the same artifact, which is what makes a fingerprint-named cache
-//! file a faithful stand-in for regeneration on any machine.
+//! The `Hash` stream of the standard library's types is fixed within one
+//! build, not across Rust releases or platforms: a fingerprint names a
+//! value to another process of the same binary, not to a later build.
+//! Float fields hash through [`crate::hash::hash_f64`], so `-0.0` and the
+//! `0.0` it equals fingerprint alike.
 //!
 //! # Example
 //!
 //! ```
-//! use stms_types::{Fingerprint, Fingerprintable, Fingerprinter};
+//! use std::hash::Hash;
+//! use stms_types::{Fingerprint, Fingerprinter};
 //!
-//! struct Knobs {
-//!     accesses: usize,
-//!     bias: f64,
-//! }
-//!
-//! impl Fingerprintable for Knobs {
-//!     fn fingerprint_into(&self, fp: &mut Fingerprinter) {
-//!         fp.write_str("Knobs/v1"); // domain tag: versions the key layout
-//!         fp.write_usize(self.accesses);
-//!         fp.write_f64(self.bias);
-//!     }
-//! }
-//!
-//! let a = Knobs { accesses: 100, bias: 0.5 }.fingerprint();
-//! let b = Knobs { accesses: 100, bias: 0.5 }.fingerprint();
-//! let c = Knobs { accesses: 101, bias: 0.5 }.fingerprint();
-//! assert_eq!(a, b);
-//! assert_ne!(a, c);
-//! assert_eq!(a.to_hex().len(), 32);
+//! let fingerprint = |value: &(usize, &str)| -> Fingerprint {
+//!     let mut fp = Fingerprinter::new();
+//!     value.hash(&mut fp);
+//!     fp.finish()
+//! };
+//! assert_eq!(fingerprint(&(100, "web")), fingerprint(&(100, "web")));
+//! assert_ne!(fingerprint(&(100, "web")), fingerprint(&(101, "web")));
+//! assert_eq!(fingerprint(&(100, "web")).to_hex().len(), 32);
 //! ```
 
 use std::fmt;
+use std::hash::Hasher;
 
 /// 128-bit FNV-1a offset basis.
 const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 /// 128-bit FNV-1a prime.
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 
-/// A 128-bit stable content fingerprint.
+/// A 128-bit content fingerprint, produced by [`Fingerprinter::finish`].
 ///
-/// Produced by [`Fingerprinter::finish`] (usually via
-/// [`Fingerprintable::fingerprint`]). The value depends only on the bytes
-/// written, never on the build, platform, or process, so it is safe to use
-/// as an on-disk cache-file name ([`Fingerprint::to_hex`]) and to embed in
-/// cache-file headers ([`crate::blob`]).
+/// The value depends only on the bytes written. [`Fingerprint::to_hex`]
+/// names a file, and [`crate::blob`] embeds the raw value in its header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fingerprint(u128);
 
@@ -82,11 +67,7 @@ impl fmt::Display for Fingerprint {
     }
 }
 
-/// An incremental 128-bit FNV-1a hasher over a canonical byte encoding.
-///
-/// All multi-byte writes use fixed-width little-endian encodings and strings
-/// are length-prefixed, so the stream of bytes — and therefore the resulting
-/// [`Fingerprint`] — is unambiguous and identical on every platform.
+/// An incremental 128-bit FNV-1a hasher (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct Fingerprinter {
     state: u128,
@@ -106,9 +87,8 @@ impl Fingerprinter {
         }
     }
 
-    /// Hashes raw bytes. Prefer the typed writers for anything structured:
-    /// raw byte runs of variable length are ambiguous unless the caller
-    /// length-prefixes them (as [`Fingerprinter::write_str`] does).
+    /// Hashes raw bytes. A run of variable length is ambiguous unless the
+    /// caller writes its length first.
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= u128::from(b);
@@ -116,55 +96,9 @@ impl Fingerprinter {
         }
     }
 
-    /// Hashes one byte.
-    pub fn write_u8(&mut self, value: u8) {
-        self.write_bytes(&[value]);
-    }
-
-    /// Hashes a `u32` (little-endian).
-    pub fn write_u32(&mut self, value: u32) {
-        self.write_bytes(&value.to_le_bytes());
-    }
-
-    /// Hashes a `u64` (little-endian).
-    pub fn write_u64(&mut self, value: u64) {
-        self.write_bytes(&value.to_le_bytes());
-    }
-
-    /// Hashes a `usize` widened to 64 bits, so 32- and 64-bit builds agree.
+    /// Hashes a `usize` widened to a little-endian `u64`.
     pub fn write_usize(&mut self, value: usize) {
-        self.write_u64(value as u64);
-    }
-
-    /// Hashes a boolean as one byte.
-    pub fn write_bool(&mut self, value: bool) {
-        self.write_u8(u8::from(value));
-    }
-
-    /// Hashes an `f64` by bit pattern, with `-0.0` normalized to `+0.0`
-    /// first so the two representations `==` considers equal fingerprint
-    /// identically (the same normalization `stms-workloads` applies in its
-    /// `Hash` impls).
-    pub fn write_f64(&mut self, value: f64) {
-        self.write_u64((value + 0.0).to_bits());
-    }
-
-    /// Hashes a string, length-prefixed so `("ab", "c")` and `("a", "bc")`
-    /// cannot collide.
-    pub fn write_str(&mut self, value: &str) {
-        self.write_usize(value.len());
-        self.write_bytes(value.as_bytes());
-    }
-
-    /// Hashes an optional `u64` with a presence tag.
-    pub fn write_option_u64(&mut self, value: Option<u64>) {
-        match value {
-            None => self.write_u8(0),
-            Some(v) => {
-                self.write_u8(1);
-                self.write_u64(v);
-            }
-        }
+        self.write_bytes(&(value as u64).to_le_bytes());
     }
 
     /// The fingerprint of everything written so far.
@@ -173,28 +107,28 @@ impl Fingerprinter {
     }
 }
 
-/// A type that contributes a stable, build-independent fingerprint.
-///
-/// Implementations should start with a domain tag ([`Fingerprinter::write_str`]
-/// of a `"TypeName/v1"` literal) and bump that tag whenever the field layout
-/// changes meaning, so stale cache entries written under an older layout can
-/// never alias a current key.
-pub trait Fingerprintable {
-    /// Writes the value's canonical encoding into `fp`.
-    fn fingerprint_into(&self, fp: &mut Fingerprinter);
+impl Hasher for Fingerprinter {
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_bytes(bytes);
+    }
 
-    /// The value's fingerprint (a fresh hasher over
-    /// [`Fingerprintable::fingerprint_into`]).
-    fn fingerprint(&self) -> Fingerprint {
-        let mut fp = Fingerprinter::new();
-        self.fingerprint_into(&mut fp);
-        fp.finish()
+    /// The low half of [`Fingerprinter::finish`].
+    fn finish(&self) -> u64 {
+        self.state as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::hash_f64;
+    use std::hash::Hash;
+
+    fn digest(value: &impl Hash) -> Fingerprint {
+        let mut fp = Fingerprinter::new();
+        value.hash(&mut fp);
+        fp.finish()
+    }
 
     #[test]
     fn empty_hash_is_the_offset_basis() {
@@ -212,36 +146,20 @@ mod tests {
 
     #[test]
     fn typed_writers_are_unambiguous() {
-        let digest = |f: &dyn Fn(&mut Fingerprinter)| {
-            let mut fp = Fingerprinter::new();
-            f(&mut fp);
-            fp.finish()
-        };
-        // Length prefixes keep adjacent strings apart.
-        let ab_c = digest(&|fp| {
-            fp.write_str("ab");
-            fp.write_str("c");
-        });
-        let a_bc = digest(&|fp| {
-            fp.write_str("a");
-            fp.write_str("bc");
-        });
-        assert_ne!(ab_c, a_bc);
+        // The `Hash` stream terminates strings, so adjacent ones stay apart.
+        assert_ne!(digest(&("ab", "c")), digest(&("a", "bc")));
         // Width matters: a u8 and a u32 of the same value differ.
-        assert_ne!(digest(&|fp| fp.write_u8(7)), digest(&|fp| fp.write_u32(7)));
-        // Option presence tag keeps None apart from Some(0).
-        assert_ne!(
-            digest(&|fp| fp.write_option_u64(None)),
-            digest(&|fp| fp.write_option_u64(Some(0)))
-        );
+        assert_ne!(digest(&7u8), digest(&7u32));
+        // The discriminant keeps None apart from Some(0).
+        assert_ne!(digest(&None::<u64>), digest(&Some(0u64)));
     }
 
     #[test]
     fn negative_zero_normalizes() {
         let mut pos = Fingerprinter::new();
-        pos.write_f64(0.0);
+        hash_f64(0.0, &mut pos);
         let mut neg = Fingerprinter::new();
-        neg.write_f64(-0.0);
+        hash_f64(-0.0, &mut neg);
         assert_eq!(pos.finish(), neg.finish());
     }
 

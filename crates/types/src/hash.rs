@@ -14,6 +14,9 @@
 //! these maps only for point lookups and inserts, never where iteration
 //! order could reach output.
 //!
+//! [`hash_f64`] is how every manual `Hash` impl in the workspace hashes a
+//! float field.
+//!
 //! # Example
 //!
 //! ```
@@ -26,7 +29,15 @@
 //! ```
 
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// Hashes an `f64` field of a manual `Hash` impl: by bit pattern, with
+/// `-0.0` normalized to the `0.0` it equals, so the `Hash`/`Eq` contract
+/// holds for types that compare floats with `==`. (A NaN field would break
+/// `Eq` itself.)
+pub fn hash_f64<H: Hasher>(value: f64, state: &mut H) {
+    (value + 0.0).to_bits().hash(state);
+}
 
 /// A `HashMap` hashed with [`IntHasher`].
 pub type IntHashMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;

@@ -1,6 +1,5 @@
 //! Identifiers for hardware contexts.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a processor core in the simulated chip multiprocessor.
@@ -16,9 +15,7 @@ use std::fmt;
 /// assert_eq!(cores.len(), 4);
 /// assert_eq!(cores[2].index(), 2);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CoreId(u16);
 
 impl CoreId {

@@ -31,7 +31,7 @@ pub mod trace;
 
 pub use access::{AccessKind, MemAccess};
 pub use addr::{LineAddr, PhysAddr, CACHE_LINE_BYTES};
-pub use fingerprint::{Fingerprint, Fingerprintable, Fingerprinter};
+pub use fingerprint::{Fingerprint, Fingerprinter};
 pub use ids::CoreId;
 pub use time::Cycle;
 pub use trace::{SharedTrace, Trace, TraceMeta};

@@ -3,7 +3,6 @@
 //! The simulator is cycle-approximate; all timestamps are expressed in core
 //! clock cycles of the simulated processor (4 GHz in the paper's Table 1).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -17,9 +16,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// assert_eq!(t.raw(), 120);
 /// assert_eq!(t - Cycle::new(100), 20);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycle(u64);
 
 impl Cycle {

@@ -2,10 +2,9 @@
 //!
 //! The workload generators produce [`Trace`] values; the simulator replays
 //! them. Traces are regenerated from their spec rather than stored, so they
-//! carry no binary codec of their own (serde still covers them).
+//! carry no codec of their own.
 
 use crate::{CoreId, MemAccess};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A cheaply-cloneable, immutable handle to a generated trace.
@@ -18,7 +17,7 @@ use std::sync::Arc;
 pub type SharedTrace = Arc<Trace>;
 
 /// Metadata describing how a trace was produced.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TraceMeta {
     /// Human-readable workload name (e.g. `"OLTP Oracle"`).
     pub workload: String,
@@ -42,7 +41,7 @@ pub struct TraceMeta {
 /// trace.push(MemAccess::read(CoreId::new(0), LineAddr::new(2)));
 /// assert_eq!(trace.len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Trace {
     meta: TraceMeta,
     accesses: Vec<MemAccess>,

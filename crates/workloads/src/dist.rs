@@ -1,7 +1,7 @@
 //! Distributions used by the synthetic workload generators.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use stms_types::hash::hash_f64;
 
 /// Distribution of temporal-stream lengths (in cache blocks).
 ///
@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 ///   median and maximum, used for commercial workloads;
 /// * [`LengthDist::Fixed`] — a constant length, used for the scientific
 ///   iteration streams.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LengthDist {
     /// Bounded Pareto (power-law) distribution over `[min, max]`.
     Pareto {
@@ -29,13 +29,9 @@ pub enum LengthDist {
     Fixed(u64),
 }
 
-// Campaign trace stores key cached traces by the full generator
-// configuration, so the distribution must be usable as a hash-map key. The
-// float parameter is compared and hashed by bit pattern, normalized with
-// `+ 0.0` so `-0.0` hashes like the `0.0` it equals: two distributions are
-// "the same key" exactly when they were built from numerically identical
-// constants (the presets never compute `alpha`, so `0.1 + 0.2`-style drift
-// does not arise, and a NaN `alpha` would be a bug everywhere else first).
+// Part of `WorkloadSpec`'s identity (see its `Hash` impl): the float
+// parameter compares with `==` and hashes through `hash_f64`. The presets
+// never compute `alpha`, so `0.1 + 0.2`-style drift does not arise.
 impl Eq for LengthDist {}
 
 impl std::hash::Hash for LengthDist {
@@ -45,31 +41,11 @@ impl std::hash::Hash for LengthDist {
                 0u8.hash(state);
                 min.hash(state);
                 max.hash(state);
-                (alpha + 0.0).to_bits().hash(state);
+                hash_f64(alpha, state);
             }
             LengthDist::Fixed(n) => {
                 1u8.hash(state);
                 n.hash(state);
-            }
-        }
-    }
-}
-
-// The *stable* counterpart of the Hash impl above: same variant tags and
-// -0.0 normalization, but over the build-independent `Fingerprinter` so the
-// value can key on-disk cache files.
-impl stms_types::Fingerprintable for LengthDist {
-    fn fingerprint_into(&self, fp: &mut stms_types::Fingerprinter) {
-        match *self {
-            LengthDist::Pareto { min, max, alpha } => {
-                fp.write_u8(0);
-                fp.write_u64(min);
-                fp.write_u64(max);
-                fp.write_f64(alpha);
-            }
-            LengthDist::Fixed(n) => {
-                fp.write_u8(1);
-                fp.write_u64(n);
             }
         }
     }

@@ -2,11 +2,11 @@
 //! generators.
 
 use crate::dist::LengthDist;
-use serde::{Deserialize, Serialize};
 use std::fmt;
+use stms_types::hash::hash_f64;
 
 /// The four workload classes studied by the paper (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadClass {
     /// Web serving (SPECweb99 on Apache / Zeus).
     Web,
@@ -48,7 +48,7 @@ impl fmt::Display for WorkloadClass {
 /// statistics the paper reports: temporal-stream length distribution
 /// (Fig. 6 left), memory-level parallelism (Table 2), idealized coverage
 /// (Fig. 4 left) and memory-boundedness / speedup potential (Fig. 4 right).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Human-readable name, e.g. `"OLTP Oracle"`.
     pub name: String,
@@ -94,20 +94,13 @@ pub struct WorkloadSpec {
     pub seed: u64,
 }
 
-// The campaign trace store keys cached traces by `WorkloadSpec` identity, so
-// the spec must be usable as a hash-map key. Float fields are compared (via
-// the derived `PartialEq`) and hashed by bit pattern — normalized with
-// `+ 0.0` first so that `-0.0` (which `==` considers equal to `0.0`) hashes
-// identically and the Hash/Eq contract holds. Two specs alias a cache entry
-// exactly when every generator parameter is numerically identical, which is
-// the property that makes the cached trace a faithful stand-in for
-// regeneration.
+// `Hash`/`Eq` are a job's identity: the campaign keys traces, batch dedup
+// and job fingerprints on them. Floats compare with the derived `PartialEq`
+// and hash through `hash_f64`, so two specs are one key exactly when every
+// generator parameter is numerically identical, which is what makes a
+// shared trace a faithful stand-in for regeneration. The exhaustive
+// destructuring below fails to compile until a new field is hashed.
 impl Eq for WorkloadSpec {}
-
-fn hash_f64<H: std::hash::Hasher>(value: f64, state: &mut H) {
-    use std::hash::Hash as _;
-    (value + 0.0).to_bits().hash(state);
-}
 
 impl std::hash::Hash for WorkloadSpec {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
@@ -147,57 +140,6 @@ impl std::hash::Hash for WorkloadSpec {
         hash_f64(*p_divergence, state);
         hash_f64(*p_write, state);
         seed.hash(state);
-    }
-}
-
-// The stable counterpart of the Hash impl above, used to key *on-disk*
-// cache entries: `Hash` output varies across builds, a fingerprint never
-// does. The exhaustive destructuring keeps the two impls honest — adding a
-// generator parameter breaks both until it is hashed here too.
-impl stms_types::Fingerprintable for WorkloadSpec {
-    fn fingerprint_into(&self, fp: &mut stms_types::Fingerprinter) {
-        let WorkloadSpec {
-            name,
-            class,
-            cores,
-            accesses,
-            p_repeat,
-            stream_len,
-            max_pool_streams,
-            shared_pool,
-            p_noise,
-            scan_run,
-            hot_fraction,
-            hot_lines,
-            p_dependent,
-            mean_gap,
-            p_divergence,
-            p_write,
-            seed,
-        } = self;
-        fp.write_str("WorkloadSpec/v1");
-        fp.write_str(name);
-        fp.write_u8(match class {
-            WorkloadClass::Web => 0,
-            WorkloadClass::Oltp => 1,
-            WorkloadClass::Dss => 2,
-            WorkloadClass::Sci => 3,
-        });
-        fp.write_usize(*cores);
-        fp.write_usize(*accesses);
-        fp.write_f64(*p_repeat);
-        stream_len.fingerprint_into(fp);
-        fp.write_usize(*max_pool_streams);
-        fp.write_bool(*shared_pool);
-        fp.write_f64(*p_noise);
-        fp.write_u64(*scan_run);
-        fp.write_f64(*hot_fraction);
-        fp.write_u64(*hot_lines);
-        fp.write_f64(*p_dependent);
-        fp.write_u32(*mean_gap);
-        fp.write_f64(*p_divergence);
-        fp.write_f64(*p_write);
-        fp.write_u64(*seed);
     }
 }
 
@@ -352,33 +294,39 @@ mod tests {
 
     #[test]
     fn fingerprint_tracks_every_generator_parameter() {
-        use stms_types::Fingerprintable as _;
+        use std::hash::Hash as _;
+        let fingerprint = |spec: &WorkloadSpec| {
+            let mut fp = stms_types::Fingerprinter::new();
+            spec.hash(&mut fp);
+            fp.finish()
+        };
         // Identical specs fingerprint identically…
-        assert_eq!(spec().fingerprint(), spec().fingerprint());
-        // …and any parameter difference is a different key.
-        assert_ne!(
-            spec().fingerprint(),
-            spec().with_accesses(2000).fingerprint()
-        );
-        assert_ne!(spec().fingerprint(), spec().with_seed(2).fingerprint());
-        let mut warped = spec();
-        warped.p_repeat += 1e-9;
-        assert_ne!(spec().fingerprint(), warped.fingerprint());
-        let mut renamed = spec();
-        renamed.name = "test2".into();
-        assert_ne!(spec().fingerprint(), renamed.fingerprint());
-    }
-
-    #[test]
-    fn fingerprint_is_pinned_across_builds() {
-        use stms_types::Fingerprintable as _;
-        // The literal below is the contract with already-written cache
-        // directories: if this test fails, the fingerprint layout changed
-        // and the `WorkloadSpec/v1` domain tag must be bumped with it.
-        assert_eq!(
-            spec().fingerprint().to_hex(),
-            "8769f30944145c01e8b771e8008e98de"
-        );
+        assert_eq!(fingerprint(&spec()), fingerprint(&spec()));
+        // …and a change to any one field is a different key.
+        let variations: [fn(&mut WorkloadSpec); 17] = [
+            |s| s.name.push('2'),
+            |s| s.class = WorkloadClass::Sci,
+            |s| s.cores += 1,
+            |s| s.accesses += 1,
+            |s| s.p_repeat += 1e-9,
+            |s| s.stream_len = LengthDist::Fixed(11),
+            |s| s.max_pool_streams += 1,
+            |s| s.shared_pool = !s.shared_pool,
+            |s| s.p_noise += 1e-9,
+            |s| s.scan_run += 1,
+            |s| s.hot_fraction += 1e-9,
+            |s| s.hot_lines += 1,
+            |s| s.p_dependent += 1e-9,
+            |s| s.mean_gap += 1,
+            |s| s.p_divergence += 1e-9,
+            |s| s.p_write += 1e-9,
+            |s| s.seed += 1,
+        ];
+        for (field, vary) in variations.iter().enumerate() {
+            let mut variant = spec();
+            vary(&mut variant);
+            assert_ne!(fingerprint(&spec()), fingerprint(&variant), "field {field}");
+        }
     }
 
     #[test]
