@@ -22,9 +22,10 @@
 //! shared by every job that replays it, together with one recorded
 //! hierarchy log (its L1, L2 and stride outcomes) per trace, and dropped
 //! after its last job. Nothing is written to disk or read back from an
-//! earlier run: every run simulates every distinct job. A run with jobs
-//! reports its dedup and trace counters in a `run summary:` block on
-//! stderr.
+//! earlier run: every run simulates every distinct job once, counting
+//! idealized-TMS jobs that differ only in bounds that cannot bind on their
+//! trace as one. A run with jobs reports its dedup and trace counters in a
+//! `run summary:` block on stderr.
 //!
 //! # Telemetry
 //!

@@ -53,6 +53,43 @@ impl JobSpec {
         }
     }
 
+    /// The job with every ideal-TMS bound that cannot bind on its trace
+    /// set to one canonical value (`usize::MAX`), so that jobs differing
+    /// only in such bounds share one key and a campaign runs them once.
+    ///
+    /// The engine records at most one entry per access, on the accessing
+    /// core, and the generator deals accesses to cores round-robin. So a
+    /// per-core history of at least
+    /// [`max_accesses_per_core`](stms_workloads::WorkloadSpec::max_accesses_per_core)
+    /// entries never wraps, and an index of at least `accesses` entries
+    /// never evicts: both then behave exactly as the unbounded structures.
+    /// A bounded index keeps `Some` and an unbounded one `None`, because
+    /// [`IdealTms`](stms_prefetch::IdealTms) names them apart in its
+    /// output. Set-associative tables can evict below their total
+    /// capacity, so no other family has such a key.
+    pub(crate) fn dedup_key(&self) -> JobSpec {
+        let JobTask::Replay(PrefetcherKind::IdealTms {
+            index_entries,
+            history_entries,
+        }) = self.task
+        else {
+            return self.clone();
+        };
+        let canonical = |bound: usize, fills_at: usize| {
+            if bound >= fills_at.max(1) {
+                usize::MAX
+            } else {
+                bound
+            }
+        };
+        let workload = &self.workload;
+        let kind = PrefetcherKind::IdealTms {
+            index_entries: index_entries.map(|n| canonical(n, workload.accesses)),
+            history_entries: canonical(history_entries, workload.max_accesses_per_core()),
+        };
+        JobSpec::replay(workload.clone(), kind)
+    }
+
     /// Human-readable identity used in error reports, e.g.
     /// `"Web Apache × stms(p=0.125)"`.
     pub fn label(&self) -> String {

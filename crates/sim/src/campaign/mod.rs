@@ -11,7 +11,11 @@
 //! 2. **Scheduling** — the [`JobPool`] replays a batch's figure cells on
 //!    a bounded number of scoped worker threads, trace by trace and in
 //!    plan order within a trace, with panic-safe, per-job error
-//!    reporting; equal jobs in one batch run once;
+//!    reporting. Equal jobs in one batch run once, and so do ideal-TMS
+//!    jobs that differ only in bounds that cannot bind on their trace.
+//!    With more than one worker, each trace's first task goes ahead of
+//!    the previous trace's rest, so the next trace is generated while the
+//!    current one replays;
 //! 3. **Aggregation** — each figure is a declarative [`FigurePlan`]: a list
 //!    of [`JobSpec`]s plus a render stage that folds the job outputs into a
 //!    [`FigureResult`]. [`Campaign::run_figures`] runs the jobs of
@@ -51,6 +55,7 @@ pub use trace_store::{TraceStore, TraceStoreStats};
 
 use crate::experiments::FigureResult;
 use crate::system::ExperimentConfig;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
@@ -173,7 +178,8 @@ pub struct CampaignCacheStats {
 }
 
 /// Appends to a stderr `run summary:` block, once jobs ran, how many
-/// executed and how many shared a duplicate's output (`job flights`), how
+/// executed and how many shared a duplicate's output (`job flights`, with
+/// the jobs shared because their bounds cannot bind), how
 /// many requests found their trace in the store (`traces`, with the traces
 /// released and the most held at once), and how many jobs replayed a
 /// recorded hierarchy log (`hierarchy logs`, with the logs' total size).
@@ -182,11 +188,10 @@ pub fn push_cache_reports(summary: &mut stms_stats::RunSummary, campaign: &Campa
     let trace = campaign.store.stats();
     let flights = campaign.flight_stats();
     if flights.executed + flights.shared > 0 {
-        summary.push(CacheReport::new(
-            "job flights",
-            flights.shared,
-            flights.executed,
-        ));
+        summary.push(
+            CacheReport::new("job flights", flights.shared, flights.executed)
+                .with_detail("bound-equivalent", flights.bound_shared),
+        );
     }
     if trace.generated > 0 {
         summary.push(
@@ -208,9 +213,13 @@ pub fn push_cache_reports(summary: &mut stms_stats::RunSummary, campaign: &Campa
 pub struct FlightStats {
     /// Jobs this campaign actually simulated (result-cache hits excluded).
     pub executed: u64,
-    /// Jobs that took the output of an equal job earlier in the same batch
-    /// instead of replaying.
+    /// Jobs that took the output of an equal or provably equivalent job
+    /// earlier in the same batch instead of replaying.
     pub shared: u64,
+    /// The jobs among `shared` whose output came from a job that differs
+    /// from them only in ideal-TMS bounds that cannot bind on the trace
+    /// (see [`Campaign::run_jobs`]), counted in `shared` too.
+    pub bound_shared: u64,
 }
 
 /// One experiment campaign: a configuration, a shared trace store, an
@@ -226,6 +235,7 @@ pub struct Campaign {
     /// The live [`FlightStats`] counters.
     executed: AtomicU64,
     shared: AtomicU64,
+    bound_shared: AtomicU64,
     pool: JobPool,
 }
 
@@ -284,6 +294,7 @@ impl Campaign {
             results,
             executed: AtomicU64::new(0),
             shared: AtomicU64::new(0),
+            bound_shared: AtomicU64::new(0),
             pool: JobPool::new(threads),
         })
     }
@@ -313,6 +324,7 @@ impl Campaign {
         FlightStats {
             executed: self.executed.load(Ordering::Relaxed),
             shared: self.shared.load(Ordering::Relaxed),
+            bound_shared: self.bound_shared.load(Ordering::Relaxed),
         }
     }
 
@@ -324,6 +336,13 @@ impl Campaign {
     /// Runs a batch of jobs on the pool, resolving traces through the shared
     /// store. Results come back in job order; a panicking simulation yields
     /// `Err(JobError)` in its slot (carrying the job's fingerprint).
+    ///
+    /// Equal jobs run once. Without a result store, so do idealized-TMS
+    /// jobs that differ only in bounds that cannot bind on their trace: a
+    /// per-core history bound of at least
+    /// [`WorkloadSpec::max_accesses_per_core`] entries, or an index bound
+    /// of at least the trace length. Each such job's output is exactly
+    /// what it would compute alone.
     pub fn run_jobs(&self, jobs: Vec<JobSpec>) -> Vec<Result<JobOutput, JobError>> {
         let mut outcomes: Vec<Option<_>> = (0..jobs.len()).map(|_| None).collect();
         self.run_batch(jobs, None, |i, outcome| outcomes[i] = Some(outcome));
@@ -338,16 +357,22 @@ impl Campaign {
     ///
     /// Each spec's trace length is first set to the campaign's, the length
     /// the store generates, so that equal jobs run once and the tasks on
-    /// one trace form one group. Only the first of equal jobs becomes a
-    /// task, and its outcome is delivered to every duplicate, so a
-    /// duplicate never holds a worker. A task whose trace no other task of
-    /// the batch replays simulates the caches live instead of recording a
-    /// hierarchy log it would replay only once.
+    /// one trace form one group. Jobs that are equal, or equal up to
+    /// ideal-TMS bounds that cannot bind on the trace
+    /// ([`JobSpec::dedup_key`]), run once: only the first becomes a task,
+    /// with its own configuration, and its outcome is delivered to the
+    /// others, so a follower never holds a worker. A task whose trace no
+    /// other task of the batch replays simulates the caches live instead of
+    /// recording a hierarchy log it would replay only once.
     ///
     /// The tasks go to the pool ordered by their trace's first use, in
-    /// batch order within a trace. The tasks on a trace share one claim
-    /// on it, and the trace and its logs are dropped when the last of them
-    /// ends, so the store holds about one trace per worker.
+    /// batch order within a trace. With more than one worker, each trace's
+    /// first task goes ahead of the previous trace's rest, so one worker
+    /// generates the next trace and records its log while the others
+    /// replay the current one. The tasks on a trace share one claim on it,
+    /// and the trace and its logs are dropped when the last of them ends,
+    /// so the store holds at most one trace per worker, plus one with more
+    /// than one worker.
     ///
     /// `figures[i]`, when given, labels `jobs[i]`'s phase timings with its
     /// figure id in the telemetry registry; the phase clock itself always
@@ -362,19 +387,30 @@ impl Campaign {
         for job in &mut jobs {
             job.workload.accesses = self.cfg.accesses;
         }
-        // One task per distinct job, answering for every batch position
+        // A campaign with a result store keys each job on itself: every
+        // job's output must be stored under its own fingerprint, or a
+        // follower misses the store in every later campaign, and storing
+        // followers' outputs from the deliver loop costs a warm campaign
+        // more than the shared replays save.
+        let key_of = |job: &JobSpec| match self.results {
+            Some(_) => job.clone(),
+            None => job.dedup_key(),
+        };
+        // One task per distinct key, answering for every batch position
         // that carries it, its own first; the tasks grouped by trace, in
         // order of the trace's first use.
-        let mut task_of: HashMap<&JobSpec, usize> = HashMap::with_capacity(jobs.len());
+        let mut task_of: HashMap<JobSpec, usize> = HashMap::with_capacity(jobs.len());
         let mut positions: Vec<Vec<usize>> = Vec::new();
         let mut group_of: HashMap<&WorkloadSpec, usize> = HashMap::new();
         let mut groups = Vec::new();
         for (i, job) in jobs.iter().enumerate() {
-            if let Some(&task) = task_of.get(job) {
-                positions[task].push(i);
-                continue;
-            }
-            task_of.insert(job, positions.len());
+            match task_of.entry(key_of(job)) {
+                Entry::Occupied(task) => {
+                    positions[*task.get()].push(i);
+                    continue;
+                }
+                Entry::Vacant(slot) => slot.insert(positions.len()),
+            };
             let group = *group_of.entry(&job.workload).or_insert_with(|| {
                 groups.push(Vec::new());
                 groups.len() - 1
@@ -382,26 +418,32 @@ impl Campaign {
             groups[group].push((positions.len(), job, figures.map(|f| f[i])));
             positions.push(vec![i]);
         }
+        let claims: Vec<_> = groups
+            .iter()
+            .map(|group| {
+                let claim = self.store.claim(&group[0].1.workload, self.cfg.accesses);
+                (Arc::new(claim), group.len() > 1)
+            })
+            .collect();
         let (mut members, mut tasks) = (Vec::new(), Vec::new());
-        for group in groups {
-            let claim = Arc::new(self.store.claim(&group[0].1.workload, self.cfg.accesses));
-            let shared_trace = group.len() > 1;
-            for (task, job, figure) in group {
-                members.push(std::mem::take(&mut positions[task]));
-                let claim = Arc::clone(&claim);
-                let enqueued = std::time::Instant::now();
-                tasks.push(move || {
-                    // Dropped last, also when the job panics: the last
-                    // task on the trace releases it.
-                    let _claim = claim;
-                    let queue_ns = elapsed_ns(enqueued);
-                    let started = std::time::Instant::now();
-                    let output = self.execute_job(shared_trace, job);
-                    note_job_phases(figure, queue_ns, elapsed_ns(started));
-                    output
-                });
-            }
+        for (group, (task, job, figure)) in trace_order(groups, self.pool.threads() > 1) {
+            let (claim, shared_trace) = (Arc::clone(&claims[group].0), claims[group].1);
+            members.push(std::mem::take(&mut positions[task]));
+            let enqueued = std::time::Instant::now();
+            tasks.push(move || {
+                // Dropped last, also when the job panics: the last task on
+                // the trace releases it.
+                let _claim = claim;
+                let queue_ns = elapsed_ns(enqueued);
+                let started = std::time::Instant::now();
+                let output = self.execute_job(shared_trace, job);
+                note_job_phases(figure, queue_ns, elapsed_ns(started));
+                output
+            });
         }
+        // Only the tasks hold the claims now, so each trace is released
+        // when its last task ends.
+        drop(claims);
         self.pool.for_each(tasks, |task, outcome| {
             let (&leader, duplicates) = members[task]
                 .split_first()
@@ -410,6 +452,11 @@ impl Campaign {
                 let shared = duplicates.len() as u64;
                 self.shared.fetch_add(shared, Ordering::Relaxed);
                 stms_obs::counter("flight.shared").add(shared);
+                let by_bound = duplicates
+                    .iter()
+                    .filter(|&&i| jobs[i] != jobs[leader])
+                    .count() as u64;
+                self.bound_shared.fetch_add(by_bound, Ordering::Relaxed);
             }
             // A captured panic becomes each job's error, under its own
             // label and fingerprint.
@@ -597,6 +644,30 @@ impl Campaign {
     }
 }
 
+/// Flattens a batch's per-trace task groups, each paired with its group
+/// index, into the order the pool takes them. In `lookahead` order each
+/// group's first task goes ahead of the previous group's rest:
+/// `[a0, b0, a1.., c0, b1.., …]`. Single-task groups keep their order.
+fn trace_order<T>(groups: Vec<Vec<T>>, lookahead: bool) -> Vec<(usize, T)> {
+    let mut order = Vec::with_capacity(groups.iter().map(Vec::len).sum());
+    let mut rest: Option<(usize, std::vec::IntoIter<T>)> = None;
+    for (group, tasks) in groups.into_iter().enumerate() {
+        let mut tasks = tasks.into_iter();
+        if !lookahead {
+            order.extend(tasks.map(|task| (group, task)));
+            continue;
+        }
+        order.extend(tasks.next().map(|task| (group, task)));
+        if let Some((previous, tasks)) = rest.replace((group, tasks)) {
+            order.extend(tasks.map(|task| (previous, task)));
+        }
+    }
+    if let Some((last, tasks)) = rest {
+        order.extend(tasks.map(|task| (last, task)));
+    }
+    order
+}
+
 /// Nanoseconds since `started`, saturating at `u64::MAX`.
 fn elapsed_ns(started: std::time::Instant) -> u64 {
     started.elapsed().as_nanos().min(u64::MAX as u128) as u64
@@ -745,7 +816,8 @@ mod tests {
             campaign.flight_stats(),
             FlightStats {
                 executed: 2,
-                shared: 3
+                shared: 3,
+                bound_shared: 0
             }
         );
         let traces = campaign.store().stats();
@@ -799,7 +871,8 @@ mod tests {
             campaign.flight_stats(),
             FlightStats {
                 executed: 2,
-                shared: 1
+                shared: 1,
+                bound_shared: 0
             }
         );
     }
@@ -886,6 +959,173 @@ mod tests {
                 alone[0].as_ref().expect("no job fails").encode()
             );
         }
+    }
+
+    #[test]
+    fn two_workers_prepare_each_trace_once_and_match_one_worker() {
+        let kinds = [
+            PrefetcherKind::Baseline,
+            PrefetcherKind::ideal(),
+            PrefetcherKind::stms_with_sampling(0.125),
+        ];
+        let specs = [
+            presets::web_apache(),
+            presets::oltp_db2(),
+            presets::sci_ocean(),
+            presets::dss_qry17(),
+        ];
+        let mut jobs: Vec<JobSpec> = specs
+            .iter()
+            .flat_map(|spec| {
+                kinds
+                    .iter()
+                    .map(|kind| JobSpec::replay(spec.clone(), kind.clone()))
+            })
+            .collect();
+        jobs.push(JobSpec::collect_misses(presets::oltp_db2()));
+        let encode = |outputs: Vec<Result<JobOutput, JobError>>| -> Vec<Vec<u8>> {
+            outputs
+                .into_iter()
+                .map(|output| output.expect("no job fails").encode())
+                .collect()
+        };
+        let two = Campaign::with_threads(quick(), 2);
+        let batch = encode(two.run_jobs(jobs.clone()));
+        let traces = two.store().stats();
+        assert_eq!(
+            (traces.generated, traces.misses, traces.logs_recorded),
+            (4, 4, 4),
+            "each trace is generated and logged exactly once"
+        );
+        assert_eq!(traces.released, 4);
+        assert!(
+            traces.max_resident <= 3,
+            "two workers hold one trace each, plus the next one: {}",
+            traces.max_resident
+        );
+        assert_eq!(
+            batch,
+            encode(Campaign::with_threads(quick(), 1).run_jobs(jobs))
+        );
+    }
+
+    #[test]
+    fn trace_order_puts_each_first_task_ahead_of_the_previous_rest() {
+        let groups = vec![
+            vec!["a0", "a1", "a2"],
+            vec!["b0"],
+            vec!["c0", "c1"],
+            vec!["d0", "d1"],
+        ];
+        let order = |lookahead| -> Vec<(usize, &str)> { trace_order(groups.clone(), lookahead) };
+        assert_eq!(
+            order(false),
+            [(0, "a0"), (0, "a1"), (0, "a2"), (1, "b0"), (2, "c0")]
+                .into_iter()
+                .chain([(2, "c1"), (3, "d0"), (3, "d1")])
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(
+            order(true),
+            [(0, "a0"), (1, "b0"), (0, "a1"), (0, "a2"), (2, "c0")]
+                .into_iter()
+                .chain([(3, "d0"), (2, "c1"), (3, "d1")])
+                .collect::<Vec<_>>()
+        );
+        let single: Vec<Vec<u8>> = (0..4).map(|i| vec![i]).collect();
+        assert_eq!(
+            trace_order(single.clone(), true),
+            trace_order(single, false),
+            "single-task traces keep their order"
+        );
+    }
+
+    #[test]
+    fn only_bounds_that_cannot_bind_share_a_key() {
+        // 8,003 accesses on 4 cores: no core issues more than 2,001.
+        let workload = presets::web_apache().with_accesses(8_003);
+        let per_core = workload.max_accesses_per_core();
+        assert_eq!(per_core, 2_001);
+        let key = |index_entries, history_entries| {
+            let kind = PrefetcherKind::IdealTms {
+                index_entries,
+                history_entries,
+            };
+            JobSpec::replay(workload.clone(), kind).dedup_key()
+        };
+        let unbounded = key(None, 1 << 22);
+        assert_eq!(key(None, per_core), unbounded);
+        assert_ne!(key(None, per_core - 1), unbounded);
+        let bounded = key(Some(1 << 20), 1 << 22);
+        assert_eq!(key(Some(8_003), per_core), bounded);
+        assert_ne!(key(Some(8_002), 1 << 22), bounded);
+        assert_ne!(
+            bounded, unbounded,
+            "bounded and unbounded indexes name their outputs apart"
+        );
+        assert_ne!(key(None, 0), unbounded, "a zero history stays itself");
+        // Keying runs outside the workers' panic capture, so an invalid
+        // spec must reach its job to fail there.
+        let coreless = JobSpec::replay(
+            WorkloadSpec {
+                cores: 0,
+                ..workload.clone()
+            },
+            PrefetcherKind::ideal(),
+        );
+        let _ = coreless.dedup_key();
+        let campaign = Campaign::with_threads(quick(), 1);
+        assert!(campaign.run_jobs(vec![coreless])[0].is_err());
+        for job in [
+            JobSpec::replay(workload.clone(), PrefetcherKind::stms_with_sampling(0.125)),
+            JobSpec::collect_misses(workload.clone()),
+        ] {
+            assert_eq!(job.dedup_key(), job, "other jobs key on themselves");
+        }
+    }
+
+    #[test]
+    fn grid_jobs_that_share_a_key_compute_the_same_result_alone() {
+        let cfg = ExperimentConfig::quick().with_accesses(8_000);
+        let mut by_key: HashMap<JobSpec, Vec<JobSpec>> = HashMap::new();
+        for plan in crate::experiments::all_plans(&cfg) {
+            for job in plan.jobs() {
+                let job = JobSpec {
+                    workload: job.workload.clone().with_accesses(cfg.accesses),
+                    task: job.task.clone(),
+                };
+                let members = by_key.entry(job.dedup_key()).or_default();
+                if !members.contains(&job) {
+                    members.push(job);
+                }
+            }
+        }
+        let alone = |job: &JobSpec| {
+            let mut outputs = Campaign::with_threads(cfg.clone(), 1).run_jobs(vec![job.clone()]);
+            outputs
+                .pop()
+                .expect("one job")
+                .expect("no job fails")
+                .into_sim()
+        };
+        let mut merged = 0;
+        for members in by_key.values().filter(|members| members.len() > 1) {
+            let leader = alone(&members[0]);
+            for follower in &members[1..] {
+                assert_eq!(
+                    alone(follower),
+                    leader,
+                    "{} vs {}",
+                    follower.label(),
+                    members[0].label()
+                );
+                merged += 1;
+            }
+        }
+        // fig5-left's five upper history points on each of 8 workloads share
+        // fig4's unbounded job; fig1-left's four upper index points collapse
+        // into one job on each of 5 workloads.
+        assert_eq!(merged, 5 * 8 + 3 * 5);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! batch's tasks on the trace share the claim: it drops when the last of
 //! them ends. Dropping the last claim on a trace releases it: the store
 //! drops the trace with every log recorded for it, so a campaign
-//! that runs its batch trace by trace holds about one trace per worker,
-//! not every trace it has generated.
+//! that runs its batch trace by trace holds about one trace per worker
+//! (plus the next trace, being prepared, with more than one worker), not
+//! every trace it has generated.
 //!
 //! Traces are never persisted: generating one is cheaper than reading it
 //! back from disk. Every replay runs over a materialized trace, so the
@@ -56,6 +57,8 @@ use stms_workloads::{generate, WorkloadSpec};
 pub struct TraceStoreStats {
     /// Requests served from an already-present memory entry (including
     /// requests that waited while another worker generated the trace).
+    /// Only executed jobs request a trace: a job that takes the output of
+    /// an equal or bound-equivalent job of its batch makes no request.
     pub hits: u64,
     /// Requests that created a new memory entry.
     pub misses: u64,

@@ -103,6 +103,54 @@ fn warm_campaign_is_byte_identical_and_replays_nothing() {
 }
 
 #[test]
+fn sweeps_whose_bounds_cannot_bind_are_stored_job_by_job() {
+    // Most of fig1-left's and fig5-left's ideal-TMS bounds cannot bind on a
+    // 6,000-access trace. A campaign without a store runs those jobs once;
+    // one with a store runs and stores each, so the next campaign finds
+    // every job.
+    let dir = temp_dir("bounds");
+    let ids = ["fig1-left", "fig4", "fig5-left"];
+    let (cold_tables, cold, _) = run(&dir, &ids);
+    let cold_flights = cold.flight_stats();
+    assert_eq!(
+        cold_flights.bound_shared, 0,
+        "a stored campaign keys on jobs"
+    );
+    let cold_results = cold.cache_stats().result.expect("result cache configured");
+    assert_eq!(cold_results.stores, cold_flights.executed);
+
+    let (warm_tables, warm, _) = run(&dir, &ids);
+    assert_eq!(warm_tables, cold_tables);
+    let warm_stats = warm.cache_stats();
+    let warm_results = warm_stats.result.expect("result cache configured");
+    assert_eq!(
+        (warm_results.misses, warm_stats.trace.generated),
+        (0, 0),
+        "a warm campaign replays and generates nothing"
+    );
+
+    // Without a store, the same figures run fewer jobs to the same text.
+    let memory = Campaign::with_threads(quick(), 2);
+    let plans = ids
+        .iter()
+        .map(|id| experiments::plan_for_id(id, memory.cfg()).expect("known id"))
+        .collect();
+    let memory_tables: Vec<String> = memory
+        .run_figures(plans)
+        .into_iter()
+        .map(|figure| figure.expect("no job fails").render())
+        .collect();
+    assert_eq!(memory_tables, cold_tables);
+    let flights = memory.flight_stats();
+    assert!(flights.bound_shared > 0);
+    assert_eq!(
+        flights.executed + flights.bound_shared,
+        cold_flights.executed
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn corrupting_every_cache_file_falls_back_to_regeneration() {
     let dir = temp_dir("corrupt");
     let ids = ["fig4"];

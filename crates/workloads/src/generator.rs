@@ -385,6 +385,44 @@ mod tests {
     }
 
     #[test]
+    fn no_core_issues_more_than_max_accesses_per_core() {
+        // The campaign shares ideal-TMS jobs whose per-core history bound
+        // is at least `max_accesses_per_core()`, so round-robin dealing is
+        // a contract: lengths that do not divide evenly must not give any
+        // core one access more.
+        let presets = [
+            crate::presets::web_apache(),
+            crate::presets::dss_qry17(),
+            crate::presets::sci_em3d(),
+        ];
+        for preset in presets {
+            for cores in [1, 3, 4, 7] {
+                for accesses in [0, 1, 5, 1_001, 2_003] {
+                    let spec = WorkloadSpec {
+                        cores,
+                        ..preset.clone().with_accesses(accesses)
+                    };
+                    let mut per_core = vec![0usize; cores];
+                    for access in generate(&spec).iter() {
+                        per_core[access.core.index()] += 1;
+                    }
+                    let bound = spec.max_accesses_per_core();
+                    assert!(
+                        per_core.iter().all(|&n| n <= bound),
+                        "{} on {cores} cores, {accesses} accesses: {per_core:?} > {bound}",
+                        spec.name
+                    );
+                    assert_eq!(
+                        per_core.iter().max().copied().unwrap_or(0),
+                        bound,
+                        "the bound is tight"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn hot_fraction_produces_hot_accesses() {
         let spec = test_spec();
         let t = generate(&spec);

@@ -152,6 +152,15 @@ impl WorkloadSpec {
         (stream_lines + noise_lines) as u64 + self.hot_lines
     }
 
+    /// The most accesses any one core issues in this spec's trace:
+    /// [`crate::generate`] deals the accesses to the cores round-robin, so
+    /// each core gets `accesses / cores`, rounded up. A per-core structure
+    /// with at least this many entries never drops one. Zero cores, which
+    /// [`WorkloadSpec::validate`] rejects, count as one.
+    pub fn max_accesses_per_core(&self) -> usize {
+        self.accesses.div_ceil(self.cores.max(1))
+    }
+
     /// Returns a copy with a different trace length.
     pub fn with_accesses(mut self, accesses: usize) -> Self {
         self.accesses = accesses;
